@@ -48,7 +48,6 @@ class Command:
     verb: str
     config_path: str | None
     overrides: dict
-    output_path: str | None
     options: dict
 
 
@@ -105,10 +104,10 @@ def _add_path_flags(sub) -> None:
     group.add_argument("--force-direct", action="store_true")
 
 
-def _forced_path(ns) -> str | None:
-    if getattr(ns, "force_woodbury", False):
+def _forced_path(opt: dict) -> str | None:
+    if opt.get("force_woodbury"):
         return "woodbury"
-    if getattr(ns, "force_direct", False):
+    if opt.get("force_direct"):
         return "direct"
     return None
 
@@ -126,14 +125,13 @@ def _command_from_args(ns: argparse.Namespace) -> Command:
             overrides["pipeline"] = ns.pipeline
         if ns.out is not None:
             overrides["out"] = os.path.abspath(ns.out)
-        forced = _forced_path(ns)
+        forced = _forced_path(options)
         if forced is not None:
             overrides["rilm_path"] = forced
     return Command(
         verb=ns.verb,
         config_path=getattr(ns, "config", None),
         overrides=overrides,
-        output_path=getattr(ns, "out", None),
         options=options,
     )
 
@@ -190,22 +188,15 @@ def _cmd_verify(cmd: Command) -> int:
         d_rp=opt["d_rp"],
         samples_range=(opt["min_samples"], opt["max_samples"]),
     )
-    forced = _forced_path_from_options(opt)
+    forced = _forced_path(opt)
     paths = (forced,) if forced else ("woodbury", "direct")
-    err = max(rilm.recursive_vs_batch_error(phases, opt["eta"], path) for path in paths)
-    print(f"max_rel_error={err!r}")
+    errs = {path: rilm.recursive_vs_batch_error(phases, opt["eta"], path) for path in paths}
+    err = max(errs.values())
+    print(f"max_rel_error={err!r} " + " ".join(f"{p}={e!r}" for p, e in errs.items()))
     if err > VERIFY_TOL:
         print(f"equivalence check failed: {err!r} > {VERIFY_TOL!r}", file=sys.stderr)
         return 2
     return 0
-
-
-def _forced_path_from_options(opt: dict) -> str | None:
-    if opt.get("force_woodbury"):
-        return "woodbury"
-    if opt.get("force_direct"):
-        return "direct"
-    return None
 
 
 def _cmd_gradcheck(cmd: Command) -> int:

@@ -6,11 +6,12 @@ row-major layout is part of the serialization contract in
 conformance, finite entries), never mutate them, and return freshly
 allocated arrays, so values can be shared freely between threads.
 
-The symmetric positive-definite solve path is a hand-written Cholesky
-factorization plus triangular substitutions. Writing it out (instead of
-calling LAPACK) buys exact reporting of the failing pivot index when a
-matrix is not positive definite, which the recursive-update diagnostics
-rely on.
+The symmetric positive-definite operations run on LAPACK through numpy:
+``np.linalg.cholesky`` is the positive-definiteness check, then
+``np.linalg.solve`` or ``np.linalg.inv`` does the work. A hand-written
+Cholesky loop is kept for one purpose only: when LAPACK rejects a matrix,
+the loop reruns to report the exact failing pivot index, which the
+recursive-update diagnostics rely on.
 """
 
 from __future__ import annotations
@@ -117,15 +118,8 @@ def _require_symmetric(a: Matrix, op: str) -> None:
         raise ValidationError(f"{op}: matrix is not symmetric within tolerance")
 
 
-def cholesky_lower(a) -> Matrix:
-    """Lower-triangular L with L Lᵀ == a for symmetric positive-definite a.
-
-    Only the lower triangle of ``a`` is read. Raises
-    NotPositiveDefiniteError with the failing pivot index when a pivot is
-    not strictly positive.
-    """
-    a = as_matrix(a, "a")
-    _require_square(a, "cholesky_lower")
+def _cholesky_loop(a: Matrix) -> Matrix:
+    # Column-by-column Cholesky; raises at the first non-positive pivot.
     n = a.shape[0]
     low = np.zeros((n, n), dtype=np.float64)
     for j in range(n):
@@ -138,22 +132,32 @@ def cholesky_lower(a) -> Matrix:
     return low
 
 
-def _forward_substitution(low: Matrix, b: Matrix) -> Matrix:
-    # Solve L x = b, L lower triangular; b may hold many right-hand sides.
-    n = low.shape[0]
-    x = np.empty_like(b)
-    for i in range(n):
-        x[i] = (b[i] - low[i, :i] @ x[:i]) / low[i, i]
-    return x
+def cholesky_lower(a) -> Matrix:
+    """Lower-triangular L with L Lᵀ == a for symmetric positive-definite a.
+
+    Only the lower triangle of ``a`` is read. Raises
+    NotPositiveDefiniteError with the failing pivot index when a pivot is
+    not strictly positive.
+    """
+    a = as_matrix(a, "a")
+    _require_square(a, "cholesky_lower")
+    try:
+        low = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        low = None
+    if low is None or not np.isfinite(low).all():
+        # LAPACK does not name the pivot; the loop does (and its factor is
+        # returned should it succeed where LAPACK gave up).
+        return _cholesky_loop(a)
+    return np.ascontiguousarray(low)
 
 
-def _back_substitution(low: Matrix, b: Matrix) -> Matrix:
-    # Solve Lᵀ x = b using the stored lower factor.
-    n = low.shape[0]
-    x = np.empty_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - low[i + 1 :, i] @ x[i + 1 :]) / low[i, i]
-    return x
+def _spd_operand(a: Matrix, op: str) -> Matrix:
+    # Symmetrized copy of a validated square a, checked positive definite.
+    _require_symmetric(a, op)
+    sym = 0.5 * (a + a.T)
+    cholesky_lower(sym)
+    return sym
 
 
 def spd_solve(a, b) -> Matrix:
@@ -161,16 +165,14 @@ def spd_solve(a, b) -> Matrix:
 
     The input is symmetrized as (a + aᵀ)/2 before factorization so that
     accumulated floating-point drift in nominally symmetric matrices does
-    not leak into the factor. No explicit inverse is formed.
+    not leak into the solution. No explicit inverse is formed.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     _require_square(a, "spd_solve")
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"spd_solve: a is {a.shape} but b has {b.shape[0]} rows")
-    _require_symmetric(a, "spd_solve")
-    low = cholesky_lower(0.5 * (a + a.T))
-    x = _back_substitution(low, _forward_substitution(low, b))
+    x = np.linalg.solve(_spd_operand(a, "spd_solve"), b)
     return _check_finite_result(x, "spd_solve")
 
 
@@ -182,5 +184,5 @@ def spd_inverse(a) -> Matrix:
     """
     a = as_matrix(a, "a")
     _require_square(a, "spd_inverse")
-    inv = spd_solve(a, identity(a.shape[0]))
-    return np.ascontiguousarray(0.5 * (inv + inv.T))
+    inv = np.linalg.inv(_spd_operand(a, "spd_inverse"))
+    return _check_finite_result(np.ascontiguousarray(0.5 * (inv + inv.T)), "spd_inverse")

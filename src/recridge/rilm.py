@@ -17,20 +17,42 @@ Updating ``r`` when a phase of n rows arrives can be done two ways:
 Both must agree to tight tolerance; ``auto`` picks whichever system is
 smaller. States are immutable values; every operation returns a new state.
 
-The ridge strength ``eta`` may be any positive number, but the tolerances
-quoted in the tests assume eta >= 1e-6; far below that the accumulated
-Gram matrix becomes too ill-conditioned for 1e-8 agreement in float64.
+Every phase, the first included, is one update of this pair, starting from
+the empty state (no classes, ``r = I/eta``).
+
+The ridge strength ``eta`` may be any positive number, but when a phase has
+fewer rows than features the float64 error grows roughly as 1/eta. For one
+phase of 50 rows at d = 192 (Gaussian or ReLU features) the weights differ
+from ``np.linalg.solve`` of the normal equations by about 1e-13 relative at
+eta = 1, 1e-11 at 1e-2, 1e-9 at 1e-4 and 1.2e-7 at 1e-6, the last beyond
+the 1e-8 weight tolerance of the tests; with 300 rows the gap stays near
+1e-14 down to eta = 1e-6. The tests cover eta >= 1e-4 on both paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fmat
-from .dense_linalg import Matrix, as_matrix, identity, spd_inverse, spd_solve, zeros
-from .errors import ParseError, ProtocolError, ShapeError, ValidationError
+from .dense_linalg import (
+    SYMMETRY_RTOL,
+    Matrix,
+    as_matrix,
+    cholesky_lower,
+    identity,
+    spd_inverse,
+    spd_solve,
+    zeros,
+)
+from .errors import (
+    NotPositiveDefiniteError,
+    ParseError,
+    ProtocolError,
+    ShapeError,
+    ValidationError,
+)
 
 UPDATE_PATHS = ("auto", "woodbury", "direct")
 
@@ -173,22 +195,18 @@ def empty_state(d_rp: int, eta: float = DEFAULT_ETA) -> RilmState:
 
 
 def rilm_init(phase0: PhaseDataset, eta: float = DEFAULT_ETA) -> RilmState:
-    """Fit the initial phase as a closed-form ridge problem.
+    """Fit the initial phase: the first update from the empty state.
 
     Weights solve min ||Y - F W||² + eta ||W||²; the memory matrix is the
-    inverse of (FᵀF + eta I). An empty phase yields the fresh-state values.
+    inverse of (FᵀF + eta I). The phase goes through expand_classes and
+    rilm_update like every later one (``auto`` path, so Woodbury when the
+    phase has fewer rows than features), and the state keeps ``phase=0``.
+    An empty phase yields the fresh-state values.
     """
-    eta = _check_eta(eta)
     if not phase0.projected:
         raise ValidationError("rilm_init expects projected features")
-    f = phase0.features
-    d = f.shape[1]
-    if d < 1:
-        raise ShapeError("rilm_init: features must have at least one column")
-    gram = f.T @ f + eta * identity(d)
-    r0 = spd_inverse(gram)
-    w0 = spd_solve(gram, f.T @ phase0.labels_onehot)
-    return RilmState(weights=w0, r=r0, eta=eta, phase=0, class_ids=phase0.class_ids)
+    state = expand_classes(empty_state(phase0.features.shape[1], eta), phase0.class_ids)
+    return replace(rilm_update(state, phase0), phase=0)
 
 
 def expand_classes(state: RilmState, new_class_ids) -> RilmState:
@@ -247,9 +265,9 @@ def rilm_update(state: RilmState, phase: PhaseDataset, path: str = "auto") -> Ri
 
     The phase's classes must have been registered through expand_classes
     beforehand. Labels are embedded at their registered columns, then the
-    weights move by the recursive correction
+    weights move by the recursive least-squares correction
 
-        w  <-  w - r_new (fᵀf) w + r_new (fᵀ y)
+        w  <-  w + r_new fᵀ (y - f w)
 
     which reproduces the joint ridge solution over everything seen so far.
     Nothing from the phase is retained beyond the refreshed summaries, and
@@ -270,10 +288,8 @@ def rilm_update(state: RilmState, phase: PhaseDataset, path: str = "auto") -> Ri
     y_full[:, cols] = phase.labels_onehot
 
     r_new = update_r(state, f, path=path)
-    a_n = f.T @ f
-    c_n = f.T @ y_full
     w = state.weights
-    w_new = w - r_new @ (a_n @ w) + r_new @ c_n
+    w_new = w + r_new @ (f.T @ (y_full - f @ w))
     return RilmState(
         weights=w_new,
         r=r_new,
@@ -400,12 +416,23 @@ def load_state(path) -> RilmState:
         phase = int(fields["phase"])
     except (KeyError, ValueError):
         raise cursor.error(f"malformed checkpoint header: {header!r}") from None
+    if phase < 0:
+        raise cursor.error(f"negative phase in checkpoint header: {header!r}")
     weights = fmat.read_matrix_block(cursor)
+    r_line = cursor.lineno + 1
     r = fmat.read_matrix_block(cursor)
     ids = fmat.read_labels_block(cursor)
     fmat.check_consumed(cursor)
     if weights.shape != (d_rp, classes) or r.shape != (d_rp, d_rp) or len(ids) != classes:
         raise ParseError(path, 1, "checkpoint blocks do not match header dimensions")
+    if np.abs(r - r.T).max(initial=0.0) > SYMMETRY_RTOL * np.abs(r).max(initial=0.0):
+        raise ParseError(path, r_line, "memory matrix r is not symmetric")
+    try:
+        cholesky_lower(r)
+    except NotPositiveDefiniteError as exc:
+        raise ParseError(
+            path, r_line, f"memory matrix r is not positive definite (pivot {exc.pivot})"
+        ) from None
     return RilmState(weights=weights, r=r, eta=eta, phase=phase, class_ids=tuple(ids))
 
 

@@ -34,17 +34,28 @@ def _write_synth_config(tmp_path, **overrides):
 # -- verify / gradcheck -------------------------------------------------------
 
 
+def _verify_fields(out):
+    assert out.endswith("\n") and out.count("\n") == 1
+    return {key: float(value) for key, value in (p.split("=", 1) for p in out.split())}
+
+
 def test_verify_passes_and_prints_error(capsys):
     assert cli.main(["verify", "--phases", "4", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("max_rel_error=")
-    assert float(out.split("=", 1)[1]) <= 1e-8
+    fields = _verify_fields(out)
+    assert list(fields) == ["max_rel_error", "woodbury", "direct"]
+    assert fields["max_rel_error"] == max(fields["woodbury"], fields["direct"])
+    assert fields["max_rel_error"] <= 1e-8
 
 
 @pytest.mark.parametrize("flag", ["--force-woodbury", "--force-direct"])
 def test_verify_forced_paths(capsys, flag):
     assert cli.main(["verify", "--phases", "3", "--seed", "1", flag]) == 0
-    assert float(capsys.readouterr().out.split("=", 1)[1]) <= 1e-8
+    fields = _verify_fields(capsys.readouterr().out)
+    path = flag.removeprefix("--force-")
+    assert list(fields) == ["max_rel_error", path]
+    assert fields["max_rel_error"] == fields[path] <= 1e-8
 
 
 def test_verify_forced_paths_mutually_exclusive():

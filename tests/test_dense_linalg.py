@@ -177,6 +177,27 @@ def test_non_pd_reports_pivot_index():
     assert info.value.pivot == 0
 
 
+def test_non_pd_pivot_index_at_blocked_size():
+    # LAPACK factors blocks of columns at this size; the reported pivot must
+    # still be the exact first non-positive one.
+    gen = _rng(5)
+    n, bad = 300, 217
+    g = gen.standard_normal((n, n))
+    a = g @ g.T / n + np.eye(n)
+    lead = a[:bad, :bad]
+    schur = a[bad, bad] - a[bad, :bad] @ np.linalg.solve(lead, a[:bad, bad])
+    a[bad, bad] -= schur + 1.0  # Schur complement at the pivot becomes -1
+    np.linalg.cholesky(lead)  # leading block stays positive definite
+    for op in (
+        lambda: dl.cholesky_lower(a),
+        lambda: dl.spd_solve(a, np.eye(n)),
+        lambda: dl.spd_inverse(a),
+    ):
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            op()
+        assert info.value.pivot == bad
+
+
 def test_cholesky_reconstructs():
     gen = _rng(3)
     g = gen.standard_normal((6, 6))

@@ -17,7 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
-from recridge import rilm
+from recridge import fmat, rilm
 from recridge.dense_linalg import cholesky_lower, identity, zeros
 from recridge.errors import ParseError, ProtocolError, ShapeError, ValidationError
 
@@ -139,6 +139,27 @@ def test_init_matches_normal_equations_oracle():
     f, y = phase.features, phase.labels_onehot
     expected = np.linalg.solve(f.T @ f + 0.5 * np.eye(16), f.T @ y)
     assert np.linalg.norm(state.weights - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("relu", [False, True], ids=["gaussian", "relu"])
+@pytest.mark.parametrize("eta", [1.0, 1e-2, 1e-4])
+@pytest.mark.parametrize("n, path", [(50, "woodbury"), (300, "direct")])
+def test_init_paths_match_normal_equations_oracle(n, path, eta, relu):
+    # phase 0 is an update from the empty state, so n < d takes Woodbury
+    d = 192
+    phase = _random_phase(_rng(1), n, range(3), d=d)
+    if relu:
+        phase = rilm.PhaseDataset(np.maximum(phase.features, 0.0), phase.labels_onehot, (0, 1, 2))
+    state = rilm.rilm_init(phase, eta=eta)
+    assert state.phase == 0
+    forced = rilm.rilm_update(
+        rilm.expand_classes(rilm.empty_state(d, eta), phase.class_ids), phase, path=path
+    )
+    assert np.array_equal(state.weights, forced.weights)
+    assert np.array_equal(state.r, forced.r)
+    f, y = phase.features, phase.labels_onehot
+    expected = np.linalg.solve(f.T @ f + eta * np.eye(d), f.T @ y)
+    assert np.linalg.norm(state.weights - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 def test_init_rejects_bad_eta():
@@ -462,3 +483,42 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
     path.write_text("\n".join(text[:3]) + "\n")
     with pytest.raises(ParseError):
         rilm.load_state(path)
+
+
+def _corrupt_r(path, transform):
+    # rewrite the r block (the second FMAT block) of a saved checkpoint
+    lines = path.read_text().splitlines()
+    start = [i for i, line in enumerate(lines) if line.startswith("FMAT")][1] + 1
+    d = len(lines[start].split())
+    r = np.array([[float(v) for v in line.split()] for line in lines[start : start + d]])
+    rows = [" ".join(fmat.format_float(v) for v in row) for row in transform(r)]
+    lines[start : start + d] = rows
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "transform",
+    [
+        lambda r: r + np.triu(np.full_like(r, 1e-3), 1),  # asymmetric
+        lambda r: -r,  # symmetric, negative definite
+    ],
+    ids=["asymmetric", "not_pd"],
+)
+def test_checkpoint_rejects_corrupt_memory(tmp_path, transform):
+    path = tmp_path / "state.rilm"
+    rilm.save_state(_train_state(10, seed=26), path)
+    rilm.load_state(path)
+    _corrupt_r(path, transform)
+    with pytest.raises(ParseError) as info:
+        rilm.load_state(path)
+    assert info.value.lineno == 13  # FMAT header of r: after 1 + (1 + 10) lines
+
+
+def test_checkpoint_rejects_negative_phase(tmp_path):
+    path = tmp_path / "state.rilm"
+    rilm.save_state(_train_state(10, seed=27), path)
+    text = path.read_text()
+    path.write_text(text.replace(" phase=1\n", " phase=-1\n", 1))
+    with pytest.raises(ParseError) as info:
+        rilm.load_state(path)
+    assert info.value.lineno == 1
