@@ -166,12 +166,14 @@ def _cmd_run(cmd: Command) -> int:
             config,
             schedule=harness.even_schedule(config.schedule.total_classes, int(opt["phases"])),
         )
+    runner = harness.run_naive_baseline if opt.get("naive") else harness.run_pipeline
+    report = runner(config)
+    # Echo the effective config only once the run has succeeded, so a failed
+    # run leaves no output behind.
     if config.out is not None:
         root, _ = os.path.splitext(config.out)
         with open(root + ".cfg", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(harness.config_to_text(config))
-    runner = harness.run_naive_baseline if opt.get("naive") else harness.run_pipeline
-    report = runner(config)
     seen = 0
     for i, (ids, acc) in enumerate(zip(config.schedule.phases, report.per_phase_acc)):
         seen += len(ids)

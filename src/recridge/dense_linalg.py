@@ -8,7 +8,8 @@ allocated arrays, so values can be shared freely between threads.
 
 The symmetric positive-definite operations run on LAPACK through numpy:
 ``np.linalg.cholesky`` is the positive-definiteness check, then
-``np.linalg.solve`` or ``np.linalg.inv`` does the work. A hand-written
+``np.linalg.solve`` or ``np.linalg.inv`` does the work (``spd_half_solve``
+solves against the Cholesky factor itself). A hand-written
 Cholesky loop is kept for one purpose only: when LAPACK rejects a matrix,
 the loop reruns to report the exact failing pivot index, which the
 recursive-update diagnostics rely on.
@@ -160,6 +161,16 @@ def _spd_operand(a: Matrix, op: str) -> Matrix:
     return sym
 
 
+def _solve_operands(a, b, op: str) -> tuple[Matrix, Matrix]:
+    # Validated square a and conforming b for a solve of a X = b.
+    a = as_matrix(a, "a")
+    b = as_matrix(b, "b")
+    _require_square(a, op)
+    if a.shape[0] != b.shape[0]:
+        raise ShapeError(f"{op}: a is {a.shape} but b has {b.shape[0]} rows")
+    return a, b
+
+
 def spd_solve(a, b) -> Matrix:
     """Solve a X = b for symmetric positive-definite a.
 
@@ -167,13 +178,22 @@ def spd_solve(a, b) -> Matrix:
     accumulated floating-point drift in nominally symmetric matrices does
     not leak into the solution. No explicit inverse is formed.
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    _require_square(a, "spd_solve")
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"spd_solve: a is {a.shape} but b has {b.shape[0]} rows")
+    a, b = _solve_operands(a, b, "spd_solve")
     x = np.linalg.solve(_spd_operand(a, "spd_solve"), b)
     return _check_finite_result(x, "spd_solve")
+
+
+def spd_half_solve(a, b) -> Matrix:
+    """V = L⁻¹ b, where L is the lower Cholesky factor of (a + aᵀ)/2.
+
+    For symmetric positive-definite a, Vᵀ V equals bᵀ a⁻¹ b, and because
+    it is a product of one matrix with its own transpose it can be formed
+    exactly symmetric. Checks and errors are those of spd_solve.
+    """
+    a, b = _solve_operands(a, b, "spd_half_solve")
+    _require_symmetric(a, "spd_half_solve")
+    low = cholesky_lower(0.5 * (a + a.T))
+    return _check_finite_result(np.linalg.solve(low, b), "spd_half_solve")
 
 
 def spd_inverse(a) -> Matrix:

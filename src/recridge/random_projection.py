@@ -86,13 +86,12 @@ def rp_forward(layer: RpLayer, features) -> Matrix:
         raise ShapeError(
             f"rp_forward: features have width {f.shape[1]}, layer expects {layer.input_dim}"
         )
-    pre = f @ layer.w_rp
+    # The pre-activation is a fresh array, so it is activated in place.
+    out = f @ layer.w_rp
     if layer.activation == "relu":
-        out = np.maximum(pre, 0.0)
+        np.maximum(out, 0.0, out=out)
     elif layer.activation == "tanh":
-        out = np.tanh(pre)
-    else:
-        out = pre
+        np.tanh(out, out=out)
     if not np.isfinite(out).all():
         raise ValidationError("rp_forward produced non-finite entries")
     return np.ascontiguousarray(out)

@@ -208,6 +208,23 @@ def test_run_file_mode_from_gen(tmp_path, capsys):
     assert float(final.split("R=")[1]) <= 1.0
 
 
+def test_run_failure_leaves_no_effective_config(tmp_path, capsys):
+    prefix = tmp_path / "data"
+    assert cli.main(["gen", "--out", str(prefix), "--classes", "4", "--dim", "6"]) == 0
+    (tmp_path / "data_train.fmat").write_text("FMAT 2 not-a-number\n")
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(
+        "pipeline = repoint\nschedule = 4/2\n"
+        "features_train = data_train.fmat\nlabels_train = data_train.labl\n"
+        "features_test = data_test.fmat\nlabels_test = data_test.labl\n"
+    )
+    out = tmp_path / "res.txt"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "data_train.fmat" in capsys.readouterr().err
+    assert not (tmp_path / "res.cfg").exists()
+    assert not out.exists() and not (tmp_path / "res.csv").exists()
+
+
 # -- metrics ----------------------------------------------------------------------
 
 

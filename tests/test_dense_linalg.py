@@ -4,6 +4,7 @@ Core claims:
     - matmul/transpose/add/subtract/scale match hand values and naive oracles
     - spd_solve achieves residual <= 1e-10 relative for condition <= 1e6
     - spd_inverse reconstructs the identity to 1e-9 and stays symmetric
+    - spd_half_solve solves against the Cholesky factor with spd_solve's checks
     - cholesky_lower reports the exact failing pivot on non-PD input
     - every public operation rejects NaN/Inf inputs
 """
@@ -168,6 +169,33 @@ def test_spd_inverse_reconstruction(seed):
     assert np.abs(inv - inv.T).max() <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_spd_half_solve_matches_cholesky_solve(seed):
+    gen = _rng(300 + seed)
+    n = int(gen.integers(1, 40))
+    g = gen.standard_normal((n + 5, n))
+    a = g.T @ g + np.eye(n)
+    b = gen.standard_normal((n, 7))
+    v = dl.spd_half_solve(a, b)
+    expected = np.linalg.solve(np.linalg.cholesky(a), b)
+    assert np.linalg.norm(v - expected) <= 1e-12 * np.linalg.norm(expected)
+    gram = v.T @ v
+    assert np.array_equal(gram, gram.T)
+    assert np.allclose(gram, b.T @ np.linalg.solve(a, b), rtol=1e-10, atol=1e-12)
+
+
+def test_spd_half_solve_checks_like_spd_solve():
+    with pytest.raises(ShapeError):
+        dl.spd_half_solve(np.ones((2, 3)), np.ones((2, 1)))
+    with pytest.raises(ShapeError):
+        dl.spd_half_solve(np.eye(3), np.ones((2, 1)))
+    with pytest.raises(ValidationError):
+        dl.spd_half_solve([[1.0, 5.0], [0.0, 1.0]], np.eye(2))
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        dl.spd_half_solve(np.diag([1.0, 2.0, -1.0]), np.eye(3))
+    assert info.value.pivot == 2
+
+
 def test_non_pd_reports_pivot_index():
     with pytest.raises(NotPositiveDefiniteError) as info:
         dl.cholesky_lower(np.diag([1.0, 2.0, -1.0]))
@@ -191,6 +219,7 @@ def test_non_pd_pivot_index_at_blocked_size():
     for op in (
         lambda: dl.cholesky_lower(a),
         lambda: dl.spd_solve(a, np.eye(n)),
+        lambda: dl.spd_half_solve(a, np.eye(n)),
         lambda: dl.spd_inverse(a),
     ):
         with pytest.raises(NotPositiveDefiniteError) as info:
@@ -210,6 +239,7 @@ def test_cholesky_reconstructs():
 def test_zero_size_matrices_supported():
     assert dl.spd_solve(dl.identity(0), dl.zeros(0, 3)).shape == (0, 3)
     assert dl.spd_inverse(dl.identity(0)).shape == (0, 0)
+    assert dl.spd_half_solve(dl.identity(0), dl.zeros(0, 3)).shape == (0, 3)
 
 
 # -- input validation ---------------------------------------------------------
@@ -228,6 +258,7 @@ def test_ops_reject_non_finite(bad):
         lambda: dl.scale(poisoned, 2.0),
         lambda: dl.frobenius_norm(poisoned),
         lambda: dl.spd_solve(clean, poisoned),
+        lambda: dl.spd_half_solve(clean, poisoned),
         lambda: dl.spd_inverse(poisoned),
     ):
         with pytest.raises(ValidationError):
@@ -244,5 +275,6 @@ def test_ops_do_not_mutate_inputs():
     before = a.copy()
     dl.spd_solve(a, np.eye(2))
     dl.spd_inverse(a)
+    dl.spd_half_solve(a, np.eye(2))
     dl.transpose(a)
     assert np.array_equal(a, before)

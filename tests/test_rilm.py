@@ -6,7 +6,8 @@ Core claims:
     - recursive updates reproduce the joint closed-form fit for any split
       (both update paths), and phase order does not matter
     - r stays symmetric positive definite and consistent with the
-      separately accumulated Gram matrix
+      separately accumulated Gram matrix; it is exactly symmetric after
+      every update, even over hundreds of ReLU-projected phases
     - empty phases are exact no-ops; states never grow with sample count
     - prediction uses the global id table with lowest-id tie-breaking
     - checkpoints round-trip exactly
@@ -17,7 +18,7 @@ import itertools
 import numpy as np
 import pytest
 
-from recridge import fmat, rilm
+from recridge import fmat, random_projection, rilm
 from recridge.dense_linalg import cholesky_lower, identity, zeros
 from recridge.errors import ParseError, ProtocolError, ShapeError, ValidationError
 
@@ -244,6 +245,7 @@ def test_update_r_paths_agree():
     wood = rilm.update_r(state, f, path="woodbury")
     direct = rilm.update_r(state, f, path="direct")
     assert np.linalg.norm(wood - direct) <= 1e-9 * np.linalg.norm(direct)
+    assert np.array_equal(wood, wood.T) and np.array_equal(direct, direct.T)
 
 
 def test_update_r_rejects_bad_width_and_path():
@@ -341,6 +343,31 @@ def test_r_consistency_and_spd_preservation(seed):
         cholesky_lower(state.r)  # factorization success == positive definite
 
 
+@pytest.mark.parametrize("eta", [1.0, 1e-4])
+def test_many_relu_phases_keep_r_exactly_symmetric(tmp_path, eta):
+    # 300 single-class phases of low-rank ReLU-projected features: round-off
+    # must neither break r's symmetry nor pull the weights off the joint fit
+    d_in, d = 16, 192
+    gen = _rng(90)
+    layer = random_projection.rp_new(d_in, d, seed=90, activation="relu")
+    phases = []
+    for k in range(300):
+        x = gen.standard_normal((10, d_in)) + gen.standard_normal(d_in)
+        f = random_projection.rp_forward(layer, x)
+        phases.append(rilm.PhaseDataset(f, np.ones((10, 1)), (k,)))
+    state = rilm.empty_state(d, eta)
+    for ph in phases:
+        state = rilm.rilm_update(rilm.expand_classes(state, ph.class_ids), ph, path="woodbury")
+        assert np.array_equal(state.r, state.r.T)
+    reference = rilm.batch_oracle(phases, eta)
+    assert np.linalg.norm(state.weights - reference) <= 1e-8 * np.linalg.norm(reference)
+    path = tmp_path / "state.rilm"
+    rilm.save_state(state, path)
+    loaded = rilm.load_state(path)
+    assert np.array_equal(loaded.weights, state.weights)
+    assert np.array_equal(loaded.r, state.r)
+
+
 # -- batch oracle -------------------------------------------------------------
 
 
@@ -400,12 +427,20 @@ def test_predict_matches_score_argmax_oracle():
     state = rilm.RilmState(weights, np.eye(6), 1.0, 0, (0, 1, 2, 3))
     f = gen.standard_normal((20, 6))
     expected = [int(np.argmax(f[i] @ weights)) for i in range(20)]
-    assert rilm.predict(state, f) == expected
+    predicted = rilm.predict(state, f)
+    assert predicted == expected
+    assert all(type(cid) is int for cid in predicted)
 
 
 def test_predict_requires_classes():
     with pytest.raises(ProtocolError):
         rilm.predict(rilm.empty_state(3), np.ones((1, 3)))
+
+
+def test_predict_rejects_bad_width():
+    state = rilm.RilmState(zeros(3, 2), np.eye(3), 1.0, 0, (0, 1))
+    with pytest.raises(ShapeError):
+        rilm.predict(state, np.ones((1, 4)))
 
 
 # -- downdate identities ------------------------------------------------------
@@ -522,3 +557,27 @@ def test_checkpoint_rejects_negative_phase(tmp_path):
     with pytest.raises(ParseError) as info:
         rilm.load_state(path)
     assert info.value.lineno == 1
+
+
+@pytest.mark.parametrize("eta", ["nan", "inf", "0", "-1"])
+def test_checkpoint_rejects_bad_eta(tmp_path, eta):
+    path = tmp_path / "state.rilm"
+    state = _train_state(10, seed=28)
+    rilm.save_state(state, path)
+    text = path.read_text()
+    path.write_text(text.replace(f" eta={state.eta!r} ", f" eta={eta} ", 1))
+    with pytest.raises(ParseError) as info:
+        rilm.load_state(path)
+    assert info.value.lineno == 1
+
+
+def test_checkpoint_load_makes_r_exactly_symmetric(tmp_path):
+    # asymmetry within SYMMETRY_RTOL is accepted, and loading removes it
+    path = tmp_path / "state.rilm"
+    state = _train_state(10, seed=29)
+    rilm.save_state(state, path)
+    skewed = state.r + np.triu(np.full_like(state.r, 1e-12), 1)
+    _corrupt_r(path, lambda r: skewed)
+    loaded = rilm.load_state(path)
+    assert np.array_equal(loaded.r, 0.5 * (skewed + skewed.T))
+    assert np.array_equal(loaded.r, loaded.r.T)
