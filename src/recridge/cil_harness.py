@@ -503,7 +503,13 @@ def config_to_text(config: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Fully materialized run inputs: projected features and label arrays."""
+    """Fully materialized run inputs: projected features and label arrays.
+
+    Train and test rows are stably ordered by the schedule phase that
+    introduces their class: phase k's rows are ``[bounds[k]:bounds[k+1]]``
+    of each split, so one phase's training data and the test rows of the
+    classes seen after it are slices, not gathers.
+    """
 
     config: ExperimentConfig
     schedule: PhaseSchedule
@@ -512,6 +518,8 @@ class Experiment:
     train_labels: np.ndarray
     test_features: Matrix
     test_labels: np.ndarray
+    train_bounds: tuple[int, ...]
+    test_bounds: tuple[int, ...]
 
 
 def _check_label_array(labels, total_classes: int, what: str) -> np.ndarray:
@@ -523,6 +531,24 @@ def _check_label_array(labels, total_classes: int, what: str) -> np.ndarray:
             f"{what} contains ids outside 0..{total_classes - 1}"
         )
     return arr
+
+
+def _order_by_phase(schedule: PhaseSchedule, features, labels):
+    """Rows stably sorted by the phase that introduces their class.
+
+    Returns (features, labels, bounds) with phase k's rows at
+    ``bounds[k]:bounds[k+1]``. Rows already in that order, as with class-
+    grouped data under an even schedule, are returned without a copy.
+    """
+    phase_of = np.empty(schedule.total_classes, dtype=np.int64)
+    for k, ph in enumerate(schedule.phases):
+        phase_of[list(ph)] = k
+    rank = phase_of[labels]
+    if (rank[1:] < rank[:-1]).any():
+        order = np.argsort(rank, kind="stable")
+        features, labels, rank = features[order], labels[order], rank[order]
+    bounds = np.searchsorted(rank, np.arange(schedule.num_phases + 1))
+    return features, labels, tuple(int(b) for b in bounds)
 
 
 def _raw_modality(config: ExperimentConfig, modality: str, split: str):
@@ -574,6 +600,10 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     if train_raw.shape[1] != test_raw.shape[1]:
         raise ShapeError("train and test features must have the same width")
 
+    # Sorted before projection, where rows are narrow; the projection acts
+    # row by row, so each row's projected values do not depend on the order.
+    train_raw, train_labels, train_bounds = _order_by_phase(schedule, train_raw, train_labels)
+    test_raw, test_labels, test_bounds = _order_by_phase(schedule, test_raw, test_labels)
     d = train_raw.shape[1]
     d_rp = config.d_rp if config.d_rp is not None else config.d_rp_multiplier * d
     layer = rp_new(d, d_rp, config.rp_seed, config.activation)
@@ -585,30 +615,39 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
         train_labels=train_labels,
         test_features=rp_forward(layer, test_raw),
         test_labels=test_labels,
+        train_bounds=train_bounds,
+        test_bounds=test_bounds,
     )
 
 
-def phase_dataset(ex: Experiment, class_ids) -> rilm.PhaseDataset:
-    """Projected training rows and one-hot labels for one phase's classes."""
-    ids = tuple(int(c) for c in class_ids)
-    mask = np.isin(ex.train_labels, ids)
-    rows = ex.train_features[mask]
-    labs = ex.train_labels[mask]
-    column = {cid: j for j, cid in enumerate(ids)}
-    y = zeros(rows.shape[0], len(ids))
-    for i, lab in enumerate(labs):
-        y[i, column[int(lab)]] = 1.0
-    return rilm.PhaseDataset(features=rows, labels_onehot=y, class_ids=ids, projected=True)
+def phase_dataset(ex: Experiment, k: int) -> rilm.PhaseDataset:
+    """Projected training rows and one-hot labels of schedule phase ``k``.
+
+    The rows are one slice of the experiment's phase-ordered training rows,
+    in input order.
+    """
+    ids = ex.schedule.phases[k]
+    rows = slice(ex.train_bounds[k], ex.train_bounds[k + 1])
+    feats, labs = ex.train_features[rows], ex.train_labels[rows]
+    column = np.zeros(max(ids, default=-1) + 1, dtype=np.intp)
+    column[list(ids)] = np.arange(len(ids))
+    y = zeros(feats.shape[0], len(ids))
+    y[np.arange(feats.shape[0]), column[labs]] = 1.0
+    return rilm.PhaseDataset(features=feats, labels_onehot=y, class_ids=ids, projected=True)
 
 
-def evaluate_accuracy(state: rilm.RilmState, ex: Experiment, seen_ids) -> float:
-    """Percent accuracy on the test rows of every class seen so far."""
-    seen = tuple(int(c) for c in seen_ids)
-    mask = np.isin(ex.test_labels, seen)
-    if not mask.any():
+def evaluate_accuracy(state: rilm.RilmState, ex: Experiment, k: int) -> float:
+    """Percent accuracy on the test rows of the classes of phases 0..k.
+
+    Those rows lead the phase-ordered test set, so they are scored as one
+    prefix view, without a copy.
+    """
+    rows = slice(0, ex.test_bounds[k + 1])
+    feats, truth = ex.test_features[rows], ex.test_labels[rows]
+    if not truth.size:
+        seen = tuple(c for ids in ex.schedule.phases[: k + 1] for c in ids)
         raise ValidationError(f"no test rows for seen classes {seen}")
-    preds = rilm.predict(state, ex.test_features[mask])
-    truth = ex.test_labels[mask]
+    preds = rilm.predict(state, feats)
     return 100.0 * float(np.mean(np.asarray(preds) == truth))
 
 
@@ -623,7 +662,7 @@ def run_phases(ex: Experiment, evaluate_fn=None):
     seen: list[int] = []
     accs = []
     for i, ids in enumerate(ex.schedule.phases):
-        phase = phase_dataset(ex, ids)
+        phase = phase_dataset(ex, i)
         if state is None:
             state = rilm.rilm_init(phase, ex.config.eta)
         else:
@@ -633,7 +672,7 @@ def run_phases(ex: Experiment, evaluate_fn=None):
         if evaluate_fn is not None:
             accs.append(float(evaluate_fn(state, tuple(seen), i)))
         else:
-            accs.append(evaluate_accuracy(state, ex, seen))
+            accs.append(evaluate_accuracy(state, ex, i))
     return compute_metrics(accs), state
 
 
@@ -657,7 +696,7 @@ def run_naive_baseline(config: ExperimentConfig, evaluate_fn=None) -> MetricsRep
     seen: list[int] = []
     accs = []
     for i, ids in enumerate(ex.schedule.phases):
-        phase = phase_dataset(ex, ids)
+        phase = phase_dataset(ex, i)
         seen.extend(ids)
         column = {cid: j for j, cid in enumerate(seen)}
         y_full = zeros(phase.num_samples, len(seen))
@@ -676,7 +715,7 @@ def run_naive_baseline(config: ExperimentConfig, evaluate_fn=None) -> MetricsRep
         if evaluate_fn is not None:
             accs.append(float(evaluate_fn(state, tuple(seen), i)))
         else:
-            accs.append(evaluate_accuracy(state, ex, seen))
+            accs.append(evaluate_accuracy(state, ex, i))
     report = compute_metrics(accs)
     _persist(config, ex, report, tag="naive")
     return report
@@ -705,7 +744,7 @@ def save_result(path, report: MetricsReport, seen_counts) -> None:
     seen_counts = list(seen_counts)
     if len(seen_counts) != len(report.per_phase_acc):
         raise ShapeError("seen_counts length must match per-phase accuracies")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with fmat.atomic_writer(path) as fh:
         for i, (k, acc) in enumerate(zip(seen_counts, report.per_phase_acc)):
             fh.write(f"phase={i} seen_classes={k} acc={acc!r}\n")
         fh.write(f"A={report.avg_incremental_acc!r} R={report.retention_drop!r}\n")
@@ -754,7 +793,7 @@ def load_result(path):
 
 def save_result_csv(path, report: MetricsReport, seen_counts) -> None:
     """Plot-ready CSV mirror of the result file."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with fmat.atomic_writer(path) as fh:
         fh.write("phase,seen_classes,accuracy\n")
         for i, (k, acc) in enumerate(zip(seen_counts, report.per_phase_acc)):
             fh.write(f"{i},{k},{acc!r}\n")

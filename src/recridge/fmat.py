@@ -24,6 +24,9 @@ therefore operate on a shared line cursor.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+
 import numpy as np
 
 from .dense_linalg import Matrix, as_matrix
@@ -132,6 +135,28 @@ def open_cursor(path) -> LineCursor:
 def check_consumed(cursor: LineCursor) -> None:
     if not cursor.at_end():
         raise ParseError(cursor.path, cursor.lineno + 1, "trailing content after block")
+
+
+@contextmanager
+def atomic_writer(path):
+    """Text file handle whose content replaces ``path`` only once complete.
+
+    Writes go to a new temporary file in the same directory, which
+    ``os.replace`` moves over ``path`` when the block exits normally and
+    which is deleted when it raises, so ``path`` holds either its previous
+    content or the full new one, also when the writer is killed (its
+    temporary file then stays behind). Nothing is fsynced, so this does not
+    guard against power loss.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def save_matrix(path, m: Matrix) -> None:

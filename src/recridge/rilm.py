@@ -10,12 +10,23 @@ weights as solving one joint ridge problem over all phases at once.
 
 Updating ``r`` when a phase of n rows arrives can be done two ways:
 
-* ``direct``: re-invert the accumulated d x d Gram matrix,
+* ``direct``: re-invert the accumulated d x d Gram matrix, about 6d³ + nd²
+  flops,
 * ``woodbury``: downdate the previous inverse through the matrix inversion
-  lemma, which only ever solves an n x n system.
+  lemma, one block of at most m = max(1, d // 4) rows at a time, so it only
+  ever solves m x m systems; about 3nd²(1 + 4m/3d) flops.
 
-Both must agree to tight tolerance; ``auto`` picks whichever system is
-smaller. States are immutable values; every operation returns a new state.
+Both must agree to tight tolerance. ``auto`` takes Woodbury, except that a
+phase of n >= d rows goes to the direct path when eta is below 1e-4 (see
+the eta paragraph below). Measured with 2 BLAS threads on a 2-vCPU Xeon,
+Woodbury against direct at d = 768: 0.097 vs 0.188 s for n = 1000, 0.285
+vs 0.212 s for n = 3000, so phases of more than about 2.5d rows would run
+faster direct; ``auto`` does not switch there, because no benchmark
+workload has phases that tall to check a crossover on. The block size was
+compared at those sizes: against d // 4, d // 2 is 10 % faster at
+n = 1000 and 19 % slower at n = 3000, d // 8 and d are slower at both,
+and one unblocked solve (m = n) takes 0.200 s at n = 1000.
+States are immutable values; every operation returns a new state.
 
 ``r`` is exactly symmetric in every state: the empty state's ``I/eta`` is,
 both update paths return an exactly symmetric matrix from an exactly
@@ -26,13 +37,16 @@ drift away from symmetry however many phases run.
 Every phase, the first included, is one update of this pair, starting from
 the empty state (no classes, ``r = I/eta``).
 
-The ridge strength ``eta`` may be any positive number, but when a phase has
-fewer rows than features the float64 error grows roughly as 1/eta. For one
-phase of 50 rows at d = 192 (Gaussian or ReLU features) the weights differ
-from ``np.linalg.solve`` of the normal equations by about 1e-13 relative at
+The ridge strength ``eta`` may be any positive number, but on the Woodbury
+path the float64 error grows roughly as 1/eta. For one phase of 50 rows at
+d = 192 (Gaussian or ReLU features) the weights differ from
+``np.linalg.solve`` of the normal equations by about 1e-13 relative at
 eta = 1, 1e-11 at 1e-2, 1e-9 at 1e-4 and 1.2e-7 at 1e-6, the last beyond
-the 1e-8 weight tolerance of the tests; with 300 rows the gap stays near
-1e-14 down to eta = 1e-6. The tests cover eta >= 1e-4 on both paths.
+the 1e-8 weight tolerance of the tests. With 300 to 2000 ReLU rows the gap
+is 5e-10 to 9e-10 at eta = 1e-4 and 0.4e-7 to 1.0e-7 at 1e-6, where the
+direct path stays near 1e-14; so below eta = 1e-4 ``auto`` keeps phases of
+n >= d rows on the direct path. The tests cover eta >= 1e-4 on both paths
+and eta = 1e-6 for ``auto`` on such a phase.
 """
 
 from __future__ import annotations
@@ -64,6 +78,9 @@ from .errors import (
 UPDATE_PATHS = ("auto", "woodbury", "direct")
 
 DEFAULT_ETA = 1.0
+
+# Below this eta, ``auto`` sends phases of n >= d rows to the direct path.
+_WOODBURY_MIN_ETA = 1e-4
 
 _CHECKPOINT_TAG = "RILM v1"
 
@@ -206,9 +223,8 @@ def rilm_init(phase0: PhaseDataset, eta: float = DEFAULT_ETA) -> RilmState:
 
     Weights solve min ||Y - F W||² + eta ||W||²; the memory matrix is the
     inverse of (FᵀF + eta I). The phase goes through expand_classes and
-    rilm_update like every later one (``auto`` path, so Woodbury when the
-    phase has fewer rows than features), and the state keeps ``phase=0``.
-    An empty phase yields the fresh-state values.
+    rilm_update like every later one (``auto`` path), and the state keeps
+    ``phase=0``. An empty phase yields the fresh-state values.
     """
     if not phase0.projected:
         raise ValidationError("rilm_init expects projected features")
@@ -242,13 +258,17 @@ def expand_classes(state: RilmState, new_class_ids) -> RilmState:
 def update_r(state: RilmState, f_rp, path: str = "auto") -> Matrix:
     """Memory matrix after absorbing the Gram matrix of new feature rows.
 
-    The woodbury path never touches a d x d system: with g = f r and L
-    the Cholesky factor of the n x n matrix g fᵀ + I, it subtracts the
-    rank-n correction Vᵀ V, V = L⁻¹ g. numpy forms Vᵀ V from one
-    C-contiguous V with BLAS ``syrk`` and mirrors the computed triangle, so
-    the correction, and r minus it, are exactly symmetric when r is; only
-    r and the correction are live at d x d. The direct path re-inverts
+    The woodbury path never touches a d x d system. It takes the rows in
+    consecutive blocks f_b of at most max(1, d // 4) rows; per block, with
+    g = f_b r and L the Cholesky factor of g f_bᵀ + I, it subtracts the
+    correction Vᵀ V, V = L⁻¹ g. numpy forms Vᵀ V from one C-contiguous V
+    with BLAS ``syrk`` and mirrors the computed triangle, so the
+    correction, and r minus it, are exactly symmetric when r is. A phase
+    of at most d // 4 rows is one block. The direct path re-inverts
     r⁻¹ + fᵀf with spd_inverse, whose result is exactly symmetric too.
+    ``auto`` takes Woodbury unless n >= d and eta < 1e-4, where the direct
+    path is the more accurate (see the module docstring). ``state.r`` is
+    never written.
     """
     path = _check_path(path)
     f = as_matrix(f_rp, "f_rp")
@@ -259,17 +279,22 @@ def update_r(state: RilmState, f_rp, path: str = "auto") -> Matrix:
         # no data means no Gram contribution; keep the memory bit-identical
         return state.r.copy()
     if path == "auto":
-        path = "woodbury" if n < state.d_rp else "direct"
+        path = "direct" if n >= d and state.eta < _WOODBURY_MIN_ETA else "woodbury"
     if path == "direct":
         # The copy places the r that outlives this call after the
         # inversions' d x d temporaries are freed, so the allocator can
         # reuse their space; returned as is, it raised peak RSS by about
         # 3 MB on a d = 768 run (glibc malloc, numpy 2.4).
         return spd_inverse(spd_inverse(state.r) + f.T @ f).copy()
-    g = f @ state.r
-    v = spd_half_solve(g @ f.T + identity(n), g)
-    correction = v.T @ v
-    return np.subtract(state.r, correction, out=correction)
+    r = state.r
+    block = max(1, d // 4)
+    for start in range(0, n, block):
+        fb = f[start : start + block]
+        g = fb @ r
+        v = spd_half_solve(g @ fb.T + identity(fb.shape[0]), g)
+        correction = v.T @ v
+        r = np.subtract(r, correction, out=correction)
+    return r
 
 
 def rilm_update(state: RilmState, phase: PhaseDataset, path: str = "auto") -> RilmState:
@@ -396,7 +421,7 @@ def kn_identity_check(r_prev, f_rp) -> float:
 
 
 def save_state(state: RilmState, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with fmat.atomic_writer(path) as fh:
         fh.write(
             f"{_CHECKPOINT_TAG} d_rp={state.d_rp} classes={state.classes_seen} "
             f"eta={state.eta!r} phase={state.phase}\n"

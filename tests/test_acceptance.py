@@ -180,7 +180,7 @@ def test_criterion_6_forgetting_demonstration(tmp_path):
     config = _forgetting_config(tmp_path)
     ex = ch.prepare_experiment(config)
     recursive_report, final_state = ch.run_phases(ex)
-    phases = [ch.phase_dataset(ex, ids) for ids in ex.schedule.phases]
+    phases = [ch.phase_dataset(ex, k) for k in range(ex.schedule.num_phases)]
     joint_state = rilm.RilmState(
         weights=rilm.batch_oracle(phases, config.eta),
         r=identity(ex.layer.output_dim),

@@ -18,6 +18,7 @@ import pytest
 from recridge import cil_harness as ch
 from recridge import rilm
 from recridge.errors import ParseError, ShapeError, ValidationError
+from recridge.random_projection import rp_forward, rp_new
 
 
 def _rng(seed):
@@ -352,7 +353,7 @@ def test_final_phase_matches_joint_model(tmp_path):
     cfg = ch.load_config(_write_config(tmp_path))
     ex = ch.prepare_experiment(cfg)
     _, state = ch.run_phases(ex)
-    phases = [ch.phase_dataset(ex, ids) for ids in ex.schedule.phases]
+    phases = [ch.phase_dataset(ex, k) for k in range(ex.schedule.num_phases)]
     joint = rilm.batch_oracle(phases, cfg.eta)
     joint_state = rilm.RilmState(
         weights=joint,
@@ -395,6 +396,80 @@ def test_naive_old_class_accuracy_collapses(tmp_path):
     ch.run_naive_baseline(cfg, evaluate_fn=probe)
     assert accs[0] >= 0.99  # phase 1 on its own classes
     assert accs[1] <= 1.0 / 6.0  # forgotten after the overwrite
+
+
+def _gathered_phase(f, labels, ids):
+    mask = np.isin(labels, ids)
+    y = np.zeros((int(mask.sum()), len(ids)))
+    for i, lab in enumerate(labels[mask]):
+        y[i, ids.index(lab)] = 1.0
+    return rilm.PhaseDataset(f[mask], y, ids)
+
+
+def _mask_gather_run(cfg, train, test):
+    # reference loop over rows in their input order: each phase's training
+    # rows and the seen classes' test rows are masked out and gathered
+    (xtr, ltr), (xte, lte) = train, test
+    ltr, lte = np.asarray(ltr), np.asarray(lte)
+    dim = xtr.shape[1]
+    layer = rp_new(dim, cfg.d_rp_multiplier * dim, cfg.rp_seed, cfg.activation)
+    ftr, fte = rp_forward(layer, xtr), rp_forward(layer, xte)
+    state = rilm.empty_state(layer.output_dim, cfg.eta)
+    seen, accs = [], []
+    for ids in cfg.schedule.phases:
+        phase = _gathered_phase(ftr, ltr, ids)
+        state = rilm.rilm_update(rilm.expand_classes(state, ids), phase)
+        seen.extend(ids)
+        rows = np.isin(lte, seen)
+        preds = np.asarray(rilm.predict(state, fte[rows]))
+        accs.append(100.0 * float(np.mean(preds == lte[rows])))
+    return accs, state, (ftr, ltr), (fte, lte)
+
+
+@pytest.mark.parametrize("case", ["shuffled_schedule", "interleaved_rows"])
+def test_phase_ordered_rows_match_mask_gather_oracle(tmp_path, case):
+    train = ch.synth_dataset(6, 40, 16, 10.0, seed=7, stream=0)
+    test = ch.synth_dataset(6, 25, 16, 10.0, seed=7, stream=1)
+    if case == "shuffled_schedule":
+        cfg = ch.load_config(
+            _write_config(
+                tmp_path, synth_per_class=40, synth_test_per_class=25, schedule_shuffle_seed=3
+            )
+        )
+    else:
+        # file rows in random order, so classes interleave under an even schedule
+        gen = _rng(5)
+        lines, shuffled = ["pipeline = repoint", "schedule = 6/3"], []
+        for split, (x, labels) in (("train", train), ("test", test)):
+            perm = gen.permutation(len(labels))
+            shuffled.append((x[perm], [labels[i] for i in perm]))
+            ch.save_features(tmp_path / f"{split}.fmat", shuffled[-1][0])
+            ch.save_labels(tmp_path / f"{split}.labl", shuffled[-1][1])
+            lines += [f"features_{split} = {split}.fmat", f"labels_{split} = {split}.labl"]
+        train, test = shuffled
+        cfg_path = tmp_path / "files.cfg"
+        cfg_path.write_text("\n".join(lines) + "\n")
+        cfg = ch.load_config(cfg_path)
+    accs, oracle_state, (ftr, ltr), (fte, lte) = _mask_gather_run(cfg, train, test)
+
+    ex = ch.prepare_experiment(cfg)
+    report, state = ch.run_phases(ex)
+    assert report.per_phase_acc == tuple(accs)
+    assert np.array_equal(state.weights, oracle_state.weights)
+    assert not np.array_equal(ex.test_labels, lte)  # the rows really were reordered
+    # rows moved together with their labels, stably, by introducing phase
+    phase_of = {c: k for k, ids in enumerate(cfg.schedule.phases) for c in ids}
+    train_order = np.argsort([phase_of[int(c)] for c in ltr], kind="stable")
+    test_order = np.argsort([phase_of[int(c)] for c in lte], kind="stable")
+    assert np.array_equal(ex.train_features, ftr[train_order])
+    assert np.array_equal(ex.train_labels, ltr[train_order])
+    assert np.array_equal(ex.test_features, fte[test_order])
+    assert np.array_equal(ex.test_labels, lte[test_order])
+    # a phase keeps its rows' input order
+    for k, ids in enumerate(cfg.schedule.phases):
+        ours, theirs = ch.phase_dataset(ex, k), _gathered_phase(ftr, ltr, ids)
+        assert np.array_equal(ours.features, theirs.features)
+        assert np.array_equal(ours.labels_onehot, theirs.labels_onehot)
 
 
 def test_pipeline_writes_and_roundtrips_results(tmp_path):
@@ -519,3 +594,21 @@ def test_save_result_mismatched_counts(tmp_path):
     report = ch.compute_metrics([10.0, 20.0])
     with pytest.raises(ShapeError):
         ch.save_result(tmp_path / "x.txt", report, [1])
+
+
+class _FailingRepr(float):
+    # a value whose formatting fails, to stop a writer part-way through
+    def __repr__(self):
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("writer", [ch.save_result, ch.save_result_csv], ids=["result", "csv"])
+def test_failed_result_write_keeps_previous_file(tmp_path, writer):
+    path = tmp_path / "res.txt"
+    writer(path, ch.compute_metrics([10.0, 20.0]), [2, 4])
+    before = path.read_bytes()
+    bad = ch.MetricsReport((30.0, _FailingRepr(40.0)), 35.0, -10.0)
+    with pytest.raises(OSError, match="disk full"):
+        writer(path, bad, [2, 4])
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["res.txt"]

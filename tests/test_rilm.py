@@ -144,23 +144,49 @@ def test_init_matches_normal_equations_oracle():
 
 @pytest.mark.parametrize("relu", [False, True], ids=["gaussian", "relu"])
 @pytest.mark.parametrize("eta", [1.0, 1e-2, 1e-4])
-@pytest.mark.parametrize("n, path", [(50, "woodbury"), (300, "direct")])
+@pytest.mark.parametrize(
+    "n, path", [(50, "woodbury"), (300, "direct"), (300, "woodbury"), (400, "direct")]
+)
 def test_init_paths_match_normal_equations_oracle(n, path, eta, relu):
-    # phase 0 is an update from the empty state, so n < d takes Woodbury
+    # phase 0 is an update from the empty state, and auto takes Woodbury at
+    # these eta whatever the row count: n = 50, 300 and 400 at d = 192
     d = 192
     phase = _random_phase(_rng(1), n, range(3), d=d)
     if relu:
         phase = rilm.PhaseDataset(np.maximum(phase.features, 0.0), phase.labels_onehot, (0, 1, 2))
     state = rilm.rilm_init(phase, eta=eta)
     assert state.phase == 0
-    forced = rilm.rilm_update(
-        rilm.expand_classes(rilm.empty_state(d, eta), phase.class_ids), phase, path=path
-    )
-    assert np.array_equal(state.weights, forced.weights)
-    assert np.array_equal(state.r, forced.r)
+
+    def fit(p):
+        return rilm.rilm_update(
+            rilm.expand_classes(rilm.empty_state(d, eta), phase.class_ids), phase, path=p
+        )
+
+    forced = fit(path)
+    routed = forced if path == "woodbury" else fit("woodbury")
+    assert np.array_equal(state.weights, routed.weights)
+    assert np.array_equal(state.r, routed.r)
     f, y = phase.features, phase.labels_onehot
     expected = np.linalg.solve(f.T @ f + eta * np.eye(d), f.T @ y)
-    assert np.linalg.norm(state.weights - expected) <= 1e-8 * np.linalg.norm(expected)
+    for fitted in (state, forced):
+        assert np.linalg.norm(fitted.weights - expected) <= 1e-8 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("n, routed", [(50, "woodbury"), (300, "direct")])
+def test_auto_keeps_tall_phases_direct_below_tested_eta(n, routed):
+    # at eta = 1e-6 Woodbury is about 1e-7 off on a phase of n >= d rows, so
+    # auto takes the direct path there; shorter phases stay on Woodbury
+    d, eta = 192, 1e-6
+    phase = _random_phase(_rng(1), n, range(3), d=d)
+    phase = rilm.PhaseDataset(np.maximum(phase.features, 0.0), phase.labels_onehot, (0, 1, 2))
+    fresh = rilm.expand_classes(rilm.empty_state(d, eta), phase.class_ids)
+    auto, forced = rilm.rilm_update(fresh, phase), rilm.rilm_update(fresh, phase, path=routed)
+    assert np.array_equal(auto.weights, forced.weights)
+    assert np.array_equal(auto.r, forced.r)
+    if n >= d:
+        f, y = phase.features, phase.labels_onehot
+        expected = np.linalg.solve(f.T @ f + eta * np.eye(d), f.T @ y)
+        assert np.linalg.norm(auto.weights - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 def test_init_rejects_bad_eta():
@@ -246,6 +272,36 @@ def test_update_r_paths_agree():
     direct = rilm.update_r(state, f, path="direct")
     assert np.linalg.norm(wood - direct) <= 1e-9 * np.linalg.norm(direct)
     assert np.array_equal(wood, wood.T) and np.array_equal(direct, direct.T)
+
+
+@pytest.mark.parametrize("eta", [1.0, 1e-4])
+@pytest.mark.parametrize("n", [48, 49, 383, 384])
+def test_blocked_woodbury_at_block_boundaries(n, eta):
+    # at d = 192 Woodbury takes blocks of d // 4 = 48 rows: 48 rows are one
+    # block, 49 are two, 383 end on a partial block and 384 on a full one;
+    # at these eta auto takes Woodbury at every height
+    d_in, d = 16, 192
+    gen = _rng(60 + n)
+    layer = random_projection.rp_new(d_in, d, seed=60, activation="relu")
+
+    def relu_phase(rows, ids):
+        f = random_projection.rp_forward(layer, gen.standard_normal((rows, d_in)))
+        picks = gen.integers(0, len(ids), size=rows)
+        return rilm.PhaseDataset(f, _onehot(rows, len(ids), picks), ids)
+
+    first, second = relu_phase(30, (0, 1)), relu_phase(n, (2, 3, 4))
+    state = rilm.expand_classes(rilm.rilm_init(first, eta=eta), second.class_ids)
+    r_before = state.r.copy()
+    reference = rilm.batch_oracle([first, second], eta)
+    out = {}
+    for path in ("woodbury", "direct", "auto"):
+        out[path] = rilm.rilm_update(state, second, path=path)
+        assert np.array_equal(state.r, r_before)
+        assert np.array_equal(out[path].r, out[path].r.T)
+        err = np.linalg.norm(out[path].weights - reference)
+        assert err <= 1e-8 * np.linalg.norm(reference)
+    assert np.array_equal(out["auto"].weights, out["woodbury"].weights)
+    assert np.array_equal(out["auto"].r, out["woodbury"].r)
 
 
 def test_update_r_rejects_bad_width_and_path():
@@ -581,3 +637,19 @@ def test_checkpoint_load_makes_r_exactly_symmetric(tmp_path):
     loaded = rilm.load_state(path)
     assert np.array_equal(loaded.r, 0.5 * (skewed + skewed.T))
     assert np.array_equal(loaded.r, loaded.r.T)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "state.rilm"
+    rilm.save_state(_train_state(10, seed=30), path)
+    before = path.read_bytes()
+
+    def fail(fh, ids):
+        raise OSError("disk full")
+
+    # weights and r are written before the label block fails
+    monkeypatch.setattr(fmat, "write_labels_block", fail)
+    with pytest.raises(OSError, match="disk full"):
+        rilm.save_state(_train_state(10, seed=31), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["state.rilm"]
