@@ -60,6 +60,7 @@ from .rilm import (
     expand_classes,
     kn_identity_check,
     predict,
+    predict_ids,
     rilm_init,
     rilm_update,
     update_r,
@@ -104,6 +105,7 @@ __all__ = [
     "load_features",
     "load_labels",
     "predict",
+    "predict_ids",
     "prepare_experiment",
     "rilm_init",
     "rilm_update",

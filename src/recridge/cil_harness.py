@@ -503,23 +503,34 @@ def config_to_text(config: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class Experiment:
-    """Fully materialized run inputs: projected features and label arrays.
+    """Run inputs: raw training rows, projected test rows and label arrays.
 
     Train and test rows are stably ordered by the schedule phase that
     introduces their class: phase k's rows are ``[bounds[k]:bounds[k+1]]``
     of each split, so one phase's training data and the test rows of the
     classes seen after it are slices, not gathers.
+
+    Training rows are kept at input width and projected one phase at a
+    time by ``phase_dataset``, since each is used in exactly one phase. So
+    a run holds the raw rows, the projected test rows, one phase's
+    projected rows, the learner's state (two d x d ``r`` during an update)
+    and one block of scores, never the whole projected training matrix.
     """
 
     config: ExperimentConfig
     schedule: PhaseSchedule
     layer: RpLayer
-    train_features: Matrix
+    train_raw: Matrix
     train_labels: np.ndarray
     test_features: Matrix
     test_labels: np.ndarray
     train_bounds: tuple[int, ...]
     test_bounds: tuple[int, ...]
+
+    @property
+    def train_features(self) -> Matrix:
+        """All projected training rows, built anew on each access."""
+        return rp_forward(self.layer, self.train_raw)
 
 
 def _check_label_array(labels, total_classes: int, what: str) -> np.ndarray:
@@ -570,7 +581,10 @@ def _raw_modality(config: ExperimentConfig, modality: str, split: str):
 
 
 def prepare_experiment(config: ExperimentConfig) -> Experiment:
-    """Load or generate features, fuse if requested, project, and bundle."""
+    """Load or generate features, fuse if requested, and bundle.
+
+    Test rows are projected here; training rows stay raw until their phase.
+    """
     schedule = config.schedule
     if config.pipeline == "refu":
         fp_train, labels_train = _raw_modality(config, "repoint", "train")
@@ -600,8 +614,8 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     if train_raw.shape[1] != test_raw.shape[1]:
         raise ShapeError("train and test features must have the same width")
 
-    # Sorted before projection, where rows are narrow; the projection acts
-    # row by row, so each row's projected values do not depend on the order.
+    # Sorted while rows are narrow; the projection acts row by row, so each
+    # row's projected values do not depend on the order.
     train_raw, train_labels, train_bounds = _order_by_phase(schedule, train_raw, train_labels)
     test_raw, test_labels, test_bounds = _order_by_phase(schedule, test_raw, test_labels)
     d = train_raw.shape[1]
@@ -611,7 +625,7 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
         config=config,
         schedule=schedule,
         layer=layer,
-        train_features=rp_forward(layer, train_raw),
+        train_raw=train_raw,
         train_labels=train_labels,
         test_features=rp_forward(layer, test_raw),
         test_labels=test_labels,
@@ -624,11 +638,14 @@ def phase_dataset(ex: Experiment, k: int) -> rilm.PhaseDataset:
     """Projected training rows and one-hot labels of schedule phase ``k``.
 
     The rows are one slice of the experiment's phase-ordered training rows,
-    in input order.
+    in input order, projected here; only this phase's projection is made.
+    The projection acts row by row, so the rows match the same rows of
+    ``ex.train_features`` bit for bit, except that a one-row phase goes
+    through numpy's matrix-vector product, which may differ in the last bit.
     """
     ids = ex.schedule.phases[k]
     rows = slice(ex.train_bounds[k], ex.train_bounds[k + 1])
-    feats, labs = ex.train_features[rows], ex.train_labels[rows]
+    feats, labs = rp_forward(ex.layer, ex.train_raw[rows]), ex.train_labels[rows]
     column = np.zeros(max(ids, default=-1) + 1, dtype=np.intp)
     column[list(ids)] = np.arange(len(ids))
     y = zeros(feats.shape[0], len(ids))
@@ -640,15 +657,14 @@ def evaluate_accuracy(state: rilm.RilmState, ex: Experiment, k: int) -> float:
     """Percent accuracy on the test rows of the classes of phases 0..k.
 
     Those rows lead the phase-ordered test set, so they are scored as one
-    prefix view, without a copy.
+    prefix view, without a copy, and compared with the truth as an id array.
     """
     rows = slice(0, ex.test_bounds[k + 1])
     feats, truth = ex.test_features[rows], ex.test_labels[rows]
     if not truth.size:
         seen = tuple(c for ids in ex.schedule.phases[: k + 1] for c in ids)
         raise ValidationError(f"no test rows for seen classes {seen}")
-    preds = rilm.predict(state, feats)
-    return 100.0 * float(np.mean(np.asarray(preds) == truth))
+    return 100.0 * float(np.mean(rilm.predict_ids(state, feats) == truth))
 
 
 def run_phases(ex: Experiment, evaluate_fn=None):
@@ -662,12 +678,12 @@ def run_phases(ex: Experiment, evaluate_fn=None):
     seen: list[int] = []
     accs = []
     for i, ids in enumerate(ex.schedule.phases):
-        phase = phase_dataset(ex, i)
+        # The phase's projected rows are not kept past its update.
         if state is None:
-            state = rilm.rilm_init(phase, ex.config.eta)
+            state = rilm.rilm_init(phase_dataset(ex, i), ex.config.eta)
         else:
             state = rilm.expand_classes(state, ids)
-            state = rilm.rilm_update(state, phase, path=ex.config.rilm_path)
+            state = rilm.rilm_update(state, phase_dataset(ex, i), path=ex.config.rilm_path)
         seen.extend(ids)
         if evaluate_fn is not None:
             accs.append(float(evaluate_fn(state, tuple(seen), i)))
@@ -696,17 +712,9 @@ def run_naive_baseline(config: ExperimentConfig, evaluate_fn=None) -> MetricsRep
     seen: list[int] = []
     accs = []
     for i, ids in enumerate(ex.schedule.phases):
-        phase = phase_dataset(ex, i)
         seen.extend(ids)
-        column = {cid: j for j, cid in enumerate(seen)}
-        y_full = zeros(phase.num_samples, len(seen))
-        cols = [column[cid] for cid in ids]
-        y_full[:, cols] = phase.labels_onehot
-        f = phase.features
-        gram = f.T @ f + ex.config.eta * identity(d_rp)
-        weights = spd_solve(gram, f.T @ y_full)
         state = rilm.RilmState(
-            weights=weights,
+            weights=_naive_weights(ex, i, seen),
             r=identity(d_rp),
             eta=ex.config.eta,
             phase=i,
@@ -719,6 +727,17 @@ def run_naive_baseline(config: ExperimentConfig, evaluate_fn=None) -> MetricsRep
     report = compute_metrics(accs)
     _persist(config, ex, report, tag="naive")
     return report
+
+
+def _naive_weights(ex: Experiment, k: int, seen) -> Matrix:
+    """Ridge weights over ``seen`` classes fitted to phase ``k``'s rows only."""
+    phase = phase_dataset(ex, k)
+    column = {cid: j for j, cid in enumerate(seen)}
+    y_full = zeros(phase.num_samples, len(seen))
+    y_full[:, [column[cid] for cid in phase.class_ids]] = phase.labels_onehot
+    f = phase.features
+    gram = f.T @ f + ex.config.eta * identity(f.shape[1])
+    return spd_solve(gram, f.T @ y_full)
 
 
 # ---------------------------------------------------------------------------

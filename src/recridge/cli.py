@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cil_harness as harness
-from . import fusion, rilm
+from . import fmat, fusion, rilm
 from .errors import NumericalError, RecridgeError
 
 VERIFY_TOL = 1e-8
@@ -172,7 +172,7 @@ def _cmd_run(cmd: Command) -> int:
     # run leaves no output behind.
     if config.out is not None:
         root, _ = os.path.splitext(config.out)
-        with open(root + ".cfg", "w", encoding="utf-8", newline="\n") as fh:
+        with fmat.atomic_writer(root + ".cfg") as fh:
             fh.write(harness.config_to_text(config))
     seen = 0
     for i, (ids, acc) in enumerate(zip(config.schedule.phases, report.per_phase_acc)):

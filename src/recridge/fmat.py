@@ -160,7 +160,7 @@ def atomic_writer(path):
 
 
 def save_matrix(path, m: Matrix) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         write_matrix_block(fh, m)
 
 
@@ -172,7 +172,7 @@ def load_matrix(path) -> Matrix:
 
 
 def save_labels(path, ids) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_writer(path) as fh:
         write_labels_block(fh, ids)
 
 

@@ -286,7 +286,7 @@ def _param_dict(params: FusionParams) -> dict:
 
 
 def save_fusion(params: FusionParams, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with fmat.atomic_writer(path) as fh:
         fh.write(f"{_CHECKPOINT_TAG} d={params.feature_dim} classes={params.num_classes}\n")
         fmat.write_matrix_block(fh, params.w_p)
         fmat.write_matrix_block(fh, params.w_m)

@@ -86,12 +86,15 @@ def rp_forward(layer: RpLayer, features) -> Matrix:
         raise ShapeError(
             f"rp_forward: features have width {f.shape[1]}, layer expects {layer.input_dim}"
         )
+    # An overflow is reported here as a ValidationError, not as a warning,
+    # and before an activation could map it to a finite value (tanh(inf)).
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = f @ layer.w_rp
+    if not np.isfinite(out).all():
+        raise ValidationError("rp_forward produced non-finite entries")
     # The pre-activation is a fresh array, so it is activated in place.
-    out = f @ layer.w_rp
     if layer.activation == "relu":
         np.maximum(out, 0.0, out=out)
     elif layer.activation == "tanh":
         np.tanh(out, out=out)
-    if not np.isfinite(out).all():
-        raise ValidationError("rp_forward produced non-finite entries")
     return np.ascontiguousarray(out)

@@ -82,6 +82,9 @@ DEFAULT_ETA = 1.0
 # Below this eta, ``auto`` sends phases of n >= d rows to the direct path.
 _WOODBURY_MIN_ETA = 1e-4
 
+# Rows scored per block by ``predict_ids``.
+_PREDICT_BLOCK_ROWS = 1024
+
 _CHECKPOINT_TAG = "RILM v1"
 
 
@@ -371,8 +374,15 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
     return spd_solve(a_sum + eta * identity(d), c_sum)
 
 
-def predict(state: RilmState, f_rp) -> list[int]:
-    """Global class id with the highest score per row; ties go to the lowest id."""
+def predict_ids(state: RilmState, f_rp) -> np.ndarray:
+    """Global class id with the highest score per row, as an int64 array.
+
+    Ties go to the lowest id. Rows are scored in near-equal blocks of at
+    most ``_PREDICT_BLOCK_ROWS``, so memory holds one block of scores, never
+    the full rows x classes matrix. No block has a single row unless the
+    input does: numpy scores one row by a matrix-vector product, which may
+    differ from the matrix product in the last bit.
+    """
     if state.classes_seen == 0:
         raise ProtocolError("cannot predict before any classes are registered")
     f = as_matrix(f_rp, "f_rp")
@@ -383,8 +393,19 @@ def predict(state: RilmState, f_rp) -> list[int]:
     # Scores are formed with the weight columns already in increasing id
     # order, so argmax's first maximum is the lowest id; permuting the d x k
     # weights is cheaper than permuting the rows x k scores.
-    best = np.argmax(f @ state.weights[:, order], axis=1)
-    return ids[order][best].tolist()
+    weights = state.weights[:, order]
+    n = f.shape[0]
+    blocks = -(-n // _PREDICT_BLOCK_ROWS)
+    best = np.empty(n, dtype=np.intp)
+    for b in range(blocks):
+        rows = slice(b * n // blocks, (b + 1) * n // blocks)
+        best[rows] = np.argmax(f[rows] @ weights, axis=1)
+    return ids[order][best]
+
+
+def predict(state: RilmState, f_rp) -> list[int]:
+    """``predict_ids`` as a list of Python ints; ties go to the lowest id."""
+    return predict_ids(state, f_rp).tolist()
 
 
 def kn_identity_check(r_prev, f_rp) -> float:

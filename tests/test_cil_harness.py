@@ -8,15 +8,19 @@ Core claims:
     - metrics reproduce hand values and their defining invariants
     - the recursive pipeline matches the joint fit while the naive baseline
       forgets; runs are byte-deterministic and states stay sample-size-free
+    - training rows are projected one phase at a time, bit-equal to one
+      projection of them all, so a run never holds the projected matrix
+    - every writer replaces its file atomically
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from recridge import cil_harness as ch
-from recridge import rilm
+from recridge import fmat, rilm
 from recridge.errors import ParseError, ShapeError, ValidationError
 from recridge.random_projection import rp_forward, rp_new
 
@@ -109,6 +113,31 @@ def test_labl_roundtrip_and_errors(tmp_path):
     with pytest.raises(ParseError) as info:
         ch.load_labels(path)
     assert info.value.lineno == 2
+
+
+def _partial_block(fh, *args):
+    # writes the start of a block, then fails like a full disk
+    fh.write("FMAT 9 9\n")
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize(
+    "save, block, value",
+    [
+        (ch.save_features, "write_matrix_block", np.ones((2, 3))),
+        (ch.save_labels, "write_labels_block", [3, 1, 4]),
+    ],
+    ids=["fmat", "labl"],
+)
+def test_failed_data_file_write_keeps_previous_file(tmp_path, monkeypatch, save, block, value):
+    path = tmp_path / "data.txt"
+    save(path, value)
+    before = path.read_bytes()
+    monkeypatch.setattr(fmat, block, _partial_block)
+    with pytest.raises(OSError, match="disk full"):
+        save(path, value)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["data.txt"]
 
 
 def test_missing_file_raises_parse_error():
@@ -470,6 +499,50 @@ def test_phase_ordered_rows_match_mask_gather_oracle(tmp_path, case):
         ours, theirs = ch.phase_dataset(ex, k), _gathered_phase(ftr, ltr, ids)
         assert np.array_equal(ours.features, theirs.features)
         assert np.array_equal(ours.labels_onehot, theirs.labels_onehot)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"schedule_shuffle_seed": 3},
+        {"schedule": "0,3|1,4,5|2", "activation": "tanh"},
+        {"pipeline": "refu", "synth_dim": 6, "d_rp": 40},
+    ],
+    ids=["shuffled", "uneven_tanh", "refu"],
+)
+def test_phase_projection_matches_one_full_projection(tmp_path, overrides):
+    cfg = ch.load_config(_write_config(tmp_path, **overrides))
+    ex = ch.prepare_experiment(cfg)
+    full = rp_forward(ex.layer, ex.train_raw)
+    assert np.array_equal(ex.train_features, full)
+    assert ex.train_features is not ex.train_features  # projected on access
+    for k in range(ex.schedule.num_phases):
+        rows = slice(ex.train_bounds[k], ex.train_bounds[k + 1])
+        assert rows.stop - rows.start >= 2
+        assert np.array_equal(ch.phase_dataset(ex, k).features, full[rows])
+
+
+def test_run_memory_stays_below_projected_training_matrix(tmp_path):
+    # 4000 training rows at d_rp 192: projected at once they take 5.9 MiB,
+    # which prepare_experiment plus run_phases must never hold
+    cfg = ch.load_config(
+        _write_config(
+            tmp_path,
+            schedule="10/5",
+            synth_classes=10,
+            synth_per_class=400,
+            synth_test_per_class=40,
+            d_rp=192,
+        )
+    )
+    tracemalloc.start()
+    try:
+        report, _ = ch.run_phases(ch.prepare_experiment(cfg))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.per_phase_acc) == 5
+    assert peak < 4000 * 192 * 8
 
 
 def test_pipeline_writes_and_roundtrips_results(tmp_path):

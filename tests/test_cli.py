@@ -4,14 +4,18 @@ Core claims:
     - exit codes follow the contract: 0 ok, 1 input problems, 2 numerical
     - verify/gradcheck print their measured error and gate on tolerance
     - gen/run/metrics wire files end to end, with override echo
+    - a failed run or echo leaves no partial or replaced output behind
     - unknown flags or verbs fail before any work happens
 """
+
+import os
 
 import numpy as np
 import pytest
 
 from recridge import cli
 from recridge import cil_harness as ch
+from recridge.errors import ValidationError
 
 
 def _write_synth_config(tmp_path, **overrides):
@@ -146,6 +150,16 @@ def test_gen_modalities_share_labels(tmp_path):
 # -- run --------------------------------------------------------------------------
 
 
+def _file_mode_config(tmp_path):
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(
+        "pipeline = repoint\nschedule = 4/2\n"
+        "features_train = data_train.fmat\nlabels_train = data_train.labl\n"
+        "features_test = data_test.fmat\nlabels_test = data_test.labl\n"
+    )
+    return cfg
+
+
 def test_run_prints_result_lines(tmp_path, capsys):
     cfg = _write_synth_config(tmp_path)
     assert cli.main(["run", "--config", str(cfg)]) == 0
@@ -197,12 +211,7 @@ def test_run_file_mode_from_gen(tmp_path, capsys):
         "--test-per-class", "10", "--dim", "6", "--seed", "3",
     ]) == 0
     capsys.readouterr()
-    cfg = tmp_path / "file.cfg"
-    cfg.write_text(
-        "pipeline = repoint\nschedule = 4/2\n"
-        "features_train = data_train.fmat\nlabels_train = data_train.labl\n"
-        "features_test = data_test.fmat\nlabels_test = data_test.labl\n"
-    )
+    cfg = _file_mode_config(tmp_path)
     assert cli.main(["run", "--config", str(cfg)]) == 0
     final = capsys.readouterr().out.splitlines()[-1]
     assert float(final.split("R=")[1]) <= 1.0
@@ -212,17 +221,49 @@ def test_run_failure_leaves_no_effective_config(tmp_path, capsys):
     prefix = tmp_path / "data"
     assert cli.main(["gen", "--out", str(prefix), "--classes", "4", "--dim", "6"]) == 0
     (tmp_path / "data_train.fmat").write_text("FMAT 2 not-a-number\n")
-    cfg = tmp_path / "file.cfg"
-    cfg.write_text(
-        "pipeline = repoint\nschedule = 4/2\n"
-        "features_train = data_train.fmat\nlabels_train = data_train.labl\n"
-        "features_test = data_test.fmat\nlabels_test = data_test.labl\n"
-    )
+    cfg = _file_mode_config(tmp_path)
     out = tmp_path / "res.txt"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
     assert "data_train.fmat" in capsys.readouterr().err
     assert not (tmp_path / "res.cfg").exists()
     assert not out.exists() and not (tmp_path / "res.csv").exists()
+
+
+def test_run_projection_overflow_in_last_phase_exits_1(tmp_path, capsys):
+    # training rows are projected when their phase runs, so a row of the
+    # last phase that overflows fails only after the first phase is scored
+    prefix = tmp_path / "data"
+    assert cli.main(["gen", "--out", str(prefix), "--classes", "4", "--dim", "6"]) == 0
+    feats = ch.load_features(tmp_path / "data_train.fmat")
+    labels = ch.load_labels(tmp_path / "data_train.labl")
+    feats[labels.index(3)] = 1e308
+    ch.save_features(tmp_path / "data_train.fmat", feats)
+    cfg = _file_mode_config(tmp_path)
+    out = tmp_path / "res.txt"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "rp_forward produced non-finite entries" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "res.csv").exists()
+    assert not (tmp_path / "res.cfg").exists()
+    scored = []
+    with pytest.raises(ValidationError):
+        ch.run_pipeline(ch.load_config(cfg), evaluate_fn=lambda s, seen, i: scored.append(i) or 0.0)
+    assert scored == [0]
+
+
+def test_failed_config_echo_keeps_previous_file(tmp_path, monkeypatch, capsys):
+    cfg = _write_synth_config(tmp_path)
+    out = tmp_path / "res.txt"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    before = (tmp_path / "res.cfg").read_bytes()
+
+    def fail(config):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ch, "config_to_text", fail)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--eta", "2.0"]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert (tmp_path / "res.cfg").read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "res.cfg", "res.csv", "res.txt"]
 
 
 # -- metrics ----------------------------------------------------------------------
@@ -248,7 +289,6 @@ def test_metrics_on_malformed_file(tmp_path, capsys):
 
 
 def test_subprocess_module_invocation():
-    import os
     import subprocess
     import sys
 

@@ -6,15 +6,16 @@ Core claims:
     - analytic gradients agree with central finite differences entrywise
     - plain gradient descent learns a separable toy problem and reports
       divergence with the failing epoch
-    - checkpoints round-trip exactly
+    - checkpoints round-trip exactly and replace their file atomically
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from recridge import fusion
+from recridge import fmat, fusion
 from recridge.errors import DivergenceError, ParseError, ShapeError, ValidationError
 
 
@@ -259,3 +260,24 @@ def test_fusion_checkpoint_rejects_corrupt(tmp_path):
     path.write_text("FUSE v9 x=1\n")
     with pytest.raises(ParseError):
         fusion.load_fusion(path)
+
+
+def test_failed_fusion_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "backbone.fuse"
+    fusion.save_fusion(_random_setup(40, d=5, classes=4)[0], path)
+    before = path.read_bytes()
+    write_block = fmat.write_matrix_block
+    calls = []
+
+    def fail_third(fh, m):
+        # the header and two of the four blocks are written first
+        calls.append(1)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        write_block(fh, m)
+
+    monkeypatch.setattr(fmat, "write_matrix_block", fail_third)
+    with pytest.raises(OSError, match="disk full"):
+        fusion.save_fusion(_random_setup(41, d=5, classes=4)[0], path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["backbone.fuse"]

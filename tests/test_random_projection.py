@@ -5,7 +5,10 @@ Core claims:
     - forward pass matches a naive recomputation and is pure
     - relu outputs are non-negative, widths always equal output_dim
     - the weight distribution has the advertised zero mean
+    - an overflowing projection is a ValidationError, whatever the activation
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -120,3 +123,14 @@ def test_forward_rejects_non_finite():
     layer = rp_new(2, 4, 1)
     with pytest.raises(ValidationError):
         rp_forward(layer, np.array([[1.0, np.nan]]))
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "identity"])
+def test_forward_overflow_raises_without_warning(activation):
+    layer = rp_new(6, 72, 1, activation)
+    rows = np.ones((3, 6))
+    rows[1] = 1e308  # finite input whose projection overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="non-finite"):
+            rp_forward(layer, rows)

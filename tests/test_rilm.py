@@ -9,11 +9,13 @@ Core claims:
       separately accumulated Gram matrix; it is exactly symmetric after
       every update, even over hundreds of ReLU-projected phases
     - empty phases are exact no-ops; states never grow with sample count
-    - prediction uses the global id table with lowest-id tie-breaking
+    - prediction uses the global id table with lowest-id tie-breaking and
+      scores rows in blocks, never holding the full score matrix
     - checkpoints round-trip exactly
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -486,6 +488,47 @@ def test_predict_matches_score_argmax_oracle():
     predicted = rilm.predict(state, f)
     assert predicted == expected
     assert all(type(cid) is int for cid in predicted)
+
+
+_BLOCK = rilm._PREDICT_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_blocked_predict_matches_full_score_argmax(n):
+    gen = _rng(n)
+    ids = (5, 2, 9, 0, 3, 8, 1)
+    weights = gen.standard_normal((24, len(ids)))
+    state = rilm.RilmState(weights, np.eye(24), 1.0, 0, ids)
+    f = gen.standard_normal((n, 24))
+    order = np.argsort(ids)
+    expected = np.asarray(ids)[order][np.argmax(f @ weights[:, order], axis=1)]
+    predicted = rilm.predict_ids(state, f)
+    assert predicted.dtype == np.int64
+    assert np.array_equal(predicted, expected)
+    assert rilm.predict(state, f) == expected.tolist()
+
+
+def test_predict_memory_stays_below_full_scores():
+    # 16 blocks of rows against 64 classes: the full score matrix would be
+    # 8 MiB, far above the per-block scores and the 16 x narrower finiteness
+    # mask of the input
+    n, d, c = 16 * _BLOCK, 8, 64
+    gen = _rng(12)
+    state = rilm.RilmState(gen.standard_normal((d, c)), np.eye(d), 1.0, 0, tuple(range(c)))
+    f = gen.standard_normal((n, d))
+    tracemalloc.start()
+    try:
+        predicted = rilm.predict_ids(state, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert predicted.shape == (n,)
+    assert peak < n * c * 8
+
+
+def test_predict_empty_rows():
+    state = rilm.RilmState(zeros(3, 2), np.eye(3), 1.0, 0, (0, 1))
+    assert rilm.predict(state, np.ones((0, 3))) == []
 
 
 def test_predict_requires_classes():
