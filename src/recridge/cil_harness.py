@@ -658,13 +658,15 @@ def evaluate_accuracy(state: rilm.RilmState, ex: Experiment, k: int) -> float:
 
     Those rows lead the phase-ordered test set, so they are scored as one
     prefix view, without a copy, and compared with the truth as an id array.
+    ``rp_forward`` checked them when the experiment was prepared, so they
+    are not scanned for non-finite entries again.
     """
     rows = slice(0, ex.test_bounds[k + 1])
     feats, truth = ex.test_features[rows], ex.test_labels[rows]
     if not truth.size:
         seen = tuple(c for ids in ex.schedule.phases[: k + 1] for c in ids)
         raise ValidationError(f"no test rows for seen classes {seen}")
-    return 100.0 * float(np.mean(rilm.predict_ids(state, feats) == truth))
+    return 100.0 * float(np.mean(rilm.predict_finite_ids(state, feats) == truth))
 
 
 def run_phases(ex: Experiment, evaluate_fn=None):

@@ -6,13 +6,30 @@ row-major layout is part of the serialization contract in
 conformance, finite entries), never mutate them, and return freshly
 allocated arrays, so values can be shared freely between threads.
 
+Finiteness is checked without an elementwise temporary: a float64 sum is
+finite only when every entry is, so only a non-finite sum (a NaN or Inf
+entry, or finite entries whose sum overflows) pays for the exact
+elementwise check. Validating a d x d matrix therefore allocates nothing
+of its size.
+
 The symmetric positive-definite operations run on LAPACK through numpy:
 ``np.linalg.cholesky`` is the positive-definiteness check, then
-``np.linalg.solve`` or ``np.linalg.inv`` does the work (``spd_half_solve``
-solves against the Cholesky factor itself). A hand-written
-Cholesky loop is kept for one purpose only: when LAPACK rejects a matrix,
-the loop reruns to report the exact failing pivot index, which the
-recursive-update diagnostics rely on.
+``np.linalg.solve`` or ``np.linalg.inv`` does the work. ``spd_half_solve``
+applies the inverse of the Cholesky factor L itself, by forward
+substitution over blocks of rows in which every step is a matrix product:
+each 16-row diagonal block of L is inverted explicitly and applied with
+one step of iterative refinement (see ``spd_half_solve`` for why).
+numpy has no triangular solve: ``np.linalg.solve(L, b)`` runs a pivoted
+LU of L and two triangular sweeps, which with hundreds of right-hand
+sides ran far below matrix-product speed. Measured with 2 BLAS threads on
+a 2-vCPU Xeon (numpy 2.4, best of 20 calls, three runs), ``spd_half_solve``
+on n x d rows took 4.6 to 6.5 ms at n = 200, d = 1536, 3.0 to 3.8 ms at
+n = 192, d = 768 and 0.3 to 0.5 ms at n = 60, d = 384; with
+``np.linalg.solve(L, b)`` it took 10 to 14, 5.5 to 6.9 and 0.6 to 0.8 ms.
+
+A hand-written Cholesky loop is kept for one purpose only: when LAPACK
+rejects a matrix, the loop reruns to report the exact failing pivot index,
+which the recursive-update diagnostics rely on.
 """
 
 from __future__ import annotations
@@ -29,6 +46,17 @@ Matrix = np.ndarray
 # Relative asymmetry tolerated by the SPD operations before rejecting input.
 SYMMETRY_RTOL = 1e-9
 
+# Rows per diagonal block of spd_half_solve's forward substitution.
+_HALF_SOLVE_BLOCK = 16
+
+
+def _all_finite(m: np.ndarray) -> bool:
+    # The sum is finite only if every entry is (see the module docstring).
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(m.sum()):
+            return True
+    return bool(np.isfinite(m).all())
+
 
 def as_matrix(a, name: str = "matrix") -> Matrix:
     """Coerce ``a`` to a validated 2-d float64 C-order array.
@@ -39,14 +67,14 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeError(f"{name} must be 2-d, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
+    if not _all_finite(m):
         raise ValidationError(f"{name} contains NaN or Inf entries")
     return np.ascontiguousarray(m)
 
 
 def _check_finite_result(m: Matrix, op: str) -> Matrix:
     # Finite inputs can still overflow; surface that instead of propagating Inf.
-    if not np.isfinite(m).all():
+    if not _all_finite(m):
         raise ValidationError(f"{op} produced non-finite entries (overflow?)")
     return m
 
@@ -189,11 +217,38 @@ def spd_half_solve(a, b) -> Matrix:
     For symmetric positive-definite a, Vᵀ V equals bᵀ a⁻¹ b, and because
     it is a product of one matrix with its own transpose it can be formed
     exactly symmetric. Checks and errors are those of spd_solve.
+
+    V is formed by forward substitution over blocks of 16 rows, with
+    matrix products only: the rows solved so far are subtracted from the
+    block's rows of b, the block's diagonal factor D is inverted, and
+    x = D⁻¹ rhs is refined once, x += D⁻¹ (rhs - D x).
+
+    For a >= I, as at both callers in :mod:`recridge.rilm` (I + f r fᵀ and
+    I + hᵀh), every singular value of L is at least 1, so ‖L⁻¹‖₂ <= 1;
+    each diagonal block factors a Schur complement of a, which is at least
+    I as well, so ‖D⁻¹‖₂ <= 1 too. That bounds the norm of V, not its
+    relative error: V is much smaller than b there, and an explicit
+    inverse loses the digits that cancel. Applying inv(L) to b in one
+    product made the Woodbury joint-fit error at eta = 1e-4 about 5x larger
+    on ``recridge gen`` data (separation 10, d = 72, three phases; median
+    of 6 seeds 1.7e-7 against 2.8e-8 with ``np.linalg.solve(L, b)``), and
+    unrefined 16-row blocks did as badly. With the refinement step the
+    median over 20 seeds was 3.8e-8 against 3.1e-8, and over 12 clustered
+    ReLU problems 2.2e-9 for both.
     """
     a, b = _solve_operands(a, b, "spd_half_solve")
     _require_symmetric(a, "spd_half_solve")
     low = cholesky_lower(0.5 * (a + a.T))
-    return _check_finite_result(np.linalg.solve(low, b), "spd_half_solve")
+    v = np.empty_like(b)
+    for s in range(0, low.shape[0], _HALF_SOLVE_BLOCK):
+        e = s + _HALF_SOLVE_BLOCK
+        diag = low[s:e, s:e]
+        diag_inv = np.linalg.inv(diag)
+        rhs = b[s:e] - low[s:e, :s] @ v[:s]
+        x = diag_inv @ rhs
+        x += diag_inv @ (rhs - diag @ x)
+        v[s:e] = x
+    return _check_finite_result(v, "spd_half_solve")
 
 
 def spd_inverse(a) -> Matrix:

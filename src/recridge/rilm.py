@@ -10,22 +10,24 @@ weights as solving one joint ridge problem over all phases at once.
 
 Updating ``r`` when a phase of n rows arrives can be done two ways:
 
-* ``direct``: re-invert the accumulated d x d Gram matrix, about 6d³ + nd²
-  flops,
+* ``direct``: with r = L Lᵀ and h = f L, the new memory is
+  L (I + hᵀh)⁻¹ Lᵀ, formed from d x d Cholesky factors and products
+  without inverting r; about 2.7d³ + 3nd² flops,
 * ``woodbury``: downdate the previous inverse through the matrix inversion
   lemma, one block of at most m = max(1, d // 4) rows at a time, so it only
-  ever solves m x m systems; about 3nd²(1 + 4m/3d) flops.
+  ever factors m x m systems; about 3nd²(1 + m/d) flops.
 
 Both must agree to tight tolerance. ``auto`` takes Woodbury, except that a
 phase of n >= d rows goes to the direct path when eta is below 1e-4 (see
-the eta paragraph below). Measured with 2 BLAS threads on a 2-vCPU Xeon,
-Woodbury against direct at d = 768: 0.097 vs 0.188 s for n = 1000, 0.285
-vs 0.212 s for n = 3000, so phases of more than about 2.5d rows would run
-faster direct; ``auto`` does not switch there, because no benchmark
-workload has phases that tall to check a crossover on. The block size was
-compared at those sizes: against d // 4, d // 2 is 10 % faster at
-n = 1000 and 19 % slower at n = 3000, d // 8 and d are slower at both,
-and one unblocked solve (m = n) takes 0.200 s at n = 1000.
+the eta paragraph below). Measured with 2 BLAS threads on a 2-vCPU Xeon
+(numpy 2.4, ReLU rows, best of 7, two runs), Woodbury against direct at
+d = 768: 0.070 vs 0.116 s for n = 1000, 0.13 to 0.14 vs 0.12 s for
+n = 2000 and 0.215 vs 0.15 s for n = 3000, so phases of more than about 2d
+rows would run faster direct; ``auto`` does not switch there, because no
+benchmark workload has phases that tall to check a crossover on. The block
+size was compared at those sizes: against d // 4, d // 8 is 15 to 26 %,
+d // 2 1 to 15 % and d 21 to 53 % slower, and one unblocked solve (m = n)
+takes 0.11 to 0.13 s at n = 1000.
 States are immutable values; every operation returns a new state.
 
 ``r`` is exactly symmetric in every state: the empty state's ``I/eta`` is,
@@ -40,18 +42,27 @@ the empty state (no classes, ``r = I/eta``).
 The ridge strength ``eta`` may be any positive number, but on the Woodbury
 path the float64 error grows roughly as 1/eta. For one phase of 50 rows at
 d = 192 (Gaussian or ReLU features) the weights differ from
-``np.linalg.solve`` of the normal equations by about 1e-13 relative at
-eta = 1, 1e-11 at 1e-2, 1e-9 at 1e-4 and 1.2e-7 at 1e-6, the last beyond
-the 1e-8 weight tolerance of the tests. With 300 to 2000 ReLU rows the gap
-is 5e-10 to 9e-10 at eta = 1e-4 and 0.4e-7 to 1.0e-7 at 1e-6, where the
-direct path stays near 1e-14; so below eta = 1e-4 ``auto`` keeps phases of
-n >= d rows on the direct path. The tests cover eta >= 1e-4 on both paths
-and eta = 1e-6 for ``auto`` on such a phase.
+``np.linalg.solve`` of the normal equations by about 1.1e-13 relative at
+eta = 1, 1.1e-11 at 1e-2, 1.1e-9 at 1e-4 and 1.2e-7 at 1e-6 (median of
+10), the last beyond the 1e-8 weight tolerance of the tests. With 300 to
+2000 ReLU rows the gap is 3e-10 to 8e-10 at eta = 1e-4 and 3e-8 to 8e-8
+at 1e-6, where the direct path stays near 1e-14 on a first phase; so below
+eta = 1e-4 ``auto`` keeps phases of n >= d rows on the direct path. Over
+eight phases of 60 clustered ReLU rows at d = 192 the final weights'
+error against the joint fit (median of 7 seeds) is 2.6e-9 on the Woodbury
+path and 2.1e-9 on the direct path at eta = 1e-4, and 2.5e-7 and 1.9e-7 at
+1e-6; duplicated, rank-1 and all-zero rows stay inside that envelope. The
+error grows with the features' scale as well, roughly as ||F||²/eta: on
+``recridge gen`` data at its default separation of 10 (d = 72, three
+phases) it is 3.8e-8 (Woodbury) and 3.4e-9 (direct) at eta = 1e-4, median
+of 20 seeds. The tests cover eta >= 1e-4 on both paths, at the benchmark
+workloads' separation of 3, and eta = 1e-6 for ``auto`` on such a phase.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,6 +95,9 @@ _WOODBURY_MIN_ETA = 1e-4
 
 # Rows scored per block by ``predict_ids``.
 _PREDICT_BLOCK_ROWS = 1024
+
+# RilmState checks the symmetry of at most this many rows and columns of r.
+_SYMMETRY_PROBE = 64
 
 _CHECKPOINT_TAG = "RILM v1"
 
@@ -164,6 +178,10 @@ class RilmState:
     ``class_ids[j]`` is the global id of the class scored by column j of
     ``weights``; ids are listed in registration order. ``phase`` counts the
     updates applied so far.
+
+    The constructor validates its inputs. Symmetry of ``r`` is checked
+    exactly, but only on the sub-grid ``r[::s, ::s]`` with s = ceil(d / 64),
+    so it makes no d x d temporary; for d <= 64 that is all of ``r``.
     """
 
     weights: Matrix
@@ -184,6 +202,10 @@ class RilmState:
             raise ShapeError(f"weights rows {w.shape[0]} != r size {r.shape[0]}")
         if w.shape[1] != len(ids):
             raise ShapeError(f"weights have {w.shape[1]} columns for {len(ids)} class ids")
+        step = max(1, math.ceil(r.shape[0] / _SYMMETRY_PROBE))
+        grid = r[::step, ::step]
+        if not np.array_equal(grid, grid.T):
+            raise ValidationError("r is not symmetric")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "eta", _check_eta(self.eta))
@@ -196,6 +218,18 @@ class RilmState:
     @property
     def classes_seen(self) -> int:
         return len(self.class_ids)
+
+
+def _derived(state: RilmState, **changes) -> RilmState:
+    """``state`` with fields replaced, without the constructor's scans.
+
+    Only for values that keep a validated state valid: its own ``r`` with
+    a new phase, or its weights padded with zero columns for new, checked
+    class ids. A d x d ``r`` is then not scanned again.
+    """
+    out = object.__new__(RilmState)
+    vars(out).update(vars(state), **changes)
+    return out
 
 
 def correlation_stats(f_rp, y) -> CorrelationStats:
@@ -232,7 +266,7 @@ def rilm_init(phase0: PhaseDataset, eta: float = DEFAULT_ETA) -> RilmState:
     if not phase0.projected:
         raise ValidationError("rilm_init expects projected features")
     state = expand_classes(empty_state(phase0.features.shape[1], eta), phase0.class_ids)
-    return replace(rilm_update(state, phase0), phase=0)
+    return _derived(rilm_update(state, phase0), phase=0)
 
 
 def expand_classes(state: RilmState, new_class_ids) -> RilmState:
@@ -249,13 +283,7 @@ def expand_classes(state: RilmState, new_class_ids) -> RilmState:
     if clash:
         raise ProtocolError(f"class ids already registered: {sorted(clash)}")
     padded = np.hstack([state.weights, zeros(state.d_rp, len(new_ids))])
-    return RilmState(
-        weights=padded,
-        r=state.r,
-        eta=state.eta,
-        phase=state.phase,
-        class_ids=state.class_ids + new_ids,
-    )
+    return _derived(state, weights=padded, class_ids=state.class_ids + new_ids)
 
 
 def update_r(state: RilmState, f_rp, path: str = "auto") -> Matrix:
@@ -267,8 +295,11 @@ def update_r(state: RilmState, f_rp, path: str = "auto") -> Matrix:
     correction Vᵀ V, V = L⁻¹ g. numpy forms Vᵀ V from one C-contiguous V
     with BLAS ``syrk`` and mirrors the computed triangle, so the
     correction, and r minus it, are exactly symmetric when r is. A phase
-    of at most d // 4 rows is one block. The direct path re-inverts
-    r⁻¹ + fᵀf with spd_inverse, whose result is exactly symmetric too.
+    of at most d // 4 rows is one block. The direct path factors
+    r = L Lᵀ, sets h = f L and returns Vᵀ V for V = K⁻¹ Lᵀ, K the
+    Cholesky factor of I + hᵀh: that is (r⁻¹ + fᵀf)⁻¹, exactly symmetric
+    the same way. r itself is never inverted: rebuilding the Gram matrix
+    from r that way lost accuracy with every phase at small eta.
     ``auto`` takes Woodbury unless n >= d and eta < 1e-4, where the direct
     path is the more accurate (see the module docstring). ``state.r`` is
     never written.
@@ -284,11 +315,15 @@ def update_r(state: RilmState, f_rp, path: str = "auto") -> Matrix:
     if path == "auto":
         path = "direct" if n >= d and state.eta < _WOODBURY_MIN_ETA else "woodbury"
     if path == "direct":
-        # The copy places the r that outlives this call after the
-        # inversions' d x d temporaries are freed, so the allocator can
-        # reuse their space; returned as is, it raised peak RSS by about
-        # 3 MB on a d = 768 run (glibc malloc, numpy 2.4).
-        return spd_inverse(spd_inverse(state.r) + f.T @ f).copy()
+        low = cholesky_lower(state.r)
+        h = f @ low
+        inner = h.T @ h
+        inner[np.diag_indices(d)] += 1.0
+        low_t = np.ascontiguousarray(low.T)
+        # at most four d x d arrays stay live through the solve
+        del h, low
+        v = spd_half_solve(inner, low_t)
+        return v.T @ v
     r = state.r
     block = max(1, d // 4)
     for start in range(0, n, block):
@@ -383,9 +418,18 @@ def predict_ids(state: RilmState, f_rp) -> np.ndarray:
     input does: numpy scores one row by a matrix-vector product, which may
     differ from the matrix product in the last bit.
     """
+    return predict_finite_ids(state, as_matrix(f_rp, "f_rp"))
+
+
+def predict_finite_ids(state: RilmState, f: Matrix) -> np.ndarray:
+    """``predict_ids`` for rows already known to be finite.
+
+    ``f`` must be a 2-d float64 C-order array with finite entries, such as
+    the output of ``rp_forward``, which checked them; they are not scanned
+    again. The class and width checks of ``predict_ids`` still apply.
+    """
     if state.classes_seen == 0:
         raise ProtocolError("cannot predict before any classes are registered")
-    f = as_matrix(f_rp, "f_rp")
     if f.shape[1] != state.d_rp:
         raise ShapeError(f"f_rp has width {f.shape[1]}, state expects {state.d_rp}")
     ids = np.asarray(state.class_ids)

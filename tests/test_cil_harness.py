@@ -10,6 +10,7 @@ Core claims:
       forgets; runs are byte-deterministic and states stay sample-size-free
     - training rows are projected one phase at a time, bit-equal to one
       projection of them all, so a run never holds the projected matrix
+    - evaluation scores the projected test rows without checking them again
     - every writer replaces its file atomically
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 from recridge import cil_harness as ch
-from recridge import fmat, rilm
+from recridge import dense_linalg, fmat, rilm
 from recridge.errors import ParseError, ShapeError, ValidationError
 from recridge.random_projection import rp_forward, rp_new
 
@@ -543,6 +544,39 @@ def test_run_memory_stays_below_projected_training_matrix(tmp_path):
         tracemalloc.stop()
     assert len(report.per_phase_acc) == 5
     assert peak < 4000 * 192 * 8
+
+
+def test_evaluation_does_not_rescan_test_rows(tmp_path, monkeypatch):
+    # rp_forward checked the projected test rows once; scoring them each
+    # phase allocates less than one boolean mask of them and scans none
+    # of them for non-finite entries again
+    cfg = ch.load_config(
+        _write_config(
+            tmp_path, schedule="4/1", synth_classes=4, synth_per_class=20,
+            synth_test_per_class=2048, d_rp=256,
+        )
+    )
+    ex = ch.prepare_experiment(cfg)
+    state = rilm.rilm_init(ch.phase_dataset(ex, 0), cfg.eta)
+    n, d = ex.test_features.shape
+    expected = 100.0 * np.mean(rilm.predict_ids(state, ex.test_features) == ex.test_labels)
+    scanned = []
+    scan = dense_linalg._all_finite
+
+    def spy(m):
+        scanned.append(m.shape)
+        return scan(m)
+
+    monkeypatch.setattr(dense_linalg, "_all_finite", spy)
+    tracemalloc.start()
+    try:
+        acc = ch.evaluate_accuracy(state, ex, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert acc == expected
+    assert scanned == []
+    assert peak < n * d
 
 
 def test_pipeline_writes_and_roundtrips_results(tmp_path):

@@ -5,6 +5,7 @@ Core claims:
     - verify/gradcheck print their measured error and gate on tolerance
     - gen/run/metrics wire files end to end, with override echo
     - a failed run or echo leaves no partial or replaced output behind
+    - a phase whose classes have no training rows runs to the joint fit
     - unknown flags or verbs fail before any work happens
 """
 
@@ -13,8 +14,8 @@ import os
 import numpy as np
 import pytest
 
-from recridge import cli
 from recridge import cil_harness as ch
+from recridge import cli, rilm
 from recridge.errors import ValidationError
 
 
@@ -248,6 +249,41 @@ def test_run_projection_overflow_in_last_phase_exits_1(tmp_path, capsys):
     with pytest.raises(ValidationError):
         ch.run_pipeline(ch.load_config(cfg), evaluate_fn=lambda s, seen, i: scored.append(i) or 0.0)
     assert scored == [0]
+
+
+@pytest.mark.parametrize("path", ["woodbury", "direct"])
+@pytest.mark.parametrize("eta", [1.0, 1e-4])
+def test_run_phase_without_training_rows(tmp_path, capsys, eta, path):
+    # classes 2 and 3, phase 1 of 3, keep their test rows but lose every
+    # training row: the run scores them, and its state is still the joint
+    # fit. Separation 3 is the benchmark workloads'; at gen's default of 10
+    # the recursion is 3e-8 to 2e-7 off the joint fit at eta = 1e-4, with
+    # or without an empty phase.
+    prefix = tmp_path / "data"
+    gen = ["gen", "--out", str(prefix), "--classes", "6", "--dim", "6", "--separation", "3"]
+    assert cli.main(gen) == 0
+    feats = ch.load_features(tmp_path / "data_train.fmat")
+    labels = np.asarray(ch.load_labels(tmp_path / "data_train.labl"))
+    keep = ~np.isin(labels, (2, 3))
+    ch.save_features(tmp_path / "data_train.fmat", feats[keep])
+    ch.save_labels(tmp_path / "data_train.labl", labels[keep])
+    cfg = tmp_path / "file.cfg"
+    cfg.write_text(
+        f"pipeline = repoint\nschedule = 6/3\neta = {eta!r}\nrilm_path = {path}\n"
+        "features_train = data_train.fmat\nlabels_train = data_train.labl\n"
+        "features_test = data_test.fmat\nlabels_test = data_test.labl\n"
+    )
+    out = tmp_path / "res.txt"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    report, seen = ch.load_result(out)
+    assert seen == [2, 4, 6] and len(report.per_phase_acc) == 3
+    ex = ch.prepare_experiment(ch.load_config(cfg))
+    _, state = ch.run_phases(ex)
+    phases = [ch.phase_dataset(ex, k) for k in range(3)]
+    assert phases[1].num_samples == 0
+    reference = rilm.batch_oracle(phases, eta)
+    assert np.linalg.norm(state.weights - reference) <= 1e-8 * np.linalg.norm(reference)
+    assert not state.weights[:, [2, 3]].any()
 
 
 def test_failed_config_echo_keeps_previous_file(tmp_path, monkeypatch, capsys):

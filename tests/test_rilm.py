@@ -9,6 +9,10 @@ Core claims:
       separately accumulated Gram matrix; it is exactly symmetric after
       every update, even over hundreds of ReLU-projected phases
     - empty phases are exact no-ops; states never grow with sample count
+    - duplicated, rank-1 and all-zero ReLU rows keep both paths on the
+      joint fit
+    - the state constructor rejects an asymmetric r without a d x d
+      temporary, and states derived from a validated one skip its scans
     - prediction uses the global id table with lowest-id tie-breaking and
       scores rows in blocks, never holding the full score matrix
     - checkpoints round-trip exactly
@@ -20,7 +24,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from recridge import fmat, random_projection, rilm
+from recridge import dense_linalg, fmat, random_projection, rilm
 from recridge.dense_linalg import cholesky_lower, identity, zeros
 from recridge.errors import ParseError, ProtocolError, ShapeError, ValidationError
 
@@ -239,6 +243,59 @@ def test_expand_rejects_duplicates():
         rilm.expand_classes(state, (2, 2))
 
 
+# -- state construction -------------------------------------------------------
+
+
+@pytest.mark.parametrize("d, entry", [(8, (0, 1)), (200, (4, 196))], ids=["full", "strided"])
+def test_state_rejects_asymmetric_r(d, entry):
+    # at d = 200 the constructor compares r[::4, ::4] with its transpose
+    r = np.eye(d)
+    r[entry] += 1e-13
+    with pytest.raises(ValidationError):
+        rilm.RilmState(zeros(d, 1), r, 1.0, 0, (0,))
+
+
+def test_state_construction_makes_no_d_by_d_temporary():
+    # at d = 1536 a float64 copy of r is 18.9 MB and a boolean mask 2.4 MB
+    d = 1536
+    g = _rng(15).standard_normal((d, d))
+    r = g + g.T
+    weights = zeros(d, 4)
+    tracemalloc.start()
+    try:
+        rilm.RilmState(weights, r, 1.0, 0, (0, 1, 2, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _finite_scans(monkeypatch):
+    # shapes of the arrays dense_linalg scans for non-finite entries
+    shapes = []
+    scan = dense_linalg._all_finite
+
+    def spy(m):
+        shapes.append(m.shape)
+        return scan(m)
+
+    monkeypatch.setattr(dense_linalg, "_all_finite", spy)
+    return shapes
+
+
+def test_derived_states_do_not_rescan_r(monkeypatch):
+    d = 24
+    phase = _random_phase(_rng(16), 10, (0, 1), d=d)
+    shapes = _finite_scans(monkeypatch)
+    state = rilm.rilm_init(phase, eta=1.0)
+    # empty_state's I/eta and rilm_update's new r; not the phase-0 state
+    assert shapes.count((d, d)) == 2
+    shapes.clear()
+    grown = rilm.expand_classes(state, (2, 3))
+    assert shapes == []
+    assert grown.r is state.r and grown.phase == state.phase
+
+
 # -- memory update ------------------------------------------------------------
 
 
@@ -426,6 +483,77 @@ def test_many_relu_phases_keep_r_exactly_symmetric(tmp_path, eta):
     assert np.array_equal(loaded.r, state.r)
 
 
+# -- degenerate rows ----------------------------------------------------------
+
+
+def _degenerate_phases(case, gen, d):
+    if case == "duplicates":
+        # 20 distinct rows repeated within each phase and across phases
+        base = gen.standard_normal((20, d))
+        f0 = base[gen.integers(0, 20, size=90)]
+        f1 = np.vstack([f0[:30], base[gen.integers(0, 20, size=60)]])
+        feats = [f0, f1, np.vstack([f1[:20], f0[:20], f0[:20]])]
+    elif case == "rank_one":
+        # each phase's rows are multiples of one unit direction, phase 2
+        # reusing phase 0's; at N(0, 1) scale one direction would carry
+        # ||F||² ~ 1e4 and batch_oracle itself would be 5e-8 off the SVD
+        # ridge solution at eta = 1e-4
+        u = gen.standard_normal((2, d))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        feats = [np.outer(gen.standard_normal(n), u[k % 2]) for k, n in enumerate((70, 50, 90))]
+    else:
+        # a non-negative layer maps non-positive inputs to all-zero ReLU
+        # rows; phase 1 holds nothing else
+        layer = random_projection.rp_from_weights(np.abs(gen.standard_normal((8, d))), "relu")
+
+        def rows(n, zero):
+            x = gen.standard_normal((n, 8))
+            picked = gen.permutation(n)[:zero]
+            x[picked] = -np.abs(x[picked])
+            return random_projection.rp_forward(layer, x)
+
+        feats = [rows(80, 30), rows(40, 40), rows(90, 45)]
+    phases = []
+    for k, f in enumerate(feats):
+        y = _onehot(len(f), 2, gen.integers(0, 2, size=len(f)))
+        phases.append(rilm.PhaseDataset(f, y, (2 * k, 2 * k + 1)))
+    return phases
+
+
+@pytest.mark.parametrize("eta", [1.0, 1e-4])
+@pytest.mark.parametrize("case", ["duplicates", "rank_one", "relu_zero"])
+def test_degenerate_rows_keep_joint_fit(case, eta):
+    # d = 96 gives Woodbury blocks of 24 rows, so every phase spans several
+    d = 96
+    phases = _degenerate_phases(case, _rng(95), d)
+    if case == "relu_zero":
+        assert not phases[1].features.any()
+    reference = rilm.batch_oracle(phases, eta)
+    for path in ("woodbury", "direct"):
+        final = rilm.recursive_states(phases, eta, path)[-1]
+        assert np.array_equal(final.r, final.r.T)
+        err = np.linalg.norm(final.weights - reference)
+        assert err <= 1e-8 * np.linalg.norm(reference), (path, err / np.linalg.norm(reference))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clustered_relu_phases_keep_joint_fit(seed):
+    # eight phases of 60 ReLU rows around one offset each; Woodbury solves
+    # two blocks per phase. Applying the whole inverse factor, inv(L) @ g,
+    # put three of these four seeds above 1e-8 at eta = 1e-4
+    d_in, d, eta = 16, 192, 1e-4
+    gen = _rng(seed)
+    layer = random_projection.rp_new(d_in, d, seed=seed, activation="relu")
+    phases = []
+    for k in range(8):
+        x = gen.standard_normal((60, d_in)) + gen.standard_normal(d_in)
+        f = random_projection.rp_forward(layer, x)
+        y = _onehot(60, 2, gen.integers(0, 2, size=60))
+        phases.append(rilm.PhaseDataset(f, y, (2 * k, 2 * k + 1)))
+    for path in ("woodbury", "direct"):
+        assert rilm.recursive_vs_batch_error(phases, eta, path) <= 1e-8
+
+
 # -- batch oracle -------------------------------------------------------------
 
 
@@ -529,6 +657,15 @@ def test_predict_memory_stays_below_full_scores():
 def test_predict_empty_rows():
     state = rilm.RilmState(zeros(3, 2), np.eye(3), 1.0, 0, (0, 1))
     assert rilm.predict(state, np.ones((0, 3))) == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_predict_ids_rejects_non_finite_rows(bad):
+    state = rilm.RilmState(np.eye(3, 2), np.eye(3), 1.0, 0, (0, 1))
+    f = np.ones((4, 3))
+    f[2, 1] = bad
+    with pytest.raises(ValidationError):
+        rilm.predict_ids(state, f)
 
 
 def test_predict_requires_classes():
