@@ -10,7 +10,10 @@ Finiteness is checked without an elementwise temporary: a float64 sum is
 finite only when every entry is, so only a non-finite sum (a NaN or Inf
 entry, or finite entries whose sum overflows) pays for the exact
 elementwise check. Validating a d x d matrix therefore allocates nothing
-of its size.
+of its size. Nor does checking symmetry: the SPD operations compare a
+with its transpose over panels of 64 rows below the diagonal and factor an
+exactly symmetric a as it is; only an a that is symmetric merely within
+SYMMETRY_RTOL is copied into (a + aᵀ)/2.
 
 The symmetric positive-definite operations run on LAPACK through numpy:
 ``np.linalg.cholesky`` is the positive-definiteness check, then
@@ -48,6 +51,9 @@ SYMMETRY_RTOL = 1e-9
 
 # Rows per diagonal block of spd_half_solve's forward substitution.
 _HALF_SOLVE_BLOCK = 16
+
+# Rows per panel of the symmetry check.
+_SYMMETRY_PANEL = 64
 
 
 def _all_finite(m: np.ndarray) -> bool:
@@ -105,46 +111,29 @@ def transpose(a) -> Matrix:
     return np.ascontiguousarray(a.T)
 
 
-def add(a, b) -> Matrix:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shapes differ, {a.shape} vs {b.shape}")
-    return _check_finite_result(a + b, "add")
-
-
-def subtract(a, b) -> Matrix:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeError(f"subtract: shapes differ, {a.shape} vs {b.shape}")
-    return _check_finite_result(a - b, "subtract")
-
-
-def scale(a, s: float) -> Matrix:
-    a = as_matrix(a, "a")
-    s = float(s)
-    if not math.isfinite(s):
-        raise ValidationError("scale: scalar must be finite")
-    return _check_finite_result(s * a, "scale")
-
-
-def frobenius_norm(a) -> float:
-    a = as_matrix(a, "a")
-    return float(np.sqrt(np.sum(a * a)))
-
-
 def _require_square(a: Matrix, op: str) -> None:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{op}: matrix must be square, got {a.shape}")
 
 
-def _require_symmetric(a: Matrix, op: str) -> None:
-    scale_ = np.abs(a).max(initial=0.0)
-    if scale_ == 0.0:
-        return
-    if np.abs(a - a.T).max() > SYMMETRY_RTOL * scale_:
-        raise ValidationError(f"{op}: matrix is not symmetric within tolerance")
+def _symmetrized(a: Matrix) -> Matrix | None:
+    """``a`` itself if exactly symmetric, (a + aᵀ)/2 if symmetric within
+    SYMMETRY_RTOL of its largest entry, None otherwise.
+
+    The comparison runs over panels of rows below the diagonal, so only an
+    ``a`` that is not exactly symmetric costs n x n arrays.
+    """
+    n = a.shape[0]
+    asymmetry = 0.0
+    for s in range(0, n, _SYMMETRY_PANEL):
+        e = min(s + _SYMMETRY_PANEL, n)
+        diff = a[s:e, :e] - a[:e, s:e].T
+        asymmetry = max(asymmetry, float(np.abs(diff, out=diff).max()))
+    if asymmetry == 0.0:
+        return a
+    if asymmetry > SYMMETRY_RTOL * max(float(a.max()), -float(a.min())):
+        return None
+    return 0.5 * (a + a.T)
 
 
 def _cholesky_loop(a: Matrix) -> Matrix:
@@ -174,17 +163,24 @@ def cholesky_lower(a) -> Matrix:
         low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         low = None
-    if low is None or not np.isfinite(low).all():
+    if low is None or not _all_finite(low):
         # LAPACK does not name the pivot; the loop does (and its factor is
         # returned should it succeed where LAPACK gave up).
         return _cholesky_loop(a)
     return np.ascontiguousarray(low)
 
 
+def _symmetric_operand(a: Matrix, op: str) -> Matrix:
+    # Symmetric part of a validated square a.
+    sym = _symmetrized(a)
+    if sym is None:
+        raise ValidationError(f"{op}: matrix is not symmetric within tolerance")
+    return sym
+
+
 def _spd_operand(a: Matrix, op: str) -> Matrix:
-    # Symmetrized copy of a validated square a, checked positive definite.
-    _require_symmetric(a, op)
-    sym = 0.5 * (a + a.T)
+    # Symmetric part of a validated square a, checked positive definite.
+    sym = _symmetric_operand(a, op)
     cholesky_lower(sym)
     return sym
 
@@ -202,9 +198,10 @@ def _solve_operands(a, b, op: str) -> tuple[Matrix, Matrix]:
 def spd_solve(a, b) -> Matrix:
     """Solve a X = b for symmetric positive-definite a.
 
-    The input is symmetrized as (a + aᵀ)/2 before factorization so that
-    accumulated floating-point drift in nominally symmetric matrices does
-    not leak into the solution. No explicit inverse is formed.
+    An input that is not exactly symmetric is symmetrized as (a + aᵀ)/2
+    before factorization so that accumulated floating-point drift in
+    nominally symmetric matrices does not leak into the solution. No
+    explicit inverse is formed.
     """
     a, b = _solve_operands(a, b, "spd_solve")
     x = np.linalg.solve(_spd_operand(a, "spd_solve"), b)
@@ -237,8 +234,7 @@ def spd_half_solve(a, b) -> Matrix:
     ReLU problems 2.2e-9 for both.
     """
     a, b = _solve_operands(a, b, "spd_half_solve")
-    _require_symmetric(a, "spd_half_solve")
-    low = cholesky_lower(0.5 * (a + a.T))
+    low = cholesky_lower(_symmetric_operand(a, "spd_half_solve"))
     v = np.empty_like(b)
     for s in range(0, low.shape[0], _HALF_SOLVE_BLOCK):
         e = s + _HALF_SOLVE_BLOCK

@@ -68,8 +68,8 @@ import numpy as np
 
 from . import fmat
 from .dense_linalg import (
-    SYMMETRY_RTOL,
     Matrix,
+    _symmetrized,
     as_matrix,
     cholesky_lower,
     identity,
@@ -315,14 +315,14 @@ def update_r(state: RilmState, f_rp, path: str = "auto") -> Matrix:
     if path == "auto":
         path = "direct" if n >= d and state.eta < _WOODBURY_MIN_ETA else "woodbury"
     if path == "direct":
-        low = cholesky_lower(state.r)
-        h = f @ low
+        low_t = np.ascontiguousarray(cholesky_lower(state.r).T)
+        h = f @ low_t.T
         inner = h.T @ h
+        del h
         inner[np.diag_indices(d)] += 1.0
-        low_t = np.ascontiguousarray(low.T)
-        # at most four d x d arrays stay live through the solve
-        del h, low
+        # four d x d arrays at most: inner, low_t, K and V
         v = spd_half_solve(inner, low_t)
+        del inner, low_t
         return v.T @ v
     r = state.r
     block = max(1, d // 4)
@@ -522,9 +522,13 @@ def load_state(path) -> RilmState:
     r = fmat.read_matrix_block(cursor)
     ids = fmat.read_labels_block(cursor)
     fmat.check_consumed(cursor)
+    del cursor  # frees the file's text before the checks
     if weights.shape != (d_rp, classes) or r.shape != (d_rp, d_rp) or len(ids) != classes:
         raise ParseError(path, 1, "checkpoint blocks do not match header dimensions")
-    if np.abs(r - r.T).max(initial=0.0) > SYMMETRY_RTOL * np.abs(r).max(initial=0.0):
+    # Exact symmetry is a state invariant (see the module docstring); any r
+    # this program saved comes back as itself.
+    sym = _symmetrized(r)
+    if sym is None:
         raise ParseError(path, r_line, "memory matrix r is not symmetric")
     try:
         cholesky_lower(r)
@@ -532,10 +536,7 @@ def load_state(path) -> RilmState:
         raise ParseError(
             path, r_line, f"memory matrix r is not positive definite (pivot {exc.pivot})"
         ) from None
-    # Exact symmetry is a state invariant (see the module docstring); for
-    # any r this program saved, this is bit-identical to r.
-    r = 0.5 * (r + r.T)
-    return RilmState(weights=weights, r=r, eta=eta, phase=phase, class_ids=tuple(ids))
+    return RilmState(weights=weights, r=sym, eta=eta, phase=phase, class_ids=tuple(ids))
 
 
 # ---------------------------------------------------------------------------

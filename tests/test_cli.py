@@ -230,6 +230,50 @@ def test_run_failure_leaves_no_effective_config(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "res.csv").exists()
 
 
+def _rewrite_row(path, index, edit):
+    # apply ``edit`` to FMAT row ``index`` (line index + 2) of a data file
+    lines = path.read_text().split("\n")
+    lines[index + 1] = edit(lines[index + 1])
+    path.write_text("\n".join(lines))
+
+
+def _truncate_after_row(path, index):
+    lines = path.read_text().split("\n")
+    path.write_text("\n".join(lines[: index + 2]) + "\n")
+
+
+@pytest.mark.parametrize(
+    "corrupt,expected",
+    [
+        (lambda p: _rewrite_row(p, 2, lambda r: "x" + r[1:]), "{}:4: row 2 contains a non-numeric"),
+        (lambda p: _rewrite_row(p, 4, lambda r: r.rsplit(" ", 1)[0]), "{}:6: row 4 has 5 values"),
+        (lambda p: _truncate_after_row(p, 2), "{}:5: row 3 has 0 values"),
+        # non-finite values are found once the block is read: at its last line
+        (
+            lambda p: _rewrite_row(p, 1, lambda r: "nan" + r[r.index(" ") :]),
+            "{}:161: matrix contains non-finite",
+        ),
+        (lambda p: p.write_bytes(p.read_bytes()[:40] + b"\xff"), "{}:0: cannot read file"),
+        # a missing file is caught with the config, before any data is read
+        (lambda p: p.unlink(), "config key features_train: file not found: {}"),
+    ],
+    ids=["non_numeric", "short_row", "truncated", "nan", "not_utf8", "missing"],
+)
+def test_run_bad_data_file_exits_1_naming_it(tmp_path, capsys, corrupt, expected):
+    prefix = tmp_path / "data"
+    assert cli.main(["gen", "--out", str(prefix), "--classes", "4", "--dim", "6"]) == 0
+    data = tmp_path / "data_train.fmat"
+    assert data.read_text().startswith("FMAT 160 6\n")
+    corrupt(data)
+    cfg = _file_mode_config(tmp_path)
+    out = tmp_path / "res.txt"
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert expected.format(data) in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "res.csv").exists()
+    assert not (tmp_path / "res.cfg").exists()
+
+
 def test_run_projection_overflow_in_last_phase_exits_1(tmp_path, capsys):
     # training rows are projected when their phase runs, so a row of the
     # last phase that overflows fails only after the first phase is scored

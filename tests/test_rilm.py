@@ -18,6 +18,7 @@ Core claims:
     - checkpoints round-trip exactly
 """
 
+import io
 import itertools
 import tracemalloc
 
@@ -268,6 +269,53 @@ def test_state_construction_makes_no_d_by_d_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _spd_state(d, seed):
+    g = _rng(seed).standard_normal((d, d)) / np.sqrt(d)
+    r = g @ g.T + identity(d)
+    r = np.triu(r) + np.triu(r, 1).T
+    return rilm.RilmState(zeros(d, 2), r, 1.0, 1, (0, 1))
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_direct_update_holds_four_d_by_d_arrays():
+    # d = 768, n = 1000: the Gram term, the transposed factor of r, the
+    # factor K and V; the rows' product with the factor is freed first
+    d = 768
+    state = _spd_state(d, seed=17)
+    f = _rng(18).standard_normal((1000, d))
+    peak = _peak_bytes(rilm.update_r, state, f, "direct")
+    assert peak < 4.2 * state.r.nbytes
+
+
+def test_load_state_makes_no_d_by_d_temporary(tmp_path, monkeypatch):
+    # d = 768: once the file is read, its text stays until the blocks are
+    # parsed, then r and its Cholesky factor; r is checked for symmetry in
+    # panels and, saved exactly symmetric, not copied
+    d = 768
+    state = _spd_state(d, seed=19)
+    path = tmp_path / "state.rilm"
+    rilm.save_state(state, path)
+    open_cursor = fmat.open_cursor
+
+    def opened(p):
+        cursor = open_cursor(p)
+        tracemalloc.reset_peak()
+        return cursor
+
+    monkeypatch.setattr(fmat, "open_cursor", opened)
+    peak = _peak_bytes(rilm.load_state, path)
+    assert peak < path.stat().st_size + 1.5 * state.r.nbytes
 
 
 def _finite_scans(monkeypatch):
@@ -762,8 +810,9 @@ def _corrupt_r(path, transform):
     start = [i for i, line in enumerate(lines) if line.startswith("FMAT")][1] + 1
     d = len(lines[start].split())
     r = np.array([[float(v) for v in line.split()] for line in lines[start : start + d]])
-    rows = [" ".join(fmat.format_float(v) for v in row) for row in transform(r)]
-    lines[start : start + d] = rows
+    block = io.StringIO()
+    fmat.write_matrix_block(block, transform(r))
+    lines[start : start + d] = block.getvalue().splitlines()[1:]
     path.write_text("\n".join(lines) + "\n")
 
 
