@@ -21,7 +21,6 @@ from .cil_harness import (
     load_features,
     load_labels,
     prepare_experiment,
-    run_naive_baseline,
     run_pipeline,
     save_features,
     save_labels,
@@ -112,7 +111,6 @@ __all__ = [
     "rp_forward",
     "rp_from_weights",
     "rp_new",
-    "run_naive_baseline",
     "run_pipeline",
     "save_features",
     "save_labels",

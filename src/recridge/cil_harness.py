@@ -11,8 +11,11 @@ on the test rows of every class seen so far, and reports:
 * their mean over all phases,
 * the retention drop, first-phase accuracy minus final-phase accuracy.
 
-A naive sequential baseline (refit on the current phase only, overwriting
-all weights) is included to exhibit catastrophic forgetting next to the
+Every phase, the first included, is one recursive update on the path that
+``rilm_path`` names. The naive sequential baseline runs the same loop but
+restarts each phase from the empty state, keeping only the seen classes,
+so each fit sees the current phase's rows alone and the old classes'
+weights are overwritten: it exhibits catastrophic forgetting next to the
 recursive learner. Runs are single-threaded and deterministic: the same
 config and seeds produce byte-identical result files.
 
@@ -51,13 +54,14 @@ Relative paths are resolved against the config file's directory.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fmat, fusion, rilm
-from .dense_linalg import Matrix, as_matrix, identity, spd_solve, zeros
+from .dense_linalg import Matrix, as_matrix, zeros
 from .errors import ParseError, ShapeError, ValidationError
 from .random_projection import ACTIVATIONS, RpLayer, rp_forward, rp_new
 
@@ -285,34 +289,10 @@ _REFU_FILE_KEYS = (
 )
 
 _KNOWN_KEYS = frozenset(
-    [
-        "pipeline",
-        "eta",
-        "d_rp",
-        "d_rp_multiplier",
-        "rp_seed",
-        "activation",
-        "rilm_path",
-        "schedule",
-        "schedule_shuffle_seed",
-        "synth_classes",
-        "synth_per_class",
-        "synth_test_per_class",
-        "synth_dim",
-        "synth_separation",
-        "synth_seed",
-        "fusion_params",
-        "fusion_seed",
-        "out",
-        "point_features_train",
-        "point_features_test",
-        "mesh_features_train",
-        "mesh_features_test",
-        "features_train",
-        "labels_train",
-        "features_test",
-        "labels_test",
-    ]
+    """pipeline eta d_rp d_rp_multiplier rp_seed activation rilm_path schedule
+    schedule_shuffle_seed synth_classes synth_per_class synth_test_per_class synth_dim
+    synth_separation synth_seed fusion_params fusion_seed out""".split()
+    + list(_SINGLE_FILE_KEYS + _REFU_FILE_KEYS)
 )
 
 
@@ -669,77 +649,43 @@ def evaluate_accuracy(state: rilm.RilmState, ex: Experiment, k: int) -> float:
     return 100.0 * float(np.mean(rilm.predict_finite_ids(state, feats) == truth))
 
 
-def run_phases(ex: Experiment, evaluate_fn=None):
-    """Drive the recursive learner across the schedule.
+def run_phases(ex: Experiment, naive: bool = False):
+    """Fit the schedule's phases in order, scoring each on the seen classes.
 
-    Returns (MetricsReport, final state). ``evaluate_fn(state, seen_ids,
-    phase_index) -> accuracy`` replaces the normal test-set evaluation when
-    given (used by tests to inject fixed accuracies).
+    Every phase, the first included, registers its classes and is one
+    ``rilm_update`` on the configured ``rilm_path``, starting from the
+    empty state. With ``naive``, each phase after the first restarts from
+    an empty state that keeps only the seen classes, so it is fitted to
+    its own rows alone. Returns (MetricsReport, final state).
     """
-    state = None
-    seen: list[int] = []
+    d = ex.layer.output_dim
+    state = rilm.empty_state(d, ex.config.eta)
     accs = []
-    for i, ids in enumerate(ex.schedule.phases):
+    for k, ids in enumerate(ex.schedule.phases):
+        if naive and k:
+            state = rilm.empty_state(d, state.eta, state.class_ids)
+        # The new r is allocated first, so it takes the place of the r the
+        # last phase freed before the phase's smaller arrays can split it:
+        # the heap then holds two d x d arrays, not three.
+        r_new = np.empty((d, d))
+        state = rilm.expand_classes(state, ids)
         # The phase's projected rows are not kept past its update.
-        if state is None:
-            state = rilm.rilm_init(phase_dataset(ex, i), ex.config.eta)
-        else:
-            state = rilm.expand_classes(state, ids)
-            state = rilm.rilm_update(state, phase_dataset(ex, i), path=ex.config.rilm_path)
-        seen.extend(ids)
-        if evaluate_fn is not None:
-            accs.append(float(evaluate_fn(state, tuple(seen), i)))
-        else:
-            accs.append(evaluate_accuracy(state, ex, i))
+        state = rilm.rilm_update(
+            state, phase_dataset(ex, k), path=ex.config.rilm_path, out=r_new
+        )
+        accs.append(evaluate_accuracy(state, ex, k))
     return compute_metrics(accs), state
 
 
-def run_pipeline(config: ExperimentConfig, evaluate_fn=None) -> MetricsReport:
-    """End-to-end run of the recursive pipeline; persists results when configured."""
-    ex = prepare_experiment(config)
-    report, _ = run_phases(ex, evaluate_fn=evaluate_fn)
-    _persist(config, ex, report)
-    return report
+def run_pipeline(config: ExperimentConfig, naive: bool = False) -> MetricsReport:
+    """End-to-end run of one learner; persists results when configured.
 
-
-def run_naive_baseline(config: ExperimentConfig, evaluate_fn=None) -> MetricsReport:
-    """Sequential baseline: refit on the current phase only, overwriting weights.
-
-    Old classes keep their columns in the label space but get no data, so
-    each refit zeroes them out; this is the forgetting-prone reference the
-    recursive learner is compared against.
+    ``naive`` runs the sequential baseline and tags its result files so.
     """
     ex = prepare_experiment(config)
-    d_rp = ex.layer.output_dim
-    seen: list[int] = []
-    accs = []
-    for i, ids in enumerate(ex.schedule.phases):
-        seen.extend(ids)
-        state = rilm.RilmState(
-            weights=_naive_weights(ex, i, seen),
-            r=identity(d_rp),
-            eta=ex.config.eta,
-            phase=i,
-            class_ids=tuple(seen),
-        )
-        if evaluate_fn is not None:
-            accs.append(float(evaluate_fn(state, tuple(seen), i)))
-        else:
-            accs.append(evaluate_accuracy(state, ex, i))
-    report = compute_metrics(accs)
-    _persist(config, ex, report, tag="naive")
+    report, _ = run_phases(ex, naive=naive)
+    _persist(config, ex, report, tag="naive" if naive else "")
     return report
-
-
-def _naive_weights(ex: Experiment, k: int, seen) -> Matrix:
-    """Ridge weights over ``seen`` classes fitted to phase ``k``'s rows only."""
-    phase = phase_dataset(ex, k)
-    column = {cid: j for j, cid in enumerate(seen)}
-    y_full = zeros(phase.num_samples, len(seen))
-    y_full[:, [column[cid] for cid in phase.class_ids]] = phase.labels_onehot
-    f = phase.features
-    gram = f.T @ f + ex.config.eta * identity(f.shape[1])
-    return spd_solve(gram, f.T @ y_full)
 
 
 # ---------------------------------------------------------------------------
@@ -747,17 +693,13 @@ def _naive_weights(ex: Experiment, k: int, seen) -> Matrix:
 # ---------------------------------------------------------------------------
 
 
-def _seen_counts(schedule: PhaseSchedule) -> list[int]:
-    counts = []
-    total = 0
-    for ph in schedule.phases:
-        total += len(ph)
-        counts.append(total)
-    return counts
+def seen_class_counts(schedule: PhaseSchedule) -> list[int]:
+    """Number of classes seen after each phase."""
+    return list(itertools.accumulate(len(ph) for ph in schedule.phases))
 
 
-def save_result(path, report: MetricsReport, seen_counts) -> None:
-    """One line per phase, then the aggregates::
+def result_lines(report: MetricsReport, seen_counts) -> list[str]:
+    """The result file's lines, one per phase, then the aggregates::
 
         phase=<n> seen_classes=<k> acc=<float>
         A=<float> R=<float>
@@ -765,10 +707,19 @@ def save_result(path, report: MetricsReport, seen_counts) -> None:
     seen_counts = list(seen_counts)
     if len(seen_counts) != len(report.per_phase_acc):
         raise ShapeError("seen_counts length must match per-phase accuracies")
+    lines = [
+        f"phase={i} seen_classes={k} acc={acc!r}"
+        for i, (k, acc) in enumerate(zip(seen_counts, report.per_phase_acc))
+    ]
+    lines.append(f"A={report.avg_incremental_acc!r} R={report.retention_drop!r}")
+    return lines
+
+
+def save_result(path, report: MetricsReport, seen_counts) -> None:
+    """Write ``result_lines``, each ended by a newline."""
+    lines = result_lines(report, seen_counts)
     with fmat.atomic_writer(path) as fh:
-        for i, (k, acc) in enumerate(zip(seen_counts, report.per_phase_acc)):
-            fh.write(f"phase={i} seen_classes={k} acc={acc!r}\n")
-        fh.write(f"A={report.avg_incremental_acc!r} R={report.retention_drop!r}\n")
+        fh.write("".join(line + "\n" for line in lines))
 
 
 def load_result(path):
@@ -834,6 +785,6 @@ def _persist(config: ExperimentConfig, ex: Experiment, report: MetricsReport, ta
     if config.out is None:
         return
     out = tagged_out(config.out, tag) if tag else config.out
-    counts = _seen_counts(ex.schedule)
+    counts = seen_class_counts(ex.schedule)
     save_result(out, report, counts)
     save_result_csv(csv_sibling(out), report, counts)

@@ -166,19 +166,15 @@ def _cmd_run(cmd: Command) -> int:
             config,
             schedule=harness.even_schedule(config.schedule.total_classes, int(opt["phases"])),
         )
-    runner = harness.run_naive_baseline if opt.get("naive") else harness.run_pipeline
-    report = runner(config)
+    report = harness.run_pipeline(config, naive=opt["naive"])
     # Echo the effective config only once the run has succeeded, so a failed
     # run leaves no output behind.
     if config.out is not None:
         root, _ = os.path.splitext(config.out)
         with fmat.atomic_writer(root + ".cfg") as fh:
             fh.write(harness.config_to_text(config))
-    seen = 0
-    for i, (ids, acc) in enumerate(zip(config.schedule.phases, report.per_phase_acc)):
-        seen += len(ids)
-        print(f"phase={i} seen_classes={seen} acc={acc!r}")
-    print(f"A={report.avg_incremental_acc!r} R={report.retention_drop!r}")
+    counts = harness.seen_class_counts(config.schedule)
+    print("\n".join(harness.result_lines(report, counts)))
     return 0
 
 
@@ -219,8 +215,8 @@ def _cmd_gradcheck(cmd: Command) -> int:
 
 
 def _cmd_metrics(cmd: Command) -> int:
-    report, _ = harness.load_result(cmd.options["result_file"])
-    print(f"A={report.avg_incremental_acc!r} R={report.retention_drop!r}")
+    report, seen = harness.load_result(cmd.options["result_file"])
+    print(harness.result_lines(report, seen)[-1])
     return 0
 
 

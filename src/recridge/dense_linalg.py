@@ -97,20 +97,6 @@ def identity(n: int) -> Matrix:
     return np.eye(n, dtype=np.float64)
 
 
-def matmul(a, b) -> Matrix:
-    """Standard matrix product; dims (a.rows x b.cols)."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims differ, {a.shape} x {b.shape}")
-    return _check_finite_result(a @ b, "matmul")
-
-
-def transpose(a) -> Matrix:
-    a = as_matrix(a, "a")
-    return np.ascontiguousarray(a.T)
-
-
 def _require_square(a: Matrix, op: str) -> None:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"{op}: matrix must be square, got {a.shape}")

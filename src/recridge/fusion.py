@@ -239,12 +239,6 @@ def fused_features(params: FusionParams, f_p, f_m) -> Matrix:
     return fusion_forward(params, f_p, f_m).concat
 
 
-def classify(params: FusionParams, f_p, f_m) -> list[int]:
-    """Argmax class index per row (first index wins ties)."""
-    logits = fusion_forward(params, f_p, f_m).logits
-    return [int(i) for i in np.argmax(logits, axis=1)]
-
-
 def gradient_check(params: FusionParams, f_p, f_m, labels, step: float = 1e-5) -> float:
     """Largest relative gap between analytic and central-difference gradients.
 

@@ -6,8 +6,6 @@ input width, from numpy's PCG64 generator seeded with the layer seed; the
 same (seed, d, d_rp, activation) always reconstructs bit-identical weights.
 The 1/d variance keeps pre-activation magnitudes O(1) regardless of input
 width. No bias term is used.
-
-The default expansion multiplies the input width by EXPANSION_FACTOR.
 """
 
 from __future__ import annotations
@@ -20,9 +18,6 @@ from .dense_linalg import Matrix, as_matrix
 from .errors import ShapeError, ValidationError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
-
-# Default output width is this multiple of the input width.
-EXPANSION_FACTOR = 12
 
 _UINT64_MAX = 2**64 - 1
 
@@ -72,11 +67,6 @@ def rp_from_weights(w_rp, activation: str = "identity") -> RpLayer:
     return RpLayer(
         w_rp=w, activation=activation, seed=None, input_dim=w.shape[0], output_dim=w.shape[1]
     )
-
-
-def default_output_dim(d: int) -> int:
-    """Expanded width used when a configuration does not pin one explicitly."""
-    return EXPANSION_FACTOR * d
 
 
 def rp_forward(layer: RpLayer, features) -> Matrix:

@@ -241,17 +241,21 @@ def correlation_stats(f_rp, y) -> CorrelationStats:
     return CorrelationStats(auto_corr=f.T @ f, cross_corr=f.T @ y)
 
 
-def empty_state(d_rp: int, eta: float = DEFAULT_ETA) -> RilmState:
-    """State before any data: no classes, memory is the scaled identity I/eta."""
+def empty_state(d_rp: int, eta: float = DEFAULT_ETA, class_ids=()) -> RilmState:
+    """State before any data: memory is the scaled identity I/eta.
+
+    ``class_ids`` are registered in the given order with zero weights, which
+    is the joint solution for classes that have no data.
+    """
     if d_rp < 1:
         raise ValidationError(f"d_rp must be >= 1, got {d_rp}")
     eta = _check_eta(eta)
     return RilmState(
-        weights=zeros(d_rp, 0),
+        weights=zeros(d_rp, len(class_ids)),
         r=identity(d_rp) / eta,
         eta=eta,
         phase=0,
-        class_ids=(),
+        class_ids=class_ids,
     )
 
 
@@ -286,7 +290,7 @@ def expand_classes(state: RilmState, new_class_ids) -> RilmState:
     return _derived(state, weights=padded, class_ids=state.class_ids + new_ids)
 
 
-def update_r(state: RilmState, f_rp, path: str = "auto") -> Matrix:
+def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
     """Memory matrix after absorbing the Gram matrix of new feature rows.
 
     The woodbury path never touches a d x d system. It takes the rows in
@@ -301,17 +305,25 @@ def update_r(state: RilmState, f_rp, path: str = "auto") -> Matrix:
     the same way. r itself is never inverted: rebuilding the Gram matrix
     from r that way lost accuracy with every phase at small eta.
     ``auto`` takes Woodbury unless n >= d and eta < 1e-4, where the direct
-    path is the more accurate (see the module docstring). ``state.r`` is
-    never written.
+    path is the more accurate (see the module docstring). The result is
+    written to ``out`` when it is given, a d x d float64 C-order array
+    apart from ``state.r``, which is never written.
     """
     path = _check_path(path)
     f = as_matrix(f_rp, "f_rp")
     n, d = f.shape
     if d != state.d_rp:
         raise ShapeError(f"f_rp has width {d}, state expects {state.d_rp}")
+    if out is not None and (
+        out.shape != (d, d)
+        or out.dtype != np.float64
+        or not out.flags.c_contiguous
+        or np.may_share_memory(out, state.r)
+    ):
+        raise ShapeError(f"out must be a {d} x {d} float64 C-order array apart from state.r")
     if n == 0:
         # no data means no Gram contribution; keep the memory bit-identical
-        return state.r.copy()
+        return np.positive(state.r, out=out)
     if path == "auto":
         path = "direct" if n >= d and state.eta < _WOODBURY_MIN_ETA else "woodbury"
     if path == "direct":
@@ -323,19 +335,25 @@ def update_r(state: RilmState, f_rp, path: str = "auto") -> Matrix:
         # four d x d arrays at most: inner, low_t, K and V
         v = spd_half_solve(inner, low_t)
         del inner, low_t
-        return v.T @ v
-    r = state.r
+        return np.matmul(v.T, v, out=out)
+    # The first block's correction is formed in the result, the later
+    # blocks' in one more d x d array.
+    r, out = state.r, np.empty((d, d)) if out is None else out
+    work = out
     block = max(1, d // 4)
     for start in range(0, n, block):
         fb = f[start : start + block]
         g = fb @ r
         v = spd_half_solve(g @ fb.T + identity(fb.shape[0]), g)
-        correction = v.T @ v
-        r = np.subtract(r, correction, out=correction)
+        r = np.subtract(r, np.matmul(v.T, v, out=work), out=out)
+        if work is out and start + block < n:
+            work = np.empty((d, d))
     return r
 
 
-def rilm_update(state: RilmState, phase: PhaseDataset, path: str = "auto") -> RilmState:
+def rilm_update(
+    state: RilmState, phase: PhaseDataset, path: str = "auto", out=None
+) -> RilmState:
     """Absorb one phase of data into the state.
 
     The phase's classes must have been registered through expand_classes
@@ -346,7 +364,8 @@ def rilm_update(state: RilmState, phase: PhaseDataset, path: str = "auto") -> Ri
 
     which reproduces the joint ridge solution over everything seen so far.
     Nothing from the phase is retained beyond the refreshed summaries, and
-    an empty phase is an exact no-op.
+    an empty phase is an exact no-op. ``out`` receives the new ``r`` as in
+    ``update_r``.
     """
     path = _check_path(path)
     if not phase.projected:
@@ -362,7 +381,7 @@ def rilm_update(state: RilmState, phase: PhaseDataset, path: str = "auto") -> Ri
     cols = [column[cid] for cid in phase.class_ids]
     y_full[:, cols] = phase.labels_onehot
 
-    r_new = update_r(state, f, path=path)
+    r_new = update_r(state, f, path=path, out=out)
     w = state.weights
     w_new = w + r_new @ (f.T @ (y_full - f @ w))
     return RilmState(

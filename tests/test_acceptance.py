@@ -193,7 +193,7 @@ def test_criterion_6_forgetting_demonstration(tmp_path):
     agreement = float(np.mean(ours == joint))
     assert agreement >= 0.999, f"agreement {agreement:.4f}"
 
-    naive_report = ch.run_naive_baseline(config)
+    naive_report = ch.run_pipeline(config, naive=True)
     margin = naive_report.retention_drop - recursive_report.retention_drop
     # margin frozen from calibration runs (observed ~66.7 points)
     assert margin >= 30.0, f"margin {margin:.2f}"

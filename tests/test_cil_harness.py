@@ -364,10 +364,11 @@ def test_config_echo_roundtrip(tmp_path):
 # -- pipelines ---------------------------------------------------------------------
 
 
-def test_run_pipeline_with_injected_evaluator(tmp_path):
+def test_run_pipeline_with_injected_evaluator(tmp_path, monkeypatch):
     cfg = ch.load_config(_write_config(tmp_path, schedule="6/2"))
     fake = [100.0, 50.0]
-    report = ch.run_pipeline(cfg, evaluate_fn=lambda state, seen, i: fake[i])
+    monkeypatch.setattr(ch, "evaluate_accuracy", lambda state, ex, k: fake[k])
+    report = ch.run_pipeline(cfg)
     assert report.avg_incremental_acc == 75.0
     assert report.retention_drop == 50.0
 
@@ -399,13 +400,13 @@ def test_final_phase_matches_joint_model(tmp_path):
 
 def test_naive_single_phase_matches_pipeline(tmp_path):
     cfg = ch.load_config(_write_config(tmp_path, schedule="6/1", synth_per_class=30))
-    assert ch.run_naive_baseline(cfg) == ch.run_pipeline(cfg)
+    assert ch.run_pipeline(cfg, naive=True) == ch.run_pipeline(cfg)
 
 
 def test_naive_baseline_forgets(tmp_path):
     cfg = ch.load_config(_write_config(tmp_path))
     rec = ch.run_pipeline(cfg)
-    naive = ch.run_naive_baseline(cfg)
+    naive = ch.run_pipeline(cfg, naive=True)
     # margin frozen from calibration runs (observed ~66.7 vs ~0.0)
     assert naive.retention_drop >= rec.retention_drop + 30.0
 
@@ -414,18 +415,44 @@ def test_naive_old_class_accuracy_collapses(tmp_path):
     # after phase 2 the naive fit scores phase-1 classes at or below chance
     cfg = ch.load_config(_write_config(tmp_path, schedule="6/2"))
     ex = ch.prepare_experiment(cfg)
-    accs = []
+    report, state = ch.run_phases(ex, naive=True)
+    mask = np.isin(ex.test_labels, ex.schedule.phases[0])
+    preds = np.asarray(rilm.predict(state, ex.test_features[mask]))
+    assert report.per_phase_acc[0] >= 99.0  # phase 1 on its own classes
+    assert np.mean(preds == ex.test_labels[mask]) <= 1.0 / 6.0  # forgotten after the overwrite
 
-    def probe(state, seen, i):
-        old = ex.schedule.phases[0]
-        mask = np.isin(ex.test_labels, old)
-        preds = np.asarray(rilm.predict(state, ex.test_features[mask]))
-        accs.append(float(np.mean(preds == ex.test_labels[mask])))
-        return 0.0
 
-    ch.run_naive_baseline(cfg, evaluate_fn=probe)
-    assert accs[0] >= 0.99  # phase 1 on its own classes
-    assert accs[1] <= 1.0 / 6.0  # forgotten after the overwrite
+@pytest.mark.parametrize("path", ["auto", "woodbury", "direct"])
+def test_run_phases_applies_rilm_path_to_every_phase(tmp_path, path):
+    # phase 0 is an update on the configured path like every later phase,
+    # and the final state counts every update applied
+    cfg = ch.load_config(_write_config(tmp_path, rilm_path=path, d_rp=40))
+    ex = ch.prepare_experiment(cfg)
+    _, state = ch.run_phases(ex)
+    phases = [ch.phase_dataset(ex, k) for k in range(ex.schedule.num_phases)]
+    reference = rilm.recursive_states(phases, cfg.eta, path)[-1]
+    assert np.array_equal(state.weights, reference.weights)
+    assert np.array_equal(state.r, reference.r)
+    assert state.class_ids == reference.class_ids
+    assert state.phase == ex.schedule.num_phases == 3
+
+
+def test_naive_final_state_is_ridge_fit_of_last_phase(tmp_path):
+    # the naive baseline refits the seen classes to the last phase's rows
+    # only: ridge weights solving (FᵀF + eta I) W = FᵀY, with Y zero in the
+    # columns of the classes the phase does not contain
+    cfg = ch.load_config(_write_config(tmp_path, eta=0.5, d_rp=40))
+    ex = ch.prepare_experiment(cfg)
+    _, state = ch.run_phases(ex, naive=True)
+    last = ch.phase_dataset(ex, ex.schedule.num_phases - 1)
+    column = {cid: j for j, cid in enumerate(state.class_ids)}
+    y = np.zeros((last.num_samples, len(column)))
+    y[:, [column[cid] for cid in last.class_ids]] = last.labels_onehot
+    f = last.features
+    expected = dense_linalg.spd_solve(f.T @ f + cfg.eta * np.eye(f.shape[1]), f.T @ y)
+    assert state.class_ids == tuple(range(6))
+    assert np.linalg.norm(state.weights - expected) <= 1e-8 * np.linalg.norm(expected)
+    assert state.phase == 1
 
 
 def _gathered_phase(f, labels, ids):

@@ -274,7 +274,7 @@ def test_run_bad_data_file_exits_1_naming_it(tmp_path, capsys, corrupt, expected
     assert not (tmp_path / "res.cfg").exists()
 
 
-def test_run_projection_overflow_in_last_phase_exits_1(tmp_path, capsys):
+def test_run_projection_overflow_in_last_phase_exits_1(tmp_path, capsys, monkeypatch):
     # training rows are projected when their phase runs, so a row of the
     # last phase that overflows fails only after the first phase is scored
     prefix = tmp_path / "data"
@@ -290,8 +290,9 @@ def test_run_projection_overflow_in_last_phase_exits_1(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "res.csv").exists()
     assert not (tmp_path / "res.cfg").exists()
     scored = []
+    monkeypatch.setattr(ch, "evaluate_accuracy", lambda state, ex, k: scored.append(k) or 0.0)
     with pytest.raises(ValidationError):
-        ch.run_pipeline(ch.load_config(cfg), evaluate_fn=lambda s, seen, i: scored.append(i) or 0.0)
+        ch.run_pipeline(ch.load_config(cfg))
     assert scored == [0]
 
 

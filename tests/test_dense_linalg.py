@@ -1,7 +1,6 @@
 """Matrix kernel tests.
 
 Core claims:
-    - matmul/transpose match hand values and naive oracles
     - spd_solve achieves residual <= 1e-10 relative for condition <= 1e6
     - spd_inverse reconstructs the identity to 1e-9 and stays symmetric
     - spd_half_solve solves against the Cholesky factor with spd_solve's checks
@@ -22,63 +21,6 @@ from recridge.errors import NotPositiveDefiniteError, ShapeError, ValidationErro
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
-
-
-# -- matmul -------------------------------------------------------------------
-
-
-def test_matmul_identity_left():
-    m = _rng(0).standard_normal((2, 2))
-    assert np.array_equal(dl.matmul(np.eye(2), m), m)
-
-
-def test_matmul_hand_example():
-    out = dl.matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-    assert np.array_equal(out, [[3.0], [7.0]])
-
-
-def test_matmul_matches_triple_loop():
-    gen = _rng(1)
-    a = gen.standard_normal((7, 5))
-    b = gen.standard_normal((5, 3))
-    expected = np.zeros((7, 3))
-    for i in range(7):
-        for j in range(3):
-            for k in range(5):
-                expected[i, j] += a[i, k] * b[k, j]
-    assert np.allclose(dl.matmul(a, b), expected, rtol=1e-13, atol=1e-13)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        dl.matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_matmul_associativity(seed):
-    gen = _rng(seed)
-    a = gen.standard_normal((6, 4))
-    b = gen.standard_normal((4, 7))
-    c = gen.standard_normal((7, 3))
-    left = dl.matmul(dl.matmul(a, b), c)
-    right = dl.matmul(a, dl.matmul(b, c))
-    assert np.linalg.norm(left - right) <= 1e-10 * np.linalg.norm(left)
-
-
-# -- transpose ----------------------------------------------------------------
-
-
-def test_transpose_involution():
-    m = _rng(2).standard_normal((4, 6))
-    assert np.array_equal(dl.transpose(dl.transpose(m)), m)
-
-
-def test_transpose_row_to_column():
-    assert dl.transpose([[1.0, 2.0, 3.0]]).shape == (3, 1)
-
-
-def test_transpose_hand_example():
-    assert np.array_equal(dl.transpose([[1.0, 2.0], [3.0, 4.0]]), [[1.0, 3.0], [2.0, 4.0]])
 
 
 # -- constructors -------------------------------------------------------------
@@ -265,9 +207,6 @@ def test_ops_reject_non_finite(bad):
     poisoned = np.array([[1.0, bad], [0.0, 1.0]])
     clean = np.eye(2)
     for op in (
-        lambda: dl.matmul(poisoned, clean),
-        lambda: dl.matmul(clean, poisoned),
-        lambda: dl.transpose(poisoned),
         lambda: dl.spd_solve(clean, poisoned),
         lambda: dl.spd_half_solve(clean, poisoned),
         lambda: dl.spd_inverse(poisoned),
@@ -282,5 +221,4 @@ def test_ops_do_not_mutate_inputs():
     dl.spd_solve(a, np.eye(2))
     dl.spd_inverse(a)
     dl.spd_half_solve(a, np.eye(2))
-    dl.transpose(a)
     assert np.array_equal(a, before)

@@ -194,7 +194,7 @@ def test_train_reaches_95_percent_on_toy():
     f_p, f_m, labels = _separable_toy()
     params = fusion.fusion_init(4, 2, seed=1)
     trained = fusion.fusion_train(params, (f_p, f_m, labels), epochs=500)
-    preds = np.asarray(fusion.classify(trained, f_p, f_m))
+    preds = np.argmax(fusion.fusion_forward(trained, f_p, f_m).logits, axis=1)
     accuracy = float(np.mean(preds == np.argmax(labels, axis=1)))
     assert accuracy >= 0.95
 

@@ -15,8 +15,6 @@ import pytest
 
 from recridge.errors import ShapeError, ValidationError
 from recridge.random_projection import (
-    EXPANSION_FACTOR,
-    default_output_dim,
     rp_forward,
     rp_from_weights,
     rp_new,
@@ -32,11 +30,6 @@ def test_seeded_construction_bit_identical():
 
 def test_different_seeds_differ():
     assert not np.array_equal(rp_new(8, 96, 7).w_rp, rp_new(8, 96, 8).w_rp)
-
-
-def test_default_expansion_is_twelvefold():
-    assert EXPANSION_FACTOR == 12
-    assert default_output_dim(4) == 48
 
 
 def test_weight_mean_near_zero():

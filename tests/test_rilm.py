@@ -411,6 +411,33 @@ def test_blocked_woodbury_at_block_boundaries(n, eta):
     assert np.array_equal(out["auto"].r, out["woodbury"].r)
 
 
+@pytest.mark.parametrize("n", [0, 7, 40])
+@pytest.mark.parametrize("path", ["woodbury", "direct"])
+def test_update_r_writes_into_out(path, n):
+    # 40 rows at d = 16 are ten Woodbury blocks; 0 rows copy r
+    gen = _rng(90 + n)
+    state = rilm.rilm_init(_random_phase(gen, 20, range(2), d=16), eta=0.5)
+    f = gen.standard_normal((n, 16))
+    out = np.full((16, 16), np.nan)
+    result = rilm.update_r(state, f, path=path, out=out)
+    assert result is out
+    assert np.array_equal(out, rilm.update_r(state, f, path=path))
+
+
+def test_update_r_rejects_bad_out():
+    state = rilm.empty_state(4)
+    bad = (
+        np.empty((4, 3)),
+        np.empty((4, 4), dtype=np.float32),
+        np.empty((4, 8))[:, ::2],
+        state.r,
+        state.r[:, ::-1],
+    )
+    for out in bad:
+        with pytest.raises(ShapeError):
+            rilm.update_r(state, np.ones((2, 4)), out=out)
+
+
 def test_update_r_rejects_bad_width_and_path():
     state = rilm.empty_state(4)
     with pytest.raises(ShapeError):
