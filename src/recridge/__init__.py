@@ -29,7 +29,6 @@ from .cil_harness import (
 )
 from .dense_linalg import Matrix
 from .errors import (
-    DivergenceError,
     NotPositiveDefiniteError,
     NumericalError,
     ParseError,
@@ -46,21 +45,17 @@ from .fusion import (
     fusion_backward,
     fusion_forward,
     fusion_init,
-    fusion_train,
     gradient_check,
 )
-from .random_projection import RpLayer, rp_forward, rp_from_weights, rp_new
+from .random_projection import RpLayer, rp_forward, rp_new
 from .rilm import (
-    CorrelationStats,
     PhaseDataset,
     RilmState,
     batch_oracle,
-    correlation_stats,
+    empty_state,
     expand_classes,
     kn_identity_check,
-    predict,
     predict_ids,
-    rilm_init,
     rilm_update,
     update_r,
 )
@@ -68,8 +63,6 @@ from .rilm import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CorrelationStats",
-    "DivergenceError",
     "Experiment",
     "ExperimentConfig",
     "FusedBatch",
@@ -90,26 +83,22 @@ __all__ = [
     "ValidationError",
     "batch_oracle",
     "compute_metrics",
-    "correlation_stats",
+    "empty_state",
     "even_schedule",
     "expand_classes",
     "fused_features",
     "fusion_backward",
     "fusion_forward",
     "fusion_init",
-    "fusion_train",
     "gradient_check",
     "kn_identity_check",
     "load_config",
     "load_features",
     "load_labels",
-    "predict",
     "predict_ids",
     "prepare_experiment",
-    "rilm_init",
     "rilm_update",
     "rp_forward",
-    "rp_from_weights",
     "rp_new",
     "run_pipeline",
     "save_features",

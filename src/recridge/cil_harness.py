@@ -44,7 +44,6 @@ point_features_train  file mode (refu): FMAT paths per modality
 point_features_test
 mesh_features_train
 mesh_features_test
-fusion_params         refu: fusion checkpoint path       (optional)
 fusion_seed           refu: seed for a random frozen backbone (default 0)
 out                   result file path; a .csv sibling is also written
 
@@ -152,9 +151,10 @@ def parse_schedule(text: str) -> PhaseSchedule:
     if "/" in text and "|" not in text and "," not in text:
         left, _, right = text.partition("/")
         try:
-            return even_schedule(int(left), int(right))
+            total, n_phases = int(left), int(right)
         except ValueError:
             raise ValidationError(f"malformed schedule {text!r}") from None
+        return even_schedule(total, n_phases)
     phases = []
     for segment in text.split("|"):
         segment = segment.strip()
@@ -273,7 +273,6 @@ class ExperimentConfig:
     schedule: PhaseSchedule
     synth: SynthParams | None
     files: dict | None
-    fusion_params_path: str | None
     fusion_seed: int
     out: str | None
 
@@ -291,7 +290,7 @@ _REFU_FILE_KEYS = (
 _KNOWN_KEYS = frozenset(
     """pipeline eta d_rp d_rp_multiplier rp_seed activation rilm_path schedule
     schedule_shuffle_seed synth_classes synth_per_class synth_test_per_class synth_dim
-    synth_separation synth_seed fusion_params fusion_seed out""".split()
+    synth_separation synth_seed fusion_seed out""".split()
     + list(_SINGLE_FILE_KEYS + _REFU_FILE_KEYS)
 )
 
@@ -398,12 +397,6 @@ def build_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
             if not os.path.exists(p):
                 raise ValidationError(f"config key {key}: file not found: {p}")
 
-    fusion_params_path = raw.get("fusion_params")
-    if fusion_params_path is not None:
-        fusion_params_path = _resolve(base_dir, fusion_params_path)
-        if not os.path.exists(fusion_params_path):
-            raise ValidationError(f"config key fusion_params: file not found: {fusion_params_path}")
-
     out = raw.get("out")
     if out is not None:
         out = _resolve(base_dir, out)
@@ -419,7 +412,6 @@ def build_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
         schedule=schedule,
         synth=synth,
         files=files,
-        fusion_params_path=fusion_params_path,
         fusion_seed=_want_int(raw, "fusion_seed", 0),
         out=out,
     )
@@ -467,9 +459,7 @@ def config_to_text(config: ExperimentConfig) -> str:
         )
     if config.files is not None:
         lines.extend(f"{key} = {path}" for key, path in sorted(config.files.items()))
-    if config.fusion_params_path is not None:
-        lines.append(f"fusion_params = {config.fusion_params_path}")
-    if config.pipeline == "refu" and config.fusion_params_path is None:
+    if config.pipeline == "refu":
         lines.append(f"fusion_seed = {config.fusion_seed}")
     if config.out is not None:
         lines.append(f"out = {config.out}")
@@ -573,12 +563,9 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
         fm_test, _ = _raw_modality(config, "remesh", "test")
         if fp_train.shape != fm_train.shape or fp_test.shape != fm_test.shape:
             raise ShapeError("point and mesh feature blocks must have matching shapes")
-        if config.fusion_params_path is not None:
-            params = fusion.load_fusion(config.fusion_params_path)
-        else:
-            params = fusion.fusion_init(
-                fp_train.shape[1], schedule.total_classes, seed=config.fusion_seed
-            )
+        params = fusion.fusion_init(
+            fp_train.shape[1], schedule.total_classes, seed=config.fusion_seed
+        )
         train_raw = fusion.fused_features(params, fp_train, fm_train)
         test_raw = fusion.fused_features(params, fp_test, fm_test)
     else:
@@ -630,7 +617,7 @@ def phase_dataset(ex: Experiment, k: int) -> rilm.PhaseDataset:
     column[list(ids)] = np.arange(len(ids))
     y = zeros(feats.shape[0], len(ids))
     y[np.arange(feats.shape[0]), column[labs]] = 1.0
-    return rilm.PhaseDataset(features=feats, labels_onehot=y, class_ids=ids, projected=True)
+    return rilm.PhaseDataset(features=feats, labels_onehot=y, class_ids=ids)
 
 
 def evaluate_accuracy(state: rilm.RilmState, ex: Experiment, k: int) -> float:

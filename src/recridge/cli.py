@@ -9,7 +9,7 @@ Verbs:
 * ``metrics``   parse a result file and print its aggregates
 
 Exit codes: 0 success, 1 for validation/parse/usage errors, 2 for numerical
-failures (tolerance exceeded, non-positive-definite matrix, divergence).
+failures (tolerance exceeded, non-positive-definite matrix).
 Diagnostics go to stderr; machine-readable output goes to stdout or files.
 This module only dispatches; the numerical work lives in the library.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,16 +38,6 @@ class _Parser(argparse.ArgumentParser):
     # Usage problems must exit 1, not argparse's default 2.
     def error(self, message):
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class Command:
-    """Parsed invocation: verb plus whatever that verb needs."""
-
-    verb: str
-    config_path: str | None
-    overrides: dict
-    options: dict
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,49 +93,23 @@ def _add_path_flags(sub) -> None:
     group.add_argument("--force-direct", action="store_true")
 
 
-def _forced_path(opt: dict) -> str | None:
-    if opt.get("force_woodbury"):
+def _forced_path(ns: argparse.Namespace) -> str | None:
+    if ns.force_woodbury:
         return "woodbury"
-    if opt.get("force_direct"):
+    if ns.force_direct:
         return "direct"
     return None
 
 
-def _command_from_args(ns: argparse.Namespace) -> Command:
-    overrides = {}
-    options = dict(vars(ns))
-    options.pop("verb")
-    if ns.verb == "run":
-        if ns.eta is not None:
-            overrides["eta"] = repr(ns.eta)
-        if ns.d_rp_mult is not None:
-            overrides["d_rp_multiplier"] = str(ns.d_rp_mult)
-        if ns.pipeline is not None:
-            overrides["pipeline"] = ns.pipeline
-        if ns.out is not None:
-            overrides["out"] = os.path.abspath(ns.out)
-        forced = _forced_path(options)
-        if forced is not None:
-            overrides["rilm_path"] = forced
-    return Command(
-        verb=ns.verb,
-        config_path=getattr(ns, "config", None),
-        overrides=overrides,
-        options=options,
-    )
-
-
-def _cmd_gen(cmd: Command) -> int:
-    opt = cmd.options
-    streams = (0, 1) if opt["modality"] == "point" else (2, 3)
-    prefix = opt["out"]
+def _cmd_gen(ns: argparse.Namespace) -> int:
+    streams = (0, 1) if ns.modality == "point" else (2, 3)
     for split, stream in zip(("train", "test"), streams):
-        per = opt["per_class"] if split == "train" else opt["test_per_class"]
+        per = ns.per_class if split == "train" else ns.test_per_class
         features, labels = harness.synth_dataset(
-            opt["classes"], per, opt["dim"], opt["separation"], opt["seed"], stream=stream
+            ns.classes, per, ns.dim, ns.separation, ns.seed, stream=stream
         )
-        fpath = f"{prefix}_{split}.fmat"
-        lpath = f"{prefix}_{split}.labl"
+        fpath = f"{ns.out}_{split}.fmat"
+        lpath = f"{ns.out}_{split}.labl"
         harness.save_features(fpath, features)
         harness.save_labels(lpath, labels)
         print(fpath)
@@ -154,19 +117,26 @@ def _cmd_gen(cmd: Command) -> int:
     return 0
 
 
-def _cmd_run(cmd: Command) -> int:
-    config = harness.load_config(cmd.config_path, overrides=cmd.overrides)
-    opt = cmd.options
-    if opt.get("seed") is not None:
-        seed = int(opt["seed"])
-        synth = replace(config.synth, seed=seed) if config.synth is not None else None
-        config = replace(config, rp_seed=seed, synth=synth)
-    if opt.get("phases") is not None:
-        config = replace(
-            config,
-            schedule=harness.even_schedule(config.schedule.total_classes, int(opt["phases"])),
-        )
-    report = harness.run_pipeline(config, naive=opt["naive"])
+def _cmd_run(ns: argparse.Namespace) -> int:
+    # Flags become config keys, so build_config validates them like the
+    # file's own values; synth_seed is ignored outside synthetic mode.
+    flags = {
+        "eta": ns.eta,
+        "d_rp_multiplier": ns.d_rp_mult,
+        "rp_seed": ns.seed,
+        "synth_seed": ns.seed,
+        "pipeline": ns.pipeline,
+        "out": None if ns.out is None else os.path.abspath(ns.out),
+        "rilm_path": _forced_path(ns),
+    }
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    config = harness.load_config(ns.config, overrides=overrides)
+    if ns.phases is not None:
+        # Re-split the configured classes as "<classes>/<phases>", so that
+        # build_config applies schedule_shuffle_seed to the new split too.
+        overrides["schedule"] = f"{config.schedule.total_classes}/{ns.phases}"
+        config = harness.load_config(ns.config, overrides=overrides)
+    report = harness.run_pipeline(config, naive=ns.naive)
     # Echo the effective config only once the run has succeeded, so a failed
     # run leaves no output behind.
     if config.out is not None:
@@ -178,17 +148,16 @@ def _cmd_run(cmd: Command) -> int:
     return 0
 
 
-def _cmd_verify(cmd: Command) -> int:
-    opt = cmd.options
+def _cmd_verify(ns: argparse.Namespace) -> int:
     phases = rilm.random_phase_problem(
-        seed=opt["seed"],
-        n_phases=opt["phases"],
-        d_rp=opt["d_rp"],
-        samples_range=(opt["min_samples"], opt["max_samples"]),
+        seed=ns.seed,
+        n_phases=ns.phases,
+        d_rp=ns.d_rp,
+        samples_range=(ns.min_samples, ns.max_samples),
     )
-    forced = _forced_path(opt)
+    forced = _forced_path(ns)
     paths = (forced,) if forced else ("woodbury", "direct")
-    errs = {path: rilm.recursive_vs_batch_error(phases, opt["eta"], path) for path in paths}
+    errs = {path: rilm.recursive_vs_batch_error(phases, ns.eta, path) for path in paths}
     err = max(errs.values())
     print(f"max_rel_error={err!r} " + " ".join(f"{p}={e!r}" for p, e in errs.items()))
     if err > VERIFY_TOL:
@@ -197,16 +166,15 @@ def _cmd_verify(cmd: Command) -> int:
     return 0
 
 
-def _cmd_gradcheck(cmd: Command) -> int:
-    opt = cmd.options
-    gen = np.random.Generator(np.random.PCG64(opt["seed"]))
-    d, classes, k = opt["dim"], opt["classes"], opt["samples"]
-    params = fusion.fusion_init(d, classes, seed=opt["seed"])
+def _cmd_gradcheck(ns: argparse.Namespace) -> int:
+    gen = np.random.Generator(np.random.PCG64(ns.seed))
+    d, classes, k = ns.dim, ns.classes, ns.samples
+    params = fusion.fusion_init(d, classes, seed=ns.seed)
     f_p = gen.standard_normal((k, d))
     f_m = gen.standard_normal((k, d))
     labels = np.zeros((k, classes))
     labels[np.arange(k), gen.integers(0, classes, size=k)] = 1.0
-    err = fusion.gradient_check(params, f_p, f_m, labels, step=opt["step"])
+    err = fusion.gradient_check(params, f_p, f_m, labels, step=ns.step)
     print(f"max_rel_error={err!r}")
     if err > GRADCHECK_TOL:
         print(f"gradient check failed: {err!r} > {GRADCHECK_TOL!r}", file=sys.stderr)
@@ -214,8 +182,8 @@ def _cmd_gradcheck(cmd: Command) -> int:
     return 0
 
 
-def _cmd_metrics(cmd: Command) -> int:
-    report, seen = harness.load_result(cmd.options["result_file"])
+def _cmd_metrics(ns: argparse.Namespace) -> int:
+    report, seen = harness.load_result(ns.result_file)
     print(harness.result_lines(report, seen)[-1])
     return 0
 
@@ -238,9 +206,8 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    cmd = _command_from_args(ns)
     try:
-        return _HANDLERS[cmd.verb](cmd)
+        return _HANDLERS[ns.verb](ns)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -41,10 +41,3 @@ class NotPositiveDefiniteError(NumericalError):
         super().__init__(message or f"matrix is not positive definite (pivot {pivot})")
         self.pivot = pivot
 
-
-class DivergenceError(NumericalError):
-    """Training produced a non-finite loss."""
-
-    def __init__(self, epoch, message=None):
-        super().__init__(message or f"non-finite loss at epoch {epoch}")
-        self.epoch = epoch

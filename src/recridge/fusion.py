@@ -7,10 +7,10 @@ re-weights the second modality before the two blocks are concatenated for
 classification. All shapes are (K, d) per modality, giving a (K, 2d) fused
 representation.
 
-The trainer is intentionally plain full-batch gradient descent so the
-analytic gradients stay auditable against finite differences; see
-``gradient_check``. For class-incremental use the trained parameters are
-frozen and only ``fused_features`` is consumed downstream.
+For class-incremental use the parameters are a seeded, frozen backbone and
+only ``fused_features`` is consumed downstream. ``fusion_backward`` gives
+the analytic gradients of the classifier's cross-entropy, and
+``gradient_check`` audits them against finite differences.
 """
 
 from __future__ import annotations
@@ -19,14 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fmat
 from .dense_linalg import Matrix, as_matrix
-from .errors import DivergenceError, ParseError, ShapeError, ValidationError
-
-# Training step size used when a configuration does not override it.
-DEFAULT_LEARNING_RATE = 4e-3
-
-_CHECKPOINT_TAG = "FUSE v1"
+from .errors import ShapeError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -193,47 +187,6 @@ def fusion_backward(params: FusionParams, batch: FusedBatch, labels) -> FusionGr
     )
 
 
-def fusion_train(
-    params: FusionParams,
-    dataset,
-    lr: float = DEFAULT_LEARNING_RATE,
-    epochs: int = 100,
-) -> FusionParams:
-    """Full-batch gradient descent on (f_p, f_m, labels).
-
-    Deterministic for fixed inputs. Raises DivergenceError naming the epoch
-    if the loss goes non-finite.
-    """
-    lr = float(lr)
-    if not np.isfinite(lr) or lr <= 0.0:
-        raise ValidationError(f"lr must be positive and finite, got {lr}")
-    epochs = int(epochs)
-    if epochs < 0:
-        raise ValidationError(f"epochs must be >= 0, got {epochs}")
-    f_p, f_m = _check_modalities(params, *dataset[:2])
-    labels = _check_labels(dataset[2], f_p.shape[0], params.num_classes)
-    for epoch in range(epochs):
-        # Inputs were validated above, so any non-finite value inside the
-        # loop means the parameters blew up: report it as divergence. The
-        # explicit checks supersede numpy's overflow warnings.
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                batch = fusion_forward(params, f_p, f_m)
-                loss = cross_entropy(batch.logits, labels)
-                if not np.isfinite(loss):
-                    raise DivergenceError(epoch)
-                grads = fusion_backward(params, batch, labels)
-            params = FusionParams(
-                w_p=params.w_p - lr * grads.w_p,
-                w_m=params.w_m - lr * grads.w_m,
-                classifier_w=params.classifier_w - lr * grads.classifier_w,
-                classifier_b=params.classifier_b - lr * grads.classifier_b,
-            )
-        except ValidationError as exc:
-            raise DivergenceError(epoch) from exc
-    return params
-
-
 def fused_features(params: FusionParams, f_p, f_m) -> Matrix:
     """Concatenated representation with params treated as frozen."""
     return fusion_forward(params, f_p, f_m).concat
@@ -278,37 +231,3 @@ def _param_dict(params: FusionParams) -> dict:
         "classifier_b": params.classifier_b,
     }
 
-
-def save_fusion(params: FusionParams, path) -> None:
-    with fmat.atomic_writer(path) as fh:
-        fh.write(f"{_CHECKPOINT_TAG} d={params.feature_dim} classes={params.num_classes}\n")
-        fmat.write_matrix_block(fh, params.w_p)
-        fmat.write_matrix_block(fh, params.w_m)
-        fmat.write_matrix_block(fh, params.classifier_w)
-        fmat.write_matrix_block(fh, params.classifier_b)
-
-
-def load_fusion(path) -> FusionParams:
-    cursor = fmat.open_cursor(path)
-    header = cursor.next_line("FUSE header")
-    parts = header.split()
-    if parts[:2] != ["FUSE", "v1"] or len(parts) != 4:
-        raise cursor.error(f"malformed checkpoint header: {header!r}")
-    fields = {}
-    for part in parts[2:]:
-        key, _, value = part.partition("=")
-        fields[key] = value
-    try:
-        d = int(fields["d"])
-        classes = int(fields["classes"])
-    except (KeyError, ValueError):
-        raise cursor.error(f"malformed checkpoint header: {header!r}") from None
-    w_p = fmat.read_matrix_block(cursor)
-    w_m = fmat.read_matrix_block(cursor)
-    cw = fmat.read_matrix_block(cursor)
-    cb = fmat.read_matrix_block(cursor)
-    fmat.check_consumed(cursor)
-    params = FusionParams(w_p=w_p, w_m=w_m, classifier_w=cw, classifier_b=cb)
-    if params.feature_dim != d or params.num_classes != classes:
-        raise ParseError(path, 1, "checkpoint blocks do not match header dimensions")
-    return params

@@ -60,15 +60,6 @@ def rp_new(d: int, d_rp: int, seed: int, activation: str = "relu") -> RpLayer:
     return RpLayer(w_rp=w, activation=activation, seed=seed, input_dim=d, output_dim=d_rp)
 
 
-def rp_from_weights(w_rp, activation: str = "identity") -> RpLayer:
-    """Layer with explicitly supplied weights; used by oracle tests."""
-    w = as_matrix(w_rp, "w_rp")
-    activation = _check_activation(activation)
-    return RpLayer(
-        w_rp=w, activation=activation, seed=None, input_dim=w.shape[0], output_dim=w.shape[1]
-    )
-
-
 def rp_forward(layer: RpLayer, features) -> Matrix:
     """Project and activate: rows stay rows, width becomes layer.output_dim."""
     f = as_matrix(features, "features")

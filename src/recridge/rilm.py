@@ -127,15 +127,12 @@ class PhaseDataset:
     """Training data for one incremental phase.
 
     ``labels_onehot`` has one column per entry of ``class_ids`` (which are
-    global ids, strictly increasing). ``projected`` records whether
-    ``features`` already went through the expansion layer; the learner only
-    accepts projected features.
+    global ids, strictly increasing).
     """
 
     features: Matrix
     labels_onehot: Matrix
     class_ids: tuple[int, ...]
-    projected: bool = True
 
     def __post_init__(self):
         f = as_matrix(self.features, "features")
@@ -161,14 +158,6 @@ class PhaseDataset:
     @property
     def num_samples(self) -> int:
         return self.features.shape[0]
-
-
-@dataclass(frozen=True)
-class CorrelationStats:
-    """Per-phase feature summaries: the Gram matrix and the feature-label moment."""
-
-    auto_corr: Matrix
-    cross_corr: Matrix
 
 
 @dataclass(frozen=True)
@@ -220,27 +209,6 @@ class RilmState:
         return len(self.class_ids)
 
 
-def _derived(state: RilmState, **changes) -> RilmState:
-    """``state`` with fields replaced, without the constructor's scans.
-
-    Only for values that keep a validated state valid: its own ``r`` with
-    a new phase, or its weights padded with zero columns for new, checked
-    class ids. A d x d ``r`` is then not scanned again.
-    """
-    out = object.__new__(RilmState)
-    vars(out).update(vars(state), **changes)
-    return out
-
-
-def correlation_stats(f_rp, y) -> CorrelationStats:
-    """Gram matrix fᵀf and feature-label moment fᵀy for one data batch."""
-    f = as_matrix(f_rp, "f_rp")
-    y = as_matrix(y, "y")
-    if f.shape[0] != y.shape[0]:
-        raise ShapeError(f"f_rp has {f.shape[0]} rows but y has {y.shape[0]}")
-    return CorrelationStats(auto_corr=f.T @ f, cross_corr=f.T @ y)
-
-
 def empty_state(d_rp: int, eta: float = DEFAULT_ETA, class_ids=()) -> RilmState:
     """State before any data: memory is the scaled identity I/eta.
 
@@ -259,20 +227,6 @@ def empty_state(d_rp: int, eta: float = DEFAULT_ETA, class_ids=()) -> RilmState:
     )
 
 
-def rilm_init(phase0: PhaseDataset, eta: float = DEFAULT_ETA) -> RilmState:
-    """Fit the initial phase: the first update from the empty state.
-
-    Weights solve min ||Y - F W||² + eta ||W||²; the memory matrix is the
-    inverse of (FᵀF + eta I). The phase goes through expand_classes and
-    rilm_update like every later one (``auto`` path), and the state keeps
-    ``phase=0``. An empty phase yields the fresh-state values.
-    """
-    if not phase0.projected:
-        raise ValidationError("rilm_init expects projected features")
-    state = expand_classes(empty_state(phase0.features.shape[1], eta), phase0.class_ids)
-    return _derived(rilm_update(state, phase0), phase=0)
-
-
 def expand_classes(state: RilmState, new_class_ids) -> RilmState:
     """Register classes arriving in a new phase.
 
@@ -287,7 +241,11 @@ def expand_classes(state: RilmState, new_class_ids) -> RilmState:
     if clash:
         raise ProtocolError(f"class ids already registered: {sorted(clash)}")
     padded = np.hstack([state.weights, zeros(state.d_rp, len(new_ids))])
-    return _derived(state, weights=padded, class_ids=state.class_ids + new_ids)
+    # Zero columns for new, checked ids keep a validated state valid, so the
+    # constructor's scans are skipped and the d x d ``r`` is not read again.
+    out = object.__new__(RilmState)
+    vars(out).update(vars(state), weights=padded, class_ids=state.class_ids + new_ids)
+    return out
 
 
 def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
@@ -368,8 +326,6 @@ def rilm_update(
     ``update_r``.
     """
     path = _check_path(path)
-    if not phase.projected:
-        raise ValidationError("rilm_update expects projected features")
     f = phase.features
     if f.shape[1] != state.d_rp:
         raise ShapeError(f"phase features have width {f.shape[1]}, state expects {state.d_rp}")
@@ -421,10 +377,10 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
     a_sum = zeros(d, d)
     c_sum = zeros(d, len(table))
     for ph in phases:
-        stats = correlation_stats(ph.features, ph.labels_onehot)
-        a_sum += stats.auto_corr
+        f = ph.features
+        a_sum += f.T @ f
         cols = [column[cid] for cid in ph.class_ids]
-        c_sum[:, cols] += stats.cross_corr
+        c_sum[:, cols] += f.T @ ph.labels_onehot
     return spd_solve(a_sum + eta * identity(d), c_sum)
 
 
@@ -464,11 +420,6 @@ def predict_finite_ids(state: RilmState, f: Matrix) -> np.ndarray:
         rows = slice(b * n // blocks, (b + 1) * n // blocks)
         best[rows] = np.argmax(f[rows] @ weights, axis=1)
     return ids[order][best]
-
-
-def predict(state: RilmState, f_rp) -> list[int]:
-    """``predict_ids`` as a list of Python ints; ties go to the lowest id."""
-    return predict_ids(state, f_rp).tolist()
 
 
 def kn_identity_check(r_prev, f_rp) -> float:

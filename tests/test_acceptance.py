@@ -188,8 +188,8 @@ def test_criterion_6_forgetting_demonstration(tmp_path):
         phase=0,
         class_ids=tuple(c for ids in ex.schedule.phases for c in ids),
     )
-    ours = np.asarray(rilm.predict(final_state, ex.test_features))
-    joint = np.asarray(rilm.predict(joint_state, ex.test_features))
+    ours = rilm.predict_ids(final_state, ex.test_features)
+    joint = rilm.predict_ids(joint_state, ex.test_features)
     agreement = float(np.mean(ours == joint))
     assert agreement >= 0.999, f"agreement {agreement:.4f}"
 

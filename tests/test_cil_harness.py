@@ -232,11 +232,10 @@ def _joint_accuracy(separation, seed):
     layer = rp_new(16, 192, seed, "relu")
     y = np.zeros((ftr.shape[0], 6))
     y[np.arange(len(ltr)), ltr] = 1.0
-    state = rilm.rilm_init(
-        rilm.PhaseDataset(rp_forward(layer, ftr), y, tuple(range(6))), eta=1.0
-    )
-    preds = rilm.predict(state, rp_forward(layer, fte))
-    return float(np.mean(np.asarray(preds) == np.asarray(lte)))
+    phase = rilm.PhaseDataset(rp_forward(layer, ftr), y, tuple(range(6)))
+    state = rilm.recursive_states([phase], eta=1.0)[0]
+    preds = rilm.predict_ids(state, rp_forward(layer, fte))
+    return float(np.mean(preds == np.asarray(lte)))
 
 
 def test_zero_separation_is_chance_level():
@@ -393,8 +392,8 @@ def test_final_phase_matches_joint_model(tmp_path):
         phase=0,
         class_ids=tuple(c for ids in ex.schedule.phases for c in ids),
     )
-    ours = np.asarray(rilm.predict(state, ex.test_features))
-    theirs = np.asarray(rilm.predict(joint_state, ex.test_features))
+    ours = rilm.predict_ids(state, ex.test_features)
+    theirs = rilm.predict_ids(joint_state, ex.test_features)
     assert np.mean(ours == theirs) >= 0.999
 
 
@@ -417,7 +416,7 @@ def test_naive_old_class_accuracy_collapses(tmp_path):
     ex = ch.prepare_experiment(cfg)
     report, state = ch.run_phases(ex, naive=True)
     mask = np.isin(ex.test_labels, ex.schedule.phases[0])
-    preds = np.asarray(rilm.predict(state, ex.test_features[mask]))
+    preds = rilm.predict_ids(state, ex.test_features[mask])
     assert report.per_phase_acc[0] >= 99.0  # phase 1 on its own classes
     assert np.mean(preds == ex.test_labels[mask]) <= 1.0 / 6.0  # forgotten after the overwrite
 
@@ -478,7 +477,7 @@ def _mask_gather_run(cfg, train, test):
         state = rilm.rilm_update(rilm.expand_classes(state, ids), phase)
         seen.extend(ids)
         rows = np.isin(lte, seen)
-        preds = np.asarray(rilm.predict(state, fte[rows]))
+        preds = rilm.predict_ids(state, fte[rows])
         accs.append(100.0 * float(np.mean(preds == lte[rows])))
     return accs, state, (ftr, ltr), (fte, lte)
 
@@ -584,7 +583,7 @@ def test_evaluation_does_not_rescan_test_rows(tmp_path, monkeypatch):
         )
     )
     ex = ch.prepare_experiment(cfg)
-    state = rilm.rilm_init(ch.phase_dataset(ex, 0), cfg.eta)
+    state = rilm.recursive_states([ch.phase_dataset(ex, 0)], cfg.eta)[0]
     n, d = ex.test_features.shape
     expected = 100.0 * np.mean(rilm.predict_ids(state, ex.test_features) == ex.test_labels)
     scanned = []
@@ -654,9 +653,7 @@ def test_file_mode_pipeline(tmp_path):
     assert report.per_phase_acc[-1] >= 99.0
 
 
-def test_refu_file_mode_with_fusion_checkpoint(tmp_path):
-    from recridge import fusion
-
+def test_refu_file_mode_pipeline(tmp_path):
     dim, classes = 6, 4
     for modality, streams in (("point", (0, 1)), ("mesh", (2, 3))):
         for split, stream in zip(("train", "test"), streams):
@@ -665,11 +662,9 @@ def test_refu_file_mode_with_fusion_checkpoint(tmp_path):
             ch.save_features(tmp_path / f"{modality}_{split}.fmat", feats)
             if modality == "point":
                 ch.save_labels(tmp_path / f"{split}.labl", labels)
-    params = fusion.fusion_init(dim, classes, seed=11)
-    fusion.save_fusion(params, tmp_path / "backbone.fuse")
     path = tmp_path / "refu.cfg"
     path.write_text(
-        "pipeline = refu\nschedule = 4/2\nfusion_params = backbone.fuse\n"
+        "pipeline = refu\nschedule = 4/2\nfusion_seed = 11\n"
         "point_features_train = point_train.fmat\npoint_features_test = point_test.fmat\n"
         "mesh_features_train = mesh_train.fmat\nmesh_features_test = mesh_test.fmat\n"
         "labels_train = train.labl\nlabels_test = test.labl\n"

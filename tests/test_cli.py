@@ -3,7 +3,8 @@
 Core claims:
     - exit codes follow the contract: 0 ok, 1 input problems, 2 numerical
     - verify/gradcheck print their measured error and gate on tolerance
-    - gen/run/metrics wire files end to end, with override echo
+    - gen/run/metrics wire files end to end, with override echo; --phases
+      re-splits the classes under the config's schedule shuffle
     - a failed run or echo leaves no partial or replaced output behind
     - a phase whose classes have no training rows runs to the joint fit
     - unknown flags or verbs fail before any work happens
@@ -65,6 +66,15 @@ def test_verify_forced_paths(capsys, flag):
 
 def test_verify_forced_paths_mutually_exclusive():
     assert cli.main(["verify", "--force-woodbury", "--force-direct"]) == 1
+
+
+def test_verify_over_tolerance_exits_2(capsys):
+    # at eta = 1e-8 the Woodbury path is about 5e-7 off the joint fit
+    assert cli.main(["verify", "--eta", "1e-8", "--force-woodbury"]) == 2
+    captured = capsys.readouterr()
+    err = _verify_fields(captured.out)["max_rel_error"]
+    assert err > 1e-8
+    assert captured.err == f"equivalence check failed: {err!r} > 1e-08\n"
 
 
 def test_gradcheck_passes(capsys):
@@ -192,6 +202,20 @@ def test_run_seed_and_phases_overrides(tmp_path, capsys):
     assert echoed.schedule.num_phases == 2
 
 
+def test_run_phases_override_keeps_schedule_shuffle(tmp_path, capsys):
+    cfg = _write_synth_config(tmp_path, schedule_shuffle_seed=5)
+    out = tmp_path / "res.txt"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "schedule = 1,4|2,3|0,5\n" in (tmp_path / "res.cfg").read_text()
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--phases", "2"]) == 0
+    echoed = ch.load_config(tmp_path / "res.cfg")
+    assert echoed.schedule == ch.shuffled_schedule(6, 2, 5)
+    assert echoed.schedule != ch.even_schedule(6, 2)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg), "--phases", "9"]) == 1
+    assert "cannot split 6 classes into 9 non-empty phases" in capsys.readouterr().err
+
+
 def test_run_naive_flag(tmp_path, capsys):
     cfg = _write_synth_config(tmp_path)
     assert cli.main(["run", "--config", str(cfg), "--naive"]) == 0
@@ -216,6 +240,15 @@ def test_run_file_mode_from_gen(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg)]) == 0
     final = capsys.readouterr().out.splitlines()[-1]
     assert float(final.split("R=")[1]) <= 1.0
+
+
+@pytest.mark.parametrize("key", ["bogus_key", "fusion_params"])
+def test_run_unknown_config_key_exits_1(tmp_path, capsys, key):
+    cfg = _write_synth_config(tmp_path, **{key: "backbone.fuse"})
+    out = tmp_path / "res.txt"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]
 
 
 def test_run_failure_leaves_no_effective_config(tmp_path, capsys):

@@ -2,9 +2,14 @@
 
 Core claims:
     - every name in ``recridge.__all__`` resolves and is listed once
+    - the README's library example runs as written
 """
 
+import pathlib
+
 import recridge
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_names_resolve_once():
@@ -12,3 +17,13 @@ def test_all_names_resolve_once():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(recridge, name)]
     assert not missing
+
+
+def test_readme_library_example_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    namespace = {}
+    exec(compile(code, f"{README}:Library", "exec"), namespace)
+    assert namespace["labels"].shape == (5,)
+    assert set(namespace["labels"].tolist()) <= {0, 1, 2, 3}

@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from recridge.errors import ShapeError, ValidationError
-from recridge.random_projection import (
-    rp_forward,
-    rp_from_weights,
-    rp_new,
-)
+from recridge.random_projection import RpLayer, rp_forward, rp_new
 
 
 def test_seeded_construction_bit_identical():
@@ -64,7 +60,7 @@ def test_forward_zeros_through_relu():
 
 
 def test_forward_identity_weights_passthrough():
-    layer = rp_from_weights(np.eye(5), "identity")
+    layer = RpLayer(np.eye(5), "identity", seed=None, input_dim=5, output_dim=5)
     f = np.random.Generator(np.random.PCG64(4)).standard_normal((7, 5))
     assert np.array_equal(rp_forward(layer, f), f)
 

@@ -1,8 +1,8 @@
 """Recursive learner tests.
 
 Core claims:
-    - correlation statistics match naive accumulation
-    - the initial ridge fit matches an independently solved normal equation
+    - the first phase, one update from the empty state, matches an
+      independently solved normal equation
     - recursive updates reproduce the joint closed-form fit for any split
       (both update paths), and phase order does not matter
     - r stays symmetric positive definite and consistent with the
@@ -66,38 +66,9 @@ def _stacked_ridge(phases, eta):
     return np.linalg.lstsq(aug_a, aug_b, rcond=None)[0]
 
 
-# -- correlation stats --------------------------------------------------------
-
-
-def test_correlation_stats_identity():
-    stats = rilm.correlation_stats(np.eye(2), np.eye(2))
-    assert np.array_equal(stats.auto_corr, np.eye(2))
-    assert np.array_equal(stats.cross_corr, np.eye(2))
-
-
-def test_correlation_stats_empty_rows():
-    stats = rilm.correlation_stats(zeros(0, 4), zeros(0, 3))
-    assert np.array_equal(stats.auto_corr, np.zeros((4, 4)))
-    assert np.array_equal(stats.cross_corr, np.zeros((4, 3)))
-
-
-def test_correlation_stats_matches_double_loop():
-    gen = _rng(0)
-    f = gen.standard_normal((6, 4))
-    y = gen.standard_normal((6, 3))
-    a = np.zeros((4, 4))
-    c = np.zeros((4, 3))
-    for n in range(6):
-        a += np.outer(f[n], f[n])
-        c += np.outer(f[n], y[n])
-    stats = rilm.correlation_stats(f, y)
-    assert np.allclose(stats.auto_corr, a, rtol=1e-12, atol=1e-12)
-    assert np.allclose(stats.cross_corr, c, rtol=1e-12, atol=1e-12)
-
-
-def test_correlation_stats_row_mismatch():
-    with pytest.raises(ShapeError):
-        rilm.correlation_stats(np.ones((3, 2)), np.ones((4, 1)))
+def _first_fit(phase, eta, path="auto"):
+    # a first phase: its classes registered on the empty state, then one update
+    return rilm.recursive_states([phase], eta, path)[0]
 
 
 # -- phase dataset validation -------------------------------------------------
@@ -127,23 +98,23 @@ def test_phase_dataset_rejects_rows_without_labels():
 
 
 def test_init_identity_example():
-    state = rilm.rilm_init(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), eta=1.0)
+    state = _first_fit(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), eta=1.0)
     assert np.allclose(state.weights, 0.5 * np.eye(2))
     assert np.allclose(state.r, 0.5 * np.eye(2))
-    assert state.phase == 0 and state.class_ids == (0, 1)
+    assert state.phase == 1 and state.class_ids == (0, 1)
 
 
 def test_init_small_eta_limit():
     # diagonal least squares: eta -> 0 recovers Y / F on the diagonal
     phase = rilm.PhaseDataset(np.diag([1.0, 2.0]), np.eye(2), (0, 1))
-    state = rilm.rilm_init(phase, eta=1e-12)
+    state = _first_fit(phase, eta=1e-12)
     assert np.allclose(state.weights, np.diag([1.0, 0.5]), atol=1e-9)
 
 
 def test_init_matches_normal_equations_oracle():
     gen = _rng(1)
     phase = _random_phase(gen, 40, range(3), d=16)
-    state = rilm.rilm_init(phase, eta=0.5)
+    state = _first_fit(phase, eta=0.5)
     f, y = phase.features, phase.labels_onehot
     expected = np.linalg.solve(f.T @ f + 0.5 * np.eye(16), f.T @ y)
     assert np.linalg.norm(state.weights - expected) <= 1e-10 * np.linalg.norm(expected)
@@ -161,16 +132,9 @@ def test_init_paths_match_normal_equations_oracle(n, path, eta, relu):
     phase = _random_phase(_rng(1), n, range(3), d=d)
     if relu:
         phase = rilm.PhaseDataset(np.maximum(phase.features, 0.0), phase.labels_onehot, (0, 1, 2))
-    state = rilm.rilm_init(phase, eta=eta)
-    assert state.phase == 0
-
-    def fit(p):
-        return rilm.rilm_update(
-            rilm.expand_classes(rilm.empty_state(d, eta), phase.class_ids), phase, path=p
-        )
-
-    forced = fit(path)
-    routed = forced if path == "woodbury" else fit("woodbury")
+    state = _first_fit(phase, eta)
+    forced = _first_fit(phase, eta, path)
+    routed = forced if path == "woodbury" else _first_fit(phase, eta, "woodbury")
     assert np.array_equal(state.weights, routed.weights)
     assert np.array_equal(state.r, routed.r)
     f, y = phase.features, phase.labels_onehot
@@ -200,34 +164,28 @@ def test_init_rejects_bad_eta():
     phase = rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1))
     for eta in (0.0, -1.0, np.nan):
         with pytest.raises(ValidationError):
-            rilm.rilm_init(phase, eta=eta)
+            _first_fit(phase, eta)
 
 
 def test_init_empty_phase_gives_fresh_state():
     phase = rilm.PhaseDataset(zeros(0, 4), zeros(0, 0), ())
-    state = rilm.rilm_init(phase, eta=2.0)
+    state = _first_fit(phase, eta=2.0)
     assert np.allclose(state.r, np.eye(4) / 2.0)
     assert state.weights.shape == (4, 0)
     fresh = rilm.empty_state(4, eta=2.0)
     assert np.allclose(fresh.r, state.r)
 
 
-def test_init_rejects_unprojected_features():
-    phase = rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1), projected=False)
-    with pytest.raises(ValidationError):
-        rilm.rilm_init(phase, eta=1.0)
-
-
 # -- class expansion ----------------------------------------------------------
 
 
 def test_expand_by_zero_is_identity():
-    state = rilm.rilm_init(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), 1.0)
+    state = _first_fit(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), 1.0)
     assert rilm.expand_classes(state, ()) is state
 
 
 def test_expand_pads_zero_columns():
-    state = rilm.rilm_init(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), 1.0)
+    state = _first_fit(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), 1.0)
     grown = rilm.expand_classes(state, (2, 3))
     assert grown.weights.shape == (2, 4)
     assert np.array_equal(grown.weights[:, 2:], np.zeros((2, 2)))
@@ -237,7 +195,7 @@ def test_expand_pads_zero_columns():
 
 
 def test_expand_rejects_duplicates():
-    state = rilm.rilm_init(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), 1.0)
+    state = _first_fit(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), 1.0)
     with pytest.raises(ProtocolError):
         rilm.expand_classes(state, (1, 2))
     with pytest.raises(ProtocolError):
@@ -335,8 +293,8 @@ def test_derived_states_do_not_rescan_r(monkeypatch):
     d = 24
     phase = _random_phase(_rng(16), 10, (0, 1), d=d)
     shapes = _finite_scans(monkeypatch)
-    state = rilm.rilm_init(phase, eta=1.0)
-    # empty_state's I/eta and rilm_update's new r; not the phase-0 state
+    state = _first_fit(phase, eta=1.0)
+    # empty_state's I/eta and rilm_update's new r
     assert shapes.count((d, d)) == 2
     shapes.clear()
     grown = rilm.expand_classes(state, (2, 3))
@@ -363,7 +321,7 @@ def test_update_r_empty_phase_keeps_r():
 @pytest.mark.parametrize("seed", range(4))
 def test_update_r_matches_inverse_oracle(seed):
     gen = _rng(seed)
-    state = rilm.rilm_init(_random_phase(gen, 30, range(2), d=12), eta=1.0)
+    state = _first_fit(_random_phase(gen, 30, range(2), d=12), eta=1.0)
     f = gen.standard_normal((8, 12))
     expected = np.linalg.inv(np.linalg.inv(state.r) + f.T @ f)
     for path in ("woodbury", "direct"):
@@ -373,7 +331,7 @@ def test_update_r_matches_inverse_oracle(seed):
 
 def test_update_r_paths_agree():
     gen = _rng(7)
-    state = rilm.rilm_init(_random_phase(gen, 50, range(3), d=20), eta=0.3)
+    state = _first_fit(_random_phase(gen, 50, range(3), d=20), eta=0.3)
     f = gen.standard_normal((35, 20))
     wood = rilm.update_r(state, f, path="woodbury")
     direct = rilm.update_r(state, f, path="direct")
@@ -397,7 +355,7 @@ def test_blocked_woodbury_at_block_boundaries(n, eta):
         return rilm.PhaseDataset(f, _onehot(rows, len(ids), picks), ids)
 
     first, second = relu_phase(30, (0, 1)), relu_phase(n, (2, 3, 4))
-    state = rilm.expand_classes(rilm.rilm_init(first, eta=eta), second.class_ids)
+    state = rilm.expand_classes(_first_fit(first, eta=eta), second.class_ids)
     r_before = state.r.copy()
     reference = rilm.batch_oracle([first, second], eta)
     out = {}
@@ -416,7 +374,7 @@ def test_blocked_woodbury_at_block_boundaries(n, eta):
 def test_update_r_writes_into_out(path, n):
     # 40 rows at d = 16 are ten Woodbury blocks; 0 rows copy r
     gen = _rng(90 + n)
-    state = rilm.rilm_init(_random_phase(gen, 20, range(2), d=16), eta=0.5)
+    state = _first_fit(_random_phase(gen, 20, range(2), d=16), eta=0.5)
     f = gen.standard_normal((n, 16))
     out = np.full((16, 16), np.nan)
     result = rilm.update_r(state, f, path=path, out=out)
@@ -451,7 +409,7 @@ def test_update_r_rejects_bad_width_and_path():
 
 def test_update_empty_phase_is_identity_map():
     gen = _rng(2)
-    state = rilm.rilm_init(_random_phase(gen, 20, range(2), d=8), eta=1.0)
+    state = _first_fit(_random_phase(gen, 20, range(2), d=8), eta=1.0)
     empty = rilm.PhaseDataset(zeros(0, 8), zeros(0, 2), (0, 1))
     out = rilm.rilm_update(state, empty)
     assert np.array_equal(out.weights, state.weights)
@@ -461,7 +419,7 @@ def test_update_empty_phase_is_identity_map():
 
 def test_update_rejects_unregistered_classes():
     gen = _rng(3)
-    state = rilm.rilm_init(_random_phase(gen, 10, range(2), d=6), eta=1.0)
+    state = _first_fit(_random_phase(gen, 10, range(2), d=6), eta=1.0)
     phase = _random_phase(gen, 5, (4, 5), d=6)
     with pytest.raises(ProtocolError):
         rilm.rilm_update(state, phase)
@@ -473,9 +431,9 @@ def test_two_phase_split_matches_batch_oracle():
     half = 30
     first = rilm.PhaseDataset(joint.features[:half], joint.labels_onehot[:half], (0, 1, 2))
     second = rilm.PhaseDataset(joint.features[half:], joint.labels_onehot[half:], (0, 1, 2))
-    state = rilm.rilm_init(first, eta=1.0)
+    state = _first_fit(first, eta=1.0)
     state = rilm.rilm_update(state, second)
-    reference = rilm.rilm_init(joint, eta=1.0)
+    reference = _first_fit(joint, eta=1.0)
     err = np.linalg.norm(state.weights - reference.weights)
     assert err <= 1e-8 * np.linalg.norm(reference.weights)
 
@@ -494,7 +452,7 @@ def test_sub_batched_phase_matches_single_update():
     gen = _rng(5)
     first = _random_phase(gen, 25, range(2), d=8)
     second = _random_phase(gen, 40, (2, 3), d=8)
-    state = rilm.rilm_init(first, eta=1.0)
+    state = _first_fit(first, eta=1.0)
     state = rilm.expand_classes(state, (2, 3))
     sub_a = rilm.PhaseDataset(second.features[:18], second.labels_onehot[:18], (2, 3))
     sub_b = rilm.PhaseDataset(second.features[18:], second.labels_onehot[18:], (2, 3))
@@ -579,7 +537,8 @@ def _degenerate_phases(case, gen, d):
     else:
         # a non-negative layer maps non-positive inputs to all-zero ReLU
         # rows; phase 1 holds nothing else
-        layer = random_projection.rp_from_weights(np.abs(gen.standard_normal((8, d))), "relu")
+        w = np.abs(gen.standard_normal((8, d)))
+        layer = random_projection.RpLayer(w, "relu", seed=None, input_dim=8, output_dim=d)
 
         def rows(n, zero):
             x = gen.standard_normal((n, 8))
@@ -637,7 +596,7 @@ def test_batch_oracle_single_phase_matches_init():
     phase = _random_phase(gen, 30, range(3), d=9)
     assert np.allclose(
         rilm.batch_oracle([phase], eta=1.0),
-        rilm.rilm_init(phase, eta=1.0).weights,
+        _first_fit(phase, eta=1.0).weights,
         rtol=1e-12,
         atol=1e-12,
     )
@@ -668,18 +627,18 @@ def test_batch_oracle_rejects_overlapping_ids():
 
 def test_predict_argmax():
     state = rilm.RilmState(np.eye(2), np.eye(2), 1.0, 0, (0, 1))
-    assert rilm.predict(state, np.array([[3.0, 1.0]])) == [0]
+    assert rilm.predict_ids(state, np.array([[3.0, 1.0]])).tolist() == [0]
 
 
 def test_predict_zero_weights_tie_breaks_low():
     state = rilm.RilmState(zeros(3, 2), np.eye(3), 1.0, 0, (0, 1))
-    assert rilm.predict(state, np.ones((4, 3))) == [0, 0, 0, 0]
+    assert rilm.predict_ids(state, np.ones((4, 3))).tolist() == [0, 0, 0, 0]
 
 
 def test_predict_tie_break_uses_global_ids_not_columns():
     # registration order (4, 5, 0): a three-way tie must yield id 0
     state = rilm.RilmState(zeros(2, 3), np.eye(2), 1.0, 0, (4, 5, 0))
-    assert rilm.predict(state, np.ones((1, 2))) == [0]
+    assert rilm.predict_ids(state, np.ones((1, 2))).tolist() == [0]
 
 
 def test_predict_matches_score_argmax_oracle():
@@ -688,9 +647,9 @@ def test_predict_matches_score_argmax_oracle():
     state = rilm.RilmState(weights, np.eye(6), 1.0, 0, (0, 1, 2, 3))
     f = gen.standard_normal((20, 6))
     expected = [int(np.argmax(f[i] @ weights)) for i in range(20)]
-    predicted = rilm.predict(state, f)
-    assert predicted == expected
-    assert all(type(cid) is int for cid in predicted)
+    predicted = rilm.predict_ids(state, f)
+    assert predicted.tolist() == expected
+    assert predicted.dtype == np.int64
 
 
 _BLOCK = rilm._PREDICT_BLOCK_ROWS
@@ -708,7 +667,6 @@ def test_blocked_predict_matches_full_score_argmax(n):
     predicted = rilm.predict_ids(state, f)
     assert predicted.dtype == np.int64
     assert np.array_equal(predicted, expected)
-    assert rilm.predict(state, f) == expected.tolist()
 
 
 def test_predict_memory_stays_below_full_scores():
@@ -731,7 +689,7 @@ def test_predict_memory_stays_below_full_scores():
 
 def test_predict_empty_rows():
     state = rilm.RilmState(zeros(3, 2), np.eye(3), 1.0, 0, (0, 1))
-    assert rilm.predict(state, np.ones((0, 3))) == []
+    assert rilm.predict_ids(state, np.ones((0, 3))).tolist() == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -745,13 +703,13 @@ def test_predict_ids_rejects_non_finite_rows(bad):
 
 def test_predict_requires_classes():
     with pytest.raises(ProtocolError):
-        rilm.predict(rilm.empty_state(3), np.ones((1, 3)))
+        rilm.predict_ids(rilm.empty_state(3), np.ones((1, 3)))
 
 
 def test_predict_rejects_bad_width():
     state = rilm.RilmState(zeros(3, 2), np.eye(3), 1.0, 0, (0, 1))
     with pytest.raises(ShapeError):
-        rilm.predict(state, np.ones((1, 4)))
+        rilm.predict_ids(state, np.ones((1, 4)))
 
 
 # -- downdate identities ------------------------------------------------------
@@ -781,7 +739,7 @@ def _train_state(per_phase, seed):
     gen = _rng(seed)
     first = _random_phase(gen, per_phase, range(2), d=10)
     second = _random_phase(gen, per_phase, (2, 3), d=10)
-    state = rilm.rilm_init(first, eta=1.0)
+    state = _first_fit(first, eta=1.0)
     state = rilm.expand_classes(state, (2, 3))
     return rilm.rilm_update(state, second)
 
@@ -865,7 +823,7 @@ def test_checkpoint_rejects_negative_phase(tmp_path):
     path = tmp_path / "state.rilm"
     rilm.save_state(_train_state(10, seed=27), path)
     text = path.read_text()
-    path.write_text(text.replace(" phase=1\n", " phase=-1\n", 1))
+    path.write_text(text.replace(" phase=2\n", " phase=-1\n", 1))
     with pytest.raises(ParseError) as info:
         rilm.load_state(path)
     assert info.value.lineno == 1
