@@ -483,8 +483,10 @@ class Experiment:
     Training rows are kept at input width and projected one phase at a
     time by ``phase_dataset``, since each is used in exactly one phase. So
     a run holds the raw rows, the projected test rows, one phase's
-    projected rows, the learner's state (two d x d ``r`` during an update)
-    and one block of scores, never the whole projected training matrix.
+    projected rows, the learner's state (two d x d ``r`` and one scratch
+    panel of at most 128 x d during a Woodbury update, however tall the
+    phase) and one block of scores, never the whole projected training
+    matrix.
     """
 
     config: ExperimentConfig

@@ -20,14 +20,29 @@ Updating ``r`` when a phase of n rows arrives can be done two ways:
 Both must agree to tight tolerance. ``auto`` takes Woodbury, except that a
 phase of n >= d rows goes to the direct path when eta is below 1e-4 (see
 the eta paragraph below). Measured with 2 BLAS threads on a 2-vCPU Xeon
-(numpy 2.4, ReLU rows, best of 7, two runs), Woodbury against direct at
-d = 768: 0.070 vs 0.116 s for n = 1000, 0.13 to 0.14 vs 0.12 s for
-n = 2000 and 0.215 vs 0.15 s for n = 3000, so phases of more than about 2d
-rows would run faster direct; ``auto`` does not switch there, because no
-benchmark workload has phases that tall to check a crossover on. The block
-size was compared at those sizes: against d // 4, d // 8 is 15 to 26 %,
-d // 2 1 to 15 % and d 21 to 53 % slower, and one unblocked solve (m = n)
-takes 0.11 to 0.13 s at n = 1000.
+(numpy 2.4, ReLU rows, best of 7, three runs), Woodbury against direct at
+d = 768: 0.048 to 0.065 vs 0.082 to 0.098 s for n = 1000, 0.11 to 0.13 vs
+0.10 to 0.13 s for n = 2000 and 0.16 to 0.17 vs 0.11 to 0.14 s for
+n = 3000, so phases of more than about 2.5d rows would run faster direct;
+``auto`` does not switch there, because no benchmark workload has phases
+that tall to check a crossover on. The block size was compared at those
+sizes, before the panelled downdate below: against d // 4, d // 8 is 15
+to 26 %, d // 2 1 to 15 % and d 21 to 53 % slower, and one unblocked
+solve (m = n) takes 0.11 to 0.13 s at n = 1000.
+
+Each Woodbury block ends with r − Vᵀ V for an m x d V. It is formed in
+panels of 128 rows: below and on the diagonal by matrix products and a
+``syrk`` per 128 x 128 diagonal block, m d² flops in all, then copied to
+the mirror entries above the diagonal. The first block writes into the
+new r, the later ones update it in place through one 128 x d scratch
+panel, so an update of any height holds no d x d array but the old and
+the new r. On the same host (medians of 30 or 40, three runs) one such
+downdate took 12 to 14 ms against 20 to 27 ms for numpy's whole-matrix
+r − Vᵀ V at d = 1536, m = 200, and 3.0 to 3.4 against 3.5 to 4.9 ms at
+d = 768, m = 192: numpy mirrors the triangle its ``syrk`` computes with a
+scalar, strided loop over all of d x d. Panels of 64 and 256 rows were
+slower than 128 at both sizes.
+
 States are immutable values; every operation returns a new state.
 
 ``r`` is exactly symmetric in every state: the empty state's ``I/eta`` is,
@@ -92,6 +107,9 @@ DEFAULT_ETA = 1.0
 
 # Below this eta, ``auto`` sends phases of n >= d rows to the direct path.
 _WOODBURY_MIN_ETA = 1e-4
+
+# Rows per panel of the Woodbury downdate r − vᵀv.
+_DOWNDATE_PANEL_ROWS = 128
 
 # Rows scored per block by ``predict_ids``.
 _PREDICT_BLOCK_ROWS = 1024
@@ -254,10 +272,11 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
     The woodbury path never touches a d x d system. It takes the rows in
     consecutive blocks f_b of at most max(1, d // 4) rows; per block, with
     g = f_b r and L the Cholesky factor of g f_bᵀ + I, it subtracts the
-    correction Vᵀ V, V = L⁻¹ g. numpy forms Vᵀ V from one C-contiguous V
-    with BLAS ``syrk`` and mirrors the computed triangle, so the
-    correction, and r minus it, are exactly symmetric when r is. A phase
-    of at most d // 4 rows is one block. The direct path factors
+    correction Vᵀ V, V = L⁻¹ g. r − Vᵀ V is formed in panels of 128 rows
+    of its lower triangle and copied to the upper one, so it is exactly
+    symmetric when r is; the first block writes it into the result, later
+    blocks update the result in place through one 128 x d scratch panel.
+    A phase of at most d // 4 rows is one block. The direct path factors
     r = L Lᵀ, sets h = f L and returns Vᵀ V for V = K⁻¹ Lᵀ, K the
     Cholesky factor of I + hᵀh: that is (r⁻¹ + fᵀf)⁻¹, exactly symmetric
     the same way. r itself is never inverted: rebuilding the Gram matrix
@@ -294,19 +313,38 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
         v = spd_half_solve(inner, low_t)
         del inner, low_t
         return np.matmul(v.T, v, out=out)
-    # The first block's correction is formed in the result, the later
-    # blocks' in one more d x d array.
     r, out = state.r, np.empty((d, d)) if out is None else out
-    work = out
     block = max(1, d // 4)
     for start in range(0, n, block):
         fb = f[start : start + block]
         g = fb @ r
         v = spd_half_solve(g @ fb.T + identity(fb.shape[0]), g)
-        r = np.subtract(r, np.matmul(v.T, v, out=work), out=out)
-        if work is out and start + block < n:
-            work = np.empty((d, d))
+        r = _downdate(r, v, out)
     return r
+
+
+def _downdate(r, v, out):
+    """Write r − vᵀv into ``out`` in panels of rows; ``r`` may be ``out``.
+
+    For the rows s:e of each panel, the block left of the diagonal is one
+    matrix product and the diagonal block one ``syrk`` of numpy's, which is
+    exactly symmetric; the block left of the diagonal is then copied to its
+    mirror above it. The two ranges are disjoint by bounds, so numpy makes
+    no temporary for the copy. Each panel reads only its own rows of ``r``
+    and writes those rows and, above them, rows that earlier panels have
+    already read, so the update can run in place; it then forms the
+    products in one scratch panel.
+    """
+    d = r.shape[0]
+    panel = None if r is not out else np.empty((min(_DOWNDATE_PANEL_ROWS, d), d))
+    for s in range(0, d, _DOWNDATE_PANEL_ROWS):
+        e = min(s + _DOWNDATE_PANEL_ROWS, d)
+        rows = out[s:e, :e] if panel is None else panel[: e - s, :e]
+        np.matmul(v[:, s:e].T, v[:, :s], out=rows[:, :s])
+        np.matmul(v[:, s:e].T, v[:, s:e], out=rows[:, s:])
+        np.subtract(r[s:e, :e], rows, out=out[s:e, :e])
+        out[:s, s:e] = out[s:e, :s].T
+    return out
 
 
 def rilm_update(

@@ -11,6 +11,8 @@ Core claims:
     - empty phases are exact no-ops; states never grow with sample count
     - duplicated, rank-1 and all-zero ReLU rows keep both paths on the
       joint fit
+    - the Woodbury downdate is exactly symmetric at every 128-row panel
+      edge and, with the result in ``out``, holds no d x d temporary
     - the state constructor rejects an asymmetric r without a d x d
       temporary, and states derived from a validated one skip its scans
     - prediction uses the global id table with lowest-id tie-breaking and
@@ -256,6 +258,16 @@ def test_direct_update_holds_four_d_by_d_arrays():
     assert peak < 4.2 * state.r.nbytes
 
 
+def test_woodbury_update_holds_no_third_d_by_d_array():
+    # d = 768, n = 1000: six blocks of at most 192 rows; with the result in
+    # out, the blocks' m x d products and one 128 x d panel, no d x d array
+    d = 768
+    state = _spd_state(d, seed=17)
+    f = _rng(18).standard_normal((1000, d))
+    peak = _peak_bytes(rilm.update_r, state, f, "woodbury", np.empty((d, d)))
+    assert peak < 1.5 * state.r.nbytes
+
+
 def test_load_state_makes_no_d_by_d_temporary(tmp_path, monkeypatch):
     # d = 768: once the file is read, its text stays until the blocks are
     # parsed, then r and its Cholesky factor; r is checked for symmetry in
@@ -367,6 +379,32 @@ def test_blocked_woodbury_at_block_boundaries(n, eta):
         assert err <= 1e-8 * np.linalg.norm(reference)
     assert np.array_equal(out["auto"].weights, out["woodbury"].weights)
     assert np.array_equal(out["auto"].r, out["woodbury"].r)
+
+
+@pytest.mark.parametrize("with_out", [False, True])
+@pytest.mark.parametrize("rows", ["one_row", "one_block", "several_blocks"])
+@pytest.mark.parametrize("d", [127, 128, 129, 300])
+def test_woodbury_downdate_panel_edges(d, rows, with_out):
+    # the downdate works in 128-row panels: d = 127 is one partial panel,
+    # 128 one full one, 129 ends on a one-row panel and 300 on a partial
+    # one; later Woodbury blocks update the result in place
+    block = d // 4
+    n = {"one_row": 1, "one_block": block, "several_blocks": 3 * block + 5}[rows]
+    state = _spd_state(d, seed=d)
+    f = _rng(d + n).standard_normal((n, d)) / np.sqrt(d)
+    r_before = state.r.copy()
+    out = np.full((d, d), np.nan) if with_out else None
+    result = rilm.update_r(state, f, path="woodbury", out=out)
+    assert result is out or out is None
+    assert np.array_equal(state.r, r_before)
+    assert np.array_equal(result, result.T)
+    expected = state.r
+    for start in range(0, n, block):
+        fb = f[start : start + block]
+        g = fb @ expected
+        v = dense_linalg.spd_half_solve(g @ fb.T + identity(fb.shape[0]), g)
+        expected = expected - np.matmul(v.T, v)
+    assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 @pytest.mark.parametrize("n", [0, 7, 40])
