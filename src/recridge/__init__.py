@@ -4,9 +4,11 @@ The package is organized as:
 
 * ``dense_linalg``       float64 matrix kernel with SPD solves
 * ``random_projection``  frozen seeded feature expansion
-* ``rilm``               the recursive learner and its joint-fit reference
+* ``rilm``               the recursive learner, its joint-fit reference, checkpoints
 * ``fusion``             attention-weighted two-modality feature fusion
-* ``cil_harness``        schedules, synthetic data, pipelines, metrics, file formats
+* ``cil_harness``        schedules, synthetic data, configs, pipelines, metrics
+* ``fmat``               FMAT/LABL text formats and atomic file writes
+* ``errors``             exception types and their exit codes
 * ``cli``                command-line interface (``recridge ...``)
 """
 
@@ -54,7 +56,6 @@ from .rilm import (
     batch_oracle,
     empty_state,
     expand_classes,
-    kn_identity_check,
     predict_ids,
     rilm_update,
     update_r,
@@ -91,7 +92,6 @@ __all__ = [
     "fusion_forward",
     "fusion_init",
     "gradient_check",
-    "kn_identity_check",
     "load_config",
     "load_features",
     "load_labels",

@@ -19,43 +19,17 @@ weights are overwritten: it exhibits catastrophic forgetting next to the
 recursive learner. Runs are single-threaded and deterministic: the same
 config and seeds produce byte-identical result files.
 
-Config keys
------------
-pipeline              repoint | remesh | refu            (default repoint)
-eta                   ridge strength, > 0                (default 1.0)
-d_rp                  explicit expanded width            (optional)
-d_rp_multiplier       expansion factor when d_rp unset   (default 12)
-rp_seed               projection layer seed              (default 0)
-activation            relu | tanh | identity             (default relu)
-rilm_path             auto | woodbury | direct           (default auto)
-schedule              "<classes>/<phases>" even split, or explicit "0,1|2,3"
-schedule_shuffle_seed shuffle class-to-phase assignment  (optional)
-synth_classes         synthetic mode: number of classes
-synth_per_class       training samples per class
-synth_test_per_class  test samples per class             (default synth_per_class)
-synth_dim             raw feature width
-synth_separation      cluster mean distance from origin  (default 10.0)
-synth_seed            generator seed                     (default 0)
-features_train        file mode (repoint/remesh): FMAT path
-labels_train          LABL path
-features_test         FMAT path
-labels_test           LABL path
-point_features_train  file mode (refu): FMAT paths per modality
-point_features_test
-mesh_features_train
-mesh_features_test
-fusion_seed           refu: seed for a random frozen backbone (default 0)
-out                   result file path; a .csv sibling is also written
-
-Exactly one data source (synthetic or files) must be configured.
-Relative paths are resolved against the config file's directory.
+The fields of ``ExperimentConfig`` are the config key reference: each
+key's kind, default and meaning. Exactly one data source (synthetic or
+files) must be configured. Relative paths are resolved against the config
+file's directory.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -251,48 +225,53 @@ def synth_dataset(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SynthParams:
-    classes: int
-    per_class: int
-    test_per_class: int
-    dim: int
-    separation: float
-    seed: int
+def _key(meaning: str, kind, default=None):
+    """A config key's field. ``kind`` is the tuple of its allowed values, "path"
+    (resolved against the config file's directory) or its parser: int, float
+    or parse_schedule."""
+    return field(default=default, metadata={"kind": kind, "meaning": meaning})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    pipeline: str
-    eta: float
-    d_rp: int | None
-    d_rp_multiplier: int
-    rp_seed: int
-    activation: str
-    rilm_path: str
-    schedule: PhaseSchedule
-    synth: SynthParams | None
-    files: dict | None
-    fusion_seed: int
-    out: str | None
+    """The config key reference: one field per key, in the order of the echo.
+
+    Each field's metadata holds the key's kind and meaning; a key left out
+    takes the field's default, and None means unset.
+    """
+
+    pipeline: str = _key("one source (repoint, remesh) or two fused (refu)", PIPELINES, "repoint")
+    eta: float = _key("ridge strength, > 0", float, 1.0)
+    d_rp_multiplier: int = _key("expansion factor when d_rp is unset", int, 12)
+    rp_seed: int = _key("projection layer seed", int, 0)
+    activation: str = _key("projection nonlinearity", ACTIVATIONS, "relu")
+    rilm_path: str = _key("update path of every phase", rilm.UPDATE_PATHS, "auto")
+    schedule: PhaseSchedule = _key('"<classes>/<phases>" or "0,1|2,3"', parse_schedule, MISSING)
+    schedule_shuffle_seed: int | None = _key("shuffles classes between phases", int)
+    d_rp: int | None = _key("explicit expanded width", int)
+    synth_classes: int | None = _key("synthetic mode: number of classes", int)
+    synth_per_class: int | None = _key("training rows per class", int)
+    synth_test_per_class: int | None = _key("test rows per class (default synth_per_class)", int)
+    synth_dim: int | None = _key("raw feature width", int)
+    synth_separation: float | None = _key("distance of class means from the origin", float, 10.0)
+    synth_seed: int | None = _key("generator seed", int, 0)
+    features_test: str | None = _key("file mode (repoint, remesh): test rows, FMAT", "path")
+    features_train: str | None = _key("file mode (repoint, remesh): training rows, FMAT", "path")
+    labels_test: str | None = _key("file mode: test labels, LABL", "path")
+    labels_train: str | None = _key("file mode: training labels, LABL", "path")
+    mesh_features_test: str | None = _key("file mode (refu): mesh test rows, FMAT", "path")
+    mesh_features_train: str | None = _key("file mode (refu): mesh training rows, FMAT", "path")
+    point_features_test: str | None = _key("file mode (refu): point test rows, FMAT", "path")
+    point_features_train: str | None = _key("file mode (refu): point training rows, FMAT", "path")
+    fusion_seed: int | None = _key("refu: seed of the frozen random fusion backbone", int, 0)
+    out: str | None = _key("result file; .csv and .cfg siblings are written too", "path")
 
 
 _SINGLE_FILE_KEYS = ("features_train", "labels_train", "features_test", "labels_test")
-_REFU_FILE_KEYS = (
-    "point_features_train",
-    "point_features_test",
-    "mesh_features_train",
-    "mesh_features_test",
-    "labels_train",
-    "labels_test",
-)
+_REFU_FILE_KEYS = ("point_features_train", "point_features_test", "mesh_features_train",
+                   "mesh_features_test", "labels_train", "labels_test")
 
-_KNOWN_KEYS = frozenset(
-    """pipeline eta d_rp d_rp_multiplier rp_seed activation rilm_path schedule
-    schedule_shuffle_seed synth_classes synth_per_class synth_test_per_class synth_dim
-    synth_separation synth_seed fusion_seed out""".split()
-    + list(_SINGLE_FILE_KEYS + _REFU_FILE_KEYS)
-)
+_KEYS = frozenset(key.name for key in fields(ExperimentConfig))
 
 
 def _parse_kv_lines(path, text: str) -> dict:
@@ -303,118 +282,89 @@ def _parse_kv_lines(path, text: str) -> dict:
             continue
         if "=" not in stripped:
             raise ParseError(path, lineno, f"expected 'key = value', got {stripped!r}")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _KNOWN_KEYS:
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in _KEYS:
             raise ValidationError(f"{path}:{lineno}: unknown config key {key!r}")
         raw[key] = value
     return raw
 
 
-def _want_int(raw, key, default=None):
-    if key not in raw:
-        return default
+def _parse_key(key, raw: dict, base_dir: str):
+    kind, text = key.metadata["kind"], raw.get(key.name)
+    if text is None:
+        if key.default is MISSING:
+            raise ValidationError(f"config is missing required key {key.name!r}")
+        return key.default
+    if isinstance(kind, tuple):
+        if text not in kind:
+            raise ValidationError(f"{key.name} must be one of {kind}, got {text!r}")
+        return text
+    if kind == "path":
+        return os.path.join(base_dir, text)
+    if kind is parse_schedule:
+        return parse_schedule(text)
     try:
-        return int(raw[key])
+        return kind(text)
     except ValueError:
-        raise ValidationError(f"config key {key} must be an integer, got {raw[key]!r}") from None
-
-
-def _want_float(raw, key, default=None):
-    if key not in raw:
-        return default
-    try:
-        return float(raw[key])
-    except ValueError:
-        raise ValidationError(f"config key {key} must be a number, got {raw[key]!r}") from None
-
-
-def _resolve(base_dir: str, path: str) -> str:
-    return path if os.path.isabs(path) else os.path.join(base_dir, path)
+        what = "an integer" if kind is int else "a number"
+        raise ValidationError(f"config key {key.name} must be {what}, got {text!r}") from None
 
 
 def build_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
-    """Typed, validated config from a raw key->string mapping."""
-    unknown = set(raw) - _KNOWN_KEYS
+    """Typed, validated config from a raw key->string mapping.
+
+    Every key is parsed in table order; then come the rules between keys:
+    eta's sign, one data source and what it needs, the class count.
+    """
+    unknown = set(raw) - _KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    pipeline = raw.get("pipeline", "repoint")
-    if pipeline not in PIPELINES:
-        raise ValidationError(f"pipeline must be one of {PIPELINES}, got {pipeline!r}")
-    eta = _want_float(raw, "eta", 1.0)
+    values = {key.name: _parse_key(key, raw, base_dir) for key in fields(ExperimentConfig)}
+    eta = values["eta"]
     if not np.isfinite(eta) or eta <= 0.0:
         raise ValidationError(f"eta must be positive, got {eta}")
-    activation = raw.get("activation", "relu")
-    if activation not in ACTIVATIONS:
-        raise ValidationError(f"activation must be one of {ACTIVATIONS}, got {activation!r}")
-    rilm_path = raw.get("rilm_path", "auto")
-    if rilm_path not in rilm.UPDATE_PATHS:
-        raise ValidationError(f"rilm_path must be one of {rilm.UPDATE_PATHS}, got {rilm_path!r}")
-    if "schedule" not in raw:
-        raise ValidationError("config is missing required key 'schedule'")
-    schedule = parse_schedule(raw["schedule"])
-    shuffle_seed = _want_int(raw, "schedule_shuffle_seed")
+    # Folded into the schedule, so the echo does not shuffle it again.
+    shuffle_seed = values.pop("schedule_shuffle_seed")
     if shuffle_seed is not None:
-        schedule = shuffled_schedule(schedule.total_classes, schedule.num_phases, shuffle_seed)
+        s = values["schedule"]
+        values["schedule"] = shuffled_schedule(s.total_classes, s.num_phases, shuffle_seed)
+    schedule = values["schedule"]
 
-    synth_mode = "synth_classes" in raw
-    file_keys_present = [k for k in _SINGLE_FILE_KEYS + _REFU_FILE_KEYS if k in raw]
+    all_files = _SINGLE_FILE_KEYS + _REFU_FILE_KEYS
+    synth_mode = values["synth_classes"] is not None
+    file_keys_present = [k for k in all_files if values[k] is not None]
     if synth_mode and file_keys_present:
         raise ValidationError("configure either synthetic data or data files, not both")
     if not synth_mode and not file_keys_present:
         raise ValidationError("no data source configured (synth_classes or data files)")
 
-    synth = None
-    files = None
+    pipeline = values["pipeline"]
     if synth_mode:
-        per_class = _want_int(raw, "synth_per_class")
-        if per_class is None:
-            raise ValidationError("synthetic mode requires synth_per_class")
-        dim = _want_int(raw, "synth_dim")
-        if dim is None:
-            raise ValidationError("synthetic mode requires synth_dim")
-        synth = SynthParams(
-            classes=_want_int(raw, "synth_classes"),
-            per_class=per_class,
-            test_per_class=_want_int(raw, "synth_test_per_class", per_class),
-            dim=dim,
-            separation=_want_float(raw, "synth_separation", 10.0),
-            seed=_want_int(raw, "synth_seed", 0),
-        )
-        if synth.classes != schedule.total_classes:
+        for key in ("synth_per_class", "synth_dim"):
+            if values[key] is None:
+                raise ValidationError(f"synthetic mode requires {key}")
+        if values["synth_test_per_class"] is None:
+            values["synth_test_per_class"] = values["synth_per_class"]
+        if values["synth_classes"] != schedule.total_classes:
             raise ValidationError(
                 f"schedule covers {schedule.total_classes} classes but "
-                f"synth_classes is {synth.classes}"
+                f"synth_classes is {values['synth_classes']}"
             )
     else:
         needed = _REFU_FILE_KEYS if pipeline == "refu" else _SINGLE_FILE_KEYS
-        missing = [k for k in needed if k not in raw]
+        missing = [k for k in needed if values[k] is None]
         if missing:
             raise ValidationError(f"file mode for {pipeline} requires keys: {missing}")
-        files = {k: _resolve(base_dir, raw[k]) for k in needed}
-        for key, p in files.items():
-            if not os.path.exists(p):
-                raise ValidationError(f"config key {key}: file not found: {p}")
-
-    out = raw.get("out")
-    if out is not None:
-        out = _resolve(base_dir, out)
-
-    return ExperimentConfig(
-        pipeline=pipeline,
-        eta=eta,
-        d_rp=_want_int(raw, "d_rp"),
-        d_rp_multiplier=_want_int(raw, "d_rp_multiplier", 12),
-        rp_seed=_want_int(raw, "rp_seed", 0),
-        activation=activation,
-        rilm_path=rilm_path,
-        schedule=schedule,
-        synth=synth,
-        files=files,
-        fusion_seed=_want_int(raw, "fusion_seed", 0),
-        out=out,
-    )
+        for key in needed:
+            if not os.path.exists(values[key]):
+                raise ValidationError(f"config key {key}: file not found: {values[key]}")
+        # Keys this data source does not read are unset, so the echo omits them.
+        for key in values:
+            if key.startswith("synth_") or (key in all_files and key not in needed):
+                values[key] = None
+    if pipeline != "refu":
+        values["fusion_seed"] = None
+    return ExperimentConfig(**values)
 
 
 def load_config(path, overrides=None) -> ExperimentConfig:
@@ -426,43 +376,21 @@ def load_config(path, overrides=None) -> ExperimentConfig:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
     raw = _parse_kv_lines(path, text)
     for key, value in (overrides or {}).items():
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ValidationError(f"unknown config key {key!r}")
         raw[key] = str(value)
     return build_config(raw, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def config_to_text(config: ExperimentConfig) -> str:
-    """Canonical echo of the effective config; parseable by load_config."""
-    lines = [
-        f"pipeline = {config.pipeline}",
-        f"eta = {config.eta!r}",
-        f"d_rp_multiplier = {config.d_rp_multiplier}",
-        f"rp_seed = {config.rp_seed}",
-        f"activation = {config.activation}",
-        f"rilm_path = {config.rilm_path}",
-        f"schedule = {schedule_to_text(config.schedule)}",
-    ]
-    if config.d_rp is not None:
-        lines.append(f"d_rp = {config.d_rp}")
-    if config.synth is not None:
-        s = config.synth
-        lines.extend(
-            [
-                f"synth_classes = {s.classes}",
-                f"synth_per_class = {s.per_class}",
-                f"synth_test_per_class = {s.test_per_class}",
-                f"synth_dim = {s.dim}",
-                f"synth_separation = {s.separation!r}",
-                f"synth_seed = {s.seed}",
-            ]
-        )
-    if config.files is not None:
-        lines.extend(f"{key} = {path}" for key, path in sorted(config.files.items()))
-    if config.pipeline == "refu":
-        lines.append(f"fusion_seed = {config.fusion_seed}")
-    if config.out is not None:
-        lines.append(f"out = {config.out}")
+    """Canonical echo of the effective config, each set key in table order;
+    ``load_config`` reads it back to an equal config."""
+    lines = []
+    for key in fields(config):
+        value = getattr(config, key.name)
+        if value is not None:
+            text = schedule_to_text(value) if key.name == "schedule" else value
+            lines.append(f"{key.name} = {text}")
     return "\n".join(lines) + "\n"
 
 
@@ -536,20 +464,18 @@ def _order_by_phase(schedule: PhaseSchedule, features, labels):
 
 def _raw_modality(config: ExperimentConfig, modality: str, split: str):
     """Features and labels for one modality ('repoint' or 'remesh') and split."""
-    if config.synth is not None:
-        s = config.synth
-        per = s.per_class if split == "train" else s.test_per_class
+    c = config
+    if c.synth_classes is not None:
+        per = c.synth_per_class if split == "train" else c.synth_test_per_class
+        stream = _STREAMS[(modality, split)]
         return synth_dataset(
-            s.classes, per, s.dim, s.separation, s.seed, stream=_STREAMS[(modality, split)]
+            c.synth_classes, per, c.synth_dim, c.synth_separation, c.synth_seed, stream=stream
         )
-    files = config.files
-    if config.pipeline == "refu":
+    if c.pipeline == "refu":
         key = ("point" if modality == "repoint" else "mesh") + f"_features_{split}"
-        feats = load_features(files[key])
     else:
-        feats = load_features(files[f"features_{split}"])
-    labels = load_labels(files[f"labels_{split}"])
-    return feats, labels
+        key = f"features_{split}"
+    return load_features(getattr(c, key)), load_labels(getattr(c, f"labels_{split}"))
 
 
 def prepare_experiment(config: ExperimentConfig) -> Experiment:

@@ -17,11 +17,11 @@ SYMMETRY_RTOL is copied into (a + aᵀ)/2.
 
 The symmetric positive-definite operations run on LAPACK through numpy:
 ``np.linalg.cholesky`` is the positive-definiteness check, then
-``np.linalg.solve`` or ``np.linalg.inv`` does the work. ``spd_half_solve``
-applies the inverse of the Cholesky factor L itself, by forward
-substitution over blocks of rows in which every step is a matrix product:
-each 16-row diagonal block of L is inverted explicitly and applied with
-one step of iterative refinement (see ``spd_half_solve`` for why).
+``np.linalg.solve`` does the work. ``spd_half_solve`` applies the inverse
+of the Cholesky factor L itself, by forward substitution over blocks of
+rows in which every step is a matrix product: each 16-row diagonal block
+of L is inverted explicitly and applied with one step of iterative
+refinement (see ``spd_half_solve`` for why).
 numpy has no triangular solve: ``np.linalg.solve(L, b)`` runs a pivoted
 LU of L and two triangular sweeps, which with hundreds of right-hand
 sides ran far below matrix-product speed. Measured with 2 BLAS threads on
@@ -164,13 +164,6 @@ def _symmetric_operand(a: Matrix, op: str) -> Matrix:
     return sym
 
 
-def _spd_operand(a: Matrix, op: str) -> Matrix:
-    # Symmetric part of a validated square a, checked positive definite.
-    sym = _symmetric_operand(a, op)
-    cholesky_lower(sym)
-    return sym
-
-
 def _solve_operands(a, b, op: str) -> tuple[Matrix, Matrix]:
     # Validated square a and conforming b for a solve of a X = b.
     a = as_matrix(a, "a")
@@ -190,7 +183,9 @@ def spd_solve(a, b) -> Matrix:
     explicit inverse is formed.
     """
     a, b = _solve_operands(a, b, "spd_solve")
-    x = np.linalg.solve(_spd_operand(a, "spd_solve"), b)
+    sym = _symmetric_operand(a, "spd_solve")
+    cholesky_lower(sym)  # the positive-definiteness check
+    x = np.linalg.solve(sym, b)
     return _check_finite_result(x, "spd_solve")
 
 
@@ -231,15 +226,3 @@ def spd_half_solve(a, b) -> Matrix:
         x += diag_inv @ (rhs - diag @ x)
         v[s:e] = x
     return _check_finite_result(v, "spd_half_solve")
-
-
-def spd_inverse(a) -> Matrix:
-    """Explicit inverse of a symmetric positive-definite matrix.
-
-    The result is symmetrized, so spd_inverse(a) is exactly symmetric.
-    Prefer spd_solve when only a product with the inverse is needed.
-    """
-    a = as_matrix(a, "a")
-    _require_square(a, "spd_inverse")
-    inv = np.linalg.inv(_spd_operand(a, "spd_inverse"))
-    return _check_finite_result(np.ascontiguousarray(0.5 * (inv + inv.T)), "spd_inverse")

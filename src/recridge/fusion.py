@@ -15,7 +15,7 @@ the analytic gradients of the classifier's cross-entropy, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -214,20 +214,10 @@ def gradient_check(params: FusionParams, f_p, f_m, labels, step: float = 1e-5) -
         for idx in np.ndindex(base.shape):
             bumped = base.copy()
             bumped[idx] = base[idx] + step
-            hi = loss_at(FusionParams(**{**_param_dict(params), name: bumped}))
+            hi = loss_at(replace(params, **{name: bumped}))
             bumped[idx] = base[idx] - step
-            lo = loss_at(FusionParams(**{**_param_dict(params), name: bumped}))
+            lo = loss_at(replace(params, **{name: bumped}))
             numeric[idx] = (hi - lo) / (2.0 * step)
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(numeric)), 1e-3)
         worst = max(worst, float((np.abs(grad - numeric) / denom).max()))
     return worst
-
-
-def _param_dict(params: FusionParams) -> dict:
-    return {
-        "w_p": params.w_p,
-        "w_m": params.w_m,
-        "classifier_w": params.classifier_w,
-        "classifier_b": params.classifier_b,
-    }
-

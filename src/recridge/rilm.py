@@ -89,12 +89,12 @@ from .dense_linalg import (
     cholesky_lower,
     identity,
     spd_half_solve,
-    spd_inverse,
     spd_solve,
     zeros,
 )
 from .errors import (
     NotPositiveDefiniteError,
+    NumericalError,
     ParseError,
     ProtocolError,
     ShapeError,
@@ -276,15 +276,17 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
     of its lower triangle and copied to the upper one, so it is exactly
     symmetric when r is; the first block writes it into the result, later
     blocks update the result in place through one 128 x d scratch panel.
-    A phase of at most d // 4 rows is one block. The direct path factors
-    r = L Lᵀ, sets h = f L and returns Vᵀ V for V = K⁻¹ Lᵀ, K the
-    Cholesky factor of I + hᵀh: that is (r⁻¹ + fᵀf)⁻¹, exactly symmetric
-    the same way. r itself is never inverted: rebuilding the Gram matrix
-    from r that way lost accuracy with every phase at small eta.
-    ``auto`` takes Woodbury unless n >= d and eta < 1e-4, where the direct
-    path is the more accurate (see the module docstring). The result is
-    written to ``out`` when it is given, a d x d float64 C-order array
-    apart from ``state.r``, which is never written.
+    A phase of at most d // 4 rows is one block. A block system that rounding
+    leaves outside spd_half_solve's checks (at small eta, asymmetric beyond
+    SYMMETRY_RTOL) raises NumericalError. The direct path factors r = L Lᵀ,
+    sets h = f L and returns Vᵀ V for V = K⁻¹ Lᵀ, K the Cholesky factor of
+    I + hᵀh: that is (r⁻¹ + fᵀf)⁻¹, exactly symmetric the same way. r itself
+    is never inverted: rebuilding the Gram matrix from r that way lost
+    accuracy with every phase at small eta. ``auto`` takes Woodbury unless
+    n >= d and eta < 1e-4, where the direct path is the more accurate (see
+    the module docstring). The result is written to ``out`` when it is
+    given, a d x d float64 C-order array apart from ``state.r``, which is
+    never written.
     """
     path = _check_path(path)
     f = as_matrix(f_rp, "f_rp")
@@ -318,7 +320,10 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
     for start in range(0, n, block):
         fb = f[start : start + block]
         g = fb @ r
-        v = spd_half_solve(g @ fb.T + identity(fb.shape[0]), g)
+        try:
+            v = spd_half_solve(g @ fb.T + identity(fb.shape[0]), g)
+        except ValidationError as exc:
+            raise NumericalError(f"woodbury block: {exc}") from exc
         r = _downdate(r, v, out)
     return r
 
@@ -458,33 +463,6 @@ def predict_finite_ids(state: RilmState, f: Matrix) -> np.ndarray:
         rows = slice(b * n // blocks, (b + 1) * n // blocks)
         best[rows] = np.argmax(f[rows] @ weights, axis=1)
     return ids[order][best]
-
-
-def kn_identity_check(r_prev, f_rp) -> float:
-    """Residual of the two algebraic identities behind the recursive downdate.
-
-    With k = (f r fᵀ + I)⁻¹ and r_next the downdated memory, checks
-    k == I - k f r fᵀ and r fᵀ k == r_next fᵀ, returning the larger
-    relative Frobenius residual. Empty input returns 0 by convention.
-    """
-    r = as_matrix(r_prev, "r_prev")
-    if r.shape[0] != r.shape[1]:
-        raise ShapeError(f"r_prev must be square, got {r.shape}")
-    f = as_matrix(f_rp, "f_rp")
-    if f.shape[1] != r.shape[0]:
-        raise ShapeError(f"f_rp has width {f.shape[1]}, r_prev is {r.shape[0]} wide")
-    n = f.shape[0]
-    if n == 0:
-        return 0.0
-    g = f @ r
-    inner = g @ f.T + identity(n)
-    k = spd_inverse(inner)
-    res1 = np.linalg.norm(k - (identity(n) - k @ g @ f.T)) / max(np.linalg.norm(k), 1e-300)
-    r_next = r - g.T @ spd_solve(inner, g)
-    lhs = r @ f.T @ k
-    rhs = r_next @ f.T
-    res2 = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300)
-    return float(max(res1, res2))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 Core claims:
     - FMAT/LABL files round-trip bit-exactly and fail with line numbers
     - schedules partition the class range and parse from both text forms
+    - ExperimentConfig's fields are the key table: every key has a meaning,
+      and the echo keeps their order and round-trips in every data mode
     - the synthetic generator is seed-deterministic with shared class means
       across splits
     - metrics reproduce hand values and their defining invariants
@@ -14,6 +16,7 @@ Core claims:
     - every writer replaces its file atomically
 """
 
+import dataclasses
 import os
 import tracemalloc
 
@@ -287,7 +290,7 @@ def test_config_defaults_and_parse(tmp_path):
     assert cfg.pipeline == "repoint" and cfg.eta == 1.0
     assert cfg.d_rp_multiplier == 12 and cfg.activation == "relu"
     assert cfg.schedule.num_phases == 3
-    assert cfg.synth.classes == 6 and cfg.synth.test_per_class == 40
+    assert cfg.synth_classes == 6 and cfg.synth_test_per_class == 40
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -353,11 +356,75 @@ def test_config_explicit_width_and_activation(tmp_path):
     assert ex.train_features.shape == (30, 50)
 
 
+def _write_modality_files(tmp_path):
+    # point and mesh rows of 4 classes; both modalities share the label files
+    for modality, streams in (("point", (0, 1)), ("mesh", (2, 3))):
+        for split, stream in zip(("train", "test"), streams):
+            feats, labels = ch.synth_dataset(4, 5, 3, 10.0, seed=4, stream=stream)
+            ch.save_features(tmp_path / f"{modality}_{split}.fmat", feats)
+            ch.save_labels(tmp_path / f"{split}.labl", labels)
+
+
+_FILE_KEYS = (
+    "features_train = point_train.fmat\nlabels_train = train.labl\n"
+    "features_test = point_test.fmat\nlabels_test = test.labl\n"
+)
+_REFU_FILE_KEYS = (
+    "point_features_train = point_train.fmat\npoint_features_test = point_test.fmat\n"
+    "mesh_features_train = mesh_train.fmat\nmesh_features_test = mesh_test.fmat\n"
+    "labels_train = train.labl\nlabels_test = test.labl\n"
+)
+_ECHO_CONFIGS = {
+    "synth-refu": "pipeline = refu\nschedule = 6/3\nsynth_classes = 6\nsynth_per_class = 5\n"
+    "synth_dim = 3\nd_rp = 40\nschedule_shuffle_seed = 3\n",
+    "file-repoint": "schedule = 4/2\n" + _FILE_KEYS,
+    "file-repoint-unused-key": "schedule = 4/2\n" + _FILE_KEYS + "point_features_train = x\n",
+    "file-refu": "pipeline = refu\nschedule = 4/2\n" + _REFU_FILE_KEYS,
+}
+
+
 def test_config_echo_roundtrip(tmp_path):
-    cfg = ch.load_config(_write_config(tmp_path, out="res.txt"))
-    echo = tmp_path / "echo.cfg"
-    echo.write_text(ch.config_to_text(cfg))
-    assert ch.load_config(echo) == cfg
+    _write_modality_files(tmp_path)
+    paths = {"synth": _write_config(tmp_path, out="res.txt")}
+    for name, text in _ECHO_CONFIGS.items():
+        paths[name] = tmp_path / f"{name}.cfg"
+        paths[name].write_text(text + "out = res.txt\n")
+    for name, path in paths.items():
+        cfg = ch.load_config(path)
+        text = ch.config_to_text(cfg)
+        (tmp_path / "echo.cfg").write_text(text)
+        assert ch.load_config(tmp_path / "echo.cfg") == cfg, name
+        # a key the data source does not read is not kept, so it is not echoed
+        assert ("point_features_train" in text) == (name == "file-refu"), name
+
+
+def test_config_echo_golden_bytes(tmp_path):
+    # pins the table's key order: moving a field changes these bytes
+    _write_modality_files(tmp_path)
+    synth = _write_config(tmp_path, d_rp=40, schedule_shuffle_seed=3, out="res.txt")
+    assert ch.config_to_text(ch.load_config(synth)) == (
+        "pipeline = repoint\neta = 1.0\nd_rp_multiplier = 12\nrp_seed = 0\n"
+        "activation = relu\nrilm_path = auto\nschedule = 2,5|1,4|0,3\nd_rp = 40\n"
+        "synth_classes = 6\nsynth_per_class = 60\nsynth_test_per_class = 40\n"
+        f"synth_dim = 16\nsynth_separation = 10.0\nsynth_seed = 7\nout = {tmp_path}/res.txt\n"
+    )
+    refu = tmp_path / "refu.cfg"
+    refu.write_text("pipeline = refu\nschedule = 4/2\neta = 1e-3\n" + _REFU_FILE_KEYS)
+    assert ch.config_to_text(ch.load_config(refu)) == (
+        "pipeline = refu\neta = 0.001\nd_rp_multiplier = 12\nrp_seed = 0\n"
+        "activation = relu\nrilm_path = auto\nschedule = 0,1|2,3\n"
+        f"labels_test = {tmp_path}/test.labl\nlabels_train = {tmp_path}/train.labl\n"
+        f"mesh_features_test = {tmp_path}/mesh_test.fmat\n"
+        f"mesh_features_train = {tmp_path}/mesh_train.fmat\n"
+        f"point_features_test = {tmp_path}/point_test.fmat\n"
+        f"point_features_train = {tmp_path}/point_train.fmat\nfusion_seed = 0\n"
+    )
+
+
+def test_every_config_key_has_a_meaning():
+    keys = dataclasses.fields(ch.ExperimentConfig)
+    assert len(keys) == 25
+    assert all(key.metadata["meaning"].strip() for key in keys)
 
 
 # -- pipelines ---------------------------------------------------------------------

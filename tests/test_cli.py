@@ -198,7 +198,7 @@ def test_run_seed_and_phases_overrides(tmp_path, capsys):
         "run", "--config", str(cfg), "--out", str(out), "--seed", "11", "--phases", "2",
     ]) == 0
     echoed = ch.load_config(tmp_path / "res.cfg")
-    assert echoed.rp_seed == 11 and echoed.synth.seed == 11
+    assert echoed.rp_seed == 11 and echoed.synth_seed == 11
     assert echoed.schedule.num_phases == 2
 
 
@@ -327,6 +327,26 @@ def test_run_projection_overflow_in_last_phase_exits_1(tmp_path, capsys, monkeyp
     with pytest.raises(ValidationError):
         ch.run_pipeline(ch.load_config(cfg))
     assert scored == [0]
+
+
+def test_run_woodbury_block_asymmetry_exits_2(tmp_path, capsys):
+    # at eta 1e-6 the block system g fᵀ + I of gen's seed 9 data (d_rp 84,
+    # 80-row phases) is asymmetric beyond SYMMETRY_RTOL by rounding alone:
+    # a numerical failure, not bad input, and the run writes nothing
+    prefix = tmp_path / "h"
+    assert cli.main(["gen", "--dim", "6", "--seed", "9", "--out", str(prefix)]) == 0
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(
+        "pipeline = repoint\nschedule = 6/3\neta = 1e-6\nout = res.txt\n"
+        "features_train = h_train.fmat\nlabels_train = h_train.labl\n"
+        "features_test = h_test.fmat\nlabels_test = h_test.labl\n"
+    )
+    inputs = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg), "--d-rp-mult", "14"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ") and not captured.out
+    assert sorted(os.listdir(tmp_path)) == inputs
 
 
 @pytest.mark.parametrize("path", ["woodbury", "direct"])

@@ -2,7 +2,6 @@
 
 Core claims:
     - spd_solve achieves residual <= 1e-10 relative for condition <= 1e6
-    - spd_inverse reconstructs the identity to 1e-9 and stays symmetric
     - spd_half_solve solves against the Cholesky factor with spd_solve's checks
     - cholesky_lower reports the exact failing pivot on non-PD input
     - the SPD operations copy their matrix only when it is not exactly
@@ -111,21 +110,6 @@ def test_exactly_symmetric_operand_is_not_copied(op):
     assert peak < 1.25 * a.nbytes
 
 
-def test_spd_inverse_identity_cases():
-    assert np.array_equal(dl.spd_inverse(np.eye(4)), np.eye(4))
-    assert np.allclose(dl.spd_inverse(2.0 * np.eye(2)), 0.5 * np.eye(2))
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_spd_inverse_reconstruction(seed):
-    gen = _rng(200 + seed)
-    g = gen.standard_normal((9, 9))
-    a = g.T @ g + np.eye(9)
-    inv = dl.spd_inverse(a)
-    assert np.linalg.norm(inv @ a - np.eye(9)) <= 1e-9 * np.linalg.norm(np.eye(9))
-    assert np.abs(inv - inv.T).max() <= 1e-10
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_spd_half_solve_matches_cholesky_solve(seed):
     gen = _rng(300 + seed)
@@ -177,7 +161,6 @@ def test_non_pd_pivot_index_at_blocked_size():
         lambda: dl.cholesky_lower(a),
         lambda: dl.spd_solve(a, np.eye(n)),
         lambda: dl.spd_half_solve(a, np.eye(n)),
-        lambda: dl.spd_inverse(a),
     ):
         with pytest.raises(NotPositiveDefiniteError) as info:
             op()
@@ -195,7 +178,6 @@ def test_cholesky_reconstructs():
 
 def test_zero_size_matrices_supported():
     assert dl.spd_solve(dl.identity(0), dl.zeros(0, 3)).shape == (0, 3)
-    assert dl.spd_inverse(dl.identity(0)).shape == (0, 0)
     assert dl.spd_half_solve(dl.identity(0), dl.zeros(0, 3)).shape == (0, 3)
 
 
@@ -209,7 +191,6 @@ def test_ops_reject_non_finite(bad):
     for op in (
         lambda: dl.spd_solve(clean, poisoned),
         lambda: dl.spd_half_solve(clean, poisoned),
-        lambda: dl.spd_inverse(poisoned),
     ):
         with pytest.raises(ValidationError):
             op()
@@ -219,6 +200,5 @@ def test_ops_do_not_mutate_inputs():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     before = a.copy()
     dl.spd_solve(a, np.eye(2))
-    dl.spd_inverse(a)
     dl.spd_half_solve(a, np.eye(2))
     assert np.array_equal(a, before)

@@ -3,6 +3,7 @@
 Core claims:
     - every name in ``recridge.__all__`` resolves and is listed once
     - the README's library example runs as written
+    - every module is named in the package docstring and the README layout
 """
 
 import pathlib
@@ -27,3 +28,11 @@ def test_readme_library_example_runs():
     exec(compile(code, f"{README}:Library", "exec"), namespace)
     assert namespace["labels"].shape == (5,)
     assert set(namespace["labels"].tolist()) <= {0, 1, 2, 3}
+
+
+def test_every_module_is_documented():
+    layout = README.read_text(encoding="utf-8").split("\n## Layout\n", 1)[1]
+    src = pathlib.Path(recridge.__file__).parent
+    for module in sorted(p.stem for p in src.glob("*.py") if not p.stem.startswith("_")):
+        assert f"``{module}``" in recridge.__doc__, module
+        assert f"{module}.py" in layout, module
