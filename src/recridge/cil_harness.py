@@ -106,17 +106,13 @@ def even_schedule(total_classes: int, n_phases: int) -> PhaseSchedule:
     return PhaseSchedule(total_classes=total_classes, phases=tuple(phases))
 
 
-def shuffled_schedule(total_classes: int, n_phases: int, seed: int) -> PhaseSchedule:
-    """Even split of a seeded permutation of the class ids (ids sorted per phase)."""
-    even = even_schedule(total_classes, n_phases)
-    perm = np.random.Generator(np.random.PCG64(seed)).permutation(total_classes)
-    phases = []
-    start = 0
-    for ph in even.phases:
-        chunk = sorted(int(c) for c in perm[start : start + len(ph)])
-        phases.append(tuple(chunk))
-        start += len(ph)
-    return PhaseSchedule(total_classes=total_classes, phases=tuple(phases))
+def shuffled_schedule(schedule: PhaseSchedule, seed: int) -> PhaseSchedule:
+    """A seeded permutation of the class ids, cut at ``schedule``'s phase
+    sizes (ids sorted per phase)."""
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(schedule.total_classes)
+    cuts = np.cumsum([len(ph) for ph in schedule.phases[:-1]])
+    phases = tuple(tuple(sorted(int(c) for c in chunk)) for chunk in np.split(perm, cuts))
+    return PhaseSchedule(total_classes=schedule.total_classes, phases=phases)
 
 
 def parse_schedule(text: str) -> PhaseSchedule:
@@ -326,8 +322,7 @@ def build_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     # Folded into the schedule, so the echo does not shuffle it again.
     shuffle_seed = values.pop("schedule_shuffle_seed")
     if shuffle_seed is not None:
-        s = values["schedule"]
-        values["schedule"] = shuffled_schedule(s.total_classes, s.num_phases, shuffle_seed)
+        values["schedule"] = shuffled_schedule(values["schedule"], shuffle_seed)
     schedule = values["schedule"]
 
     all_files = _SINGLE_FILE_KEYS + _REFU_FILE_KEYS
@@ -411,10 +406,10 @@ class Experiment:
     Training rows are kept at input width and projected one phase at a
     time by ``phase_dataset``, since each is used in exactly one phase. So
     a run holds the raw rows, the projected test rows, one phase's
-    projected rows, the learner's state (two d x d ``r`` and one scratch
-    panel of at most 128 x d during a Woodbury update, however tall the
-    phase) and one block of scores, never the whole projected training
-    matrix.
+    projected rows, the learner's state (one d x d ``r``, updated in place,
+    and one scratch panel of at most 128 x d during a Woodbury update,
+    however tall the phase) and one block of scores, never the whole
+    projected training matrix.
     """
 
     config: ExperimentConfig
@@ -578,15 +573,14 @@ def run_phases(ex: Experiment, naive: bool = False):
     accs = []
     for k, ids in enumerate(ex.schedule.phases):
         if naive and k:
-            state = rilm.empty_state(d, state.eta, state.class_ids)
-        # The new r is allocated first, so it takes the place of the r the
-        # last phase freed before the phase's smaller arrays can split it:
-        # the heap then holds two d x d arrays, not three.
-        r_new = np.empty((d, d))
+            # the old r is released before the new one is made
+            eta, seen, state = state.eta, state.class_ids, None
+            state = rilm.empty_state(d, eta, seen)
         state = rilm.expand_classes(state, ids)
-        # The phase's projected rows are not kept past its update.
+        # The phase's projected rows are not kept past its update, and r is
+        # updated in place: the run holds one d x d memory matrix.
         state = rilm.rilm_update(
-            state, phase_dataset(ex, k), path=ex.config.rilm_path, out=r_new
+            state, phase_dataset(ex, k), path=ex.config.rilm_path, out=state.r
         )
         accs.append(evaluate_accuracy(state, ex, k))
     return compute_metrics(accs), state

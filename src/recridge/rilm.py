@@ -33,17 +33,18 @@ solve (m = n) takes 0.11 to 0.13 s at n = 1000.
 Each Woodbury block ends with r − Vᵀ V for an m x d V. It is formed in
 panels of 128 rows: below and on the diagonal by matrix products and a
 ``syrk`` per 128 x 128 diagonal block, m d² flops in all, then copied to
-the mirror entries above the diagonal. The first block writes into the
-new r, the later ones update it in place through one 128 x d scratch
-panel, so an update of any height holds no d x d array but the old and
-the new r. On the same host (medians of 30 or 40, three runs) one such
-downdate took 12 to 14 ms against 20 to 27 ms for numpy's whole-matrix
-r − Vᵀ V at d = 1536, m = 200, and 3.0 to 3.4 against 3.5 to 4.9 ms at
-d = 768, m = 192: numpy mirrors the triangle its ``syrk`` computes with a
-scalar, strided loop over all of d x d. Panels of 64 and 256 rows were
-slower than 128 at both sizes.
+the mirror entries above the diagonal. Every block updates r in place
+through one 128 x d scratch panel, so an update of any height holds no
+d x d array but r (and a copy if the old r is kept). On the same host
+(medians of 30 or 40, three runs) one downdate took 12 to 14 ms against
+20 to 27 ms for numpy's whole-matrix r − Vᵀ V at d = 1536, m = 200, and
+3.0 to 3.4 against 3.5 to 4.9 ms at d = 768, m = 192: numpy mirrors the
+triangle its ``syrk`` computes with a scalar, strided loop over all of
+d x d. Panels of 64 and 256 rows were slower than 128 at both sizes.
 
-States are immutable values; every operation returns a new state.
+States are immutable values; every operation returns a new state, except
+that ``update_r`` and ``rilm_update`` with ``out=state.r`` overwrite the
+old memory and consume the state: a run holds one d x d memory matrix.
 
 ``r`` is exactly symmetric in every state: the empty state's ``I/eta`` is,
 both update paths return an exactly symmetric matrix from an exactly
@@ -236,9 +237,11 @@ def empty_state(d_rp: int, eta: float = DEFAULT_ETA, class_ids=()) -> RilmState:
     if d_rp < 1:
         raise ValidationError(f"d_rp must be >= 1, got {d_rp}")
     eta = _check_eta(eta)
+    r = identity(d_rp)
+    r /= eta
     return RilmState(
         weights=zeros(d_rp, len(class_ids)),
-        r=identity(d_rp) / eta,
+        r=r,
         eta=eta,
         phase=0,
         class_ids=class_ids,
@@ -272,11 +275,10 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
     The woodbury path never touches a d x d system. It takes the rows in
     consecutive blocks f_b of at most max(1, d // 4) rows; per block, with
     g = f_b r and L the Cholesky factor of g f_bᵀ + I, it subtracts the
-    correction Vᵀ V, V = L⁻¹ g. r − Vᵀ V is formed in panels of 128 rows
-    of its lower triangle and copied to the upper one, so it is exactly
-    symmetric when r is; the first block writes it into the result, later
-    blocks update the result in place through one 128 x d scratch panel.
-    A phase of at most d // 4 rows is one block. A block system that rounding
+    correction Vᵀ V, V = L⁻¹ g. r − Vᵀ V is formed in place, in panels of
+    128 rows of its lower triangle copied to the upper one, so it is
+    exactly symmetric when r is. A phase of at most d // 4 rows is one
+    block. A block system that rounding
     leaves outside spd_half_solve's checks (at small eta, asymmetric beyond
     SYMMETRY_RTOL) raises NumericalError. The direct path factors r = L Lᵀ,
     sets h = f L and returns Vᵀ V for V = K⁻¹ Lᵀ, K the Cholesky factor of
@@ -285,8 +287,9 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
     accuracy with every phase at small eta. ``auto`` takes Woodbury unless
     n >= d and eta < 1e-4, where the direct path is the more accurate (see
     the module docstring). The result is written to ``out`` when it is
-    given, a d x d float64 C-order array apart from ``state.r``, which is
-    never written.
+    given: ``state.r`` itself, updated in place (a failure partway leaves
+    it partly updated), or a d x d float64 C-order array apart from it, in
+    which case ``state.r`` is not written.
     """
     path = _check_path(path)
     f = as_matrix(f_rp, "f_rp")
@@ -296,10 +299,10 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
     if out is not None and (
         out.shape != (d, d)
         or out.dtype != np.float64
-        or not out.flags.c_contiguous
-        or np.may_share_memory(out, state.r)
+        or not (out.flags.c_contiguous and out.flags.writeable)
+        or (out is not state.r and np.may_share_memory(out, state.r))
     ):
-        raise ShapeError(f"out must be a {d} x {d} float64 C-order array apart from state.r")
+        raise ShapeError(f"out must be state.r or a separate writable {d} x {d} float64 C array")
     if n == 0:
         # no data means no Gram contribution; keep the memory bit-identical
         return np.positive(state.r, out=out)
@@ -315,41 +318,42 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
         v = spd_half_solve(inner, low_t)
         del inner, low_t
         return np.matmul(v.T, v, out=out)
-    r, out = state.r, np.empty((d, d)) if out is None else out
+    if out is None:
+        out = state.r.copy()
+    elif out is not state.r:
+        np.copyto(out, state.r)
     block = max(1, d // 4)
     for start in range(0, n, block):
         fb = f[start : start + block]
-        g = fb @ r
+        g = fb @ out
         try:
             v = spd_half_solve(g @ fb.T + identity(fb.shape[0]), g)
         except ValidationError as exc:
             raise NumericalError(f"woodbury block: {exc}") from exc
-        r = _downdate(r, v, out)
-    return r
+        _downdate(out, v)
+        del g, v  # freed before the next block's are formed
+    return out
 
 
-def _downdate(r, v, out):
-    """Write r − vᵀv into ``out`` in panels of rows; ``r`` may be ``out``.
+def _downdate(r, v):
+    """Overwrite ``r`` with r − vᵀv, in panels of rows.
 
     For the rows s:e of each panel, the block left of the diagonal is one
     matrix product and the diagonal block one ``syrk`` of numpy's, which is
-    exactly symmetric; the block left of the diagonal is then copied to its
-    mirror above it. The two ranges are disjoint by bounds, so numpy makes
-    no temporary for the copy. Each panel reads only its own rows of ``r``
-    and writes those rows and, above them, rows that earlier panels have
-    already read, so the update can run in place; it then forms the
-    products in one scratch panel.
+    exactly symmetric; both are formed in one scratch panel and subtracted,
+    then the block left of the diagonal is copied to its mirror above it,
+    with no temporary as the ranges are disjoint. Each panel reads only its
+    own rows of ``r`` and writes those and rows earlier panels have read.
     """
     d = r.shape[0]
-    panel = None if r is not out else np.empty((min(_DOWNDATE_PANEL_ROWS, d), d))
+    panel = np.empty((min(_DOWNDATE_PANEL_ROWS, d), d))
     for s in range(0, d, _DOWNDATE_PANEL_ROWS):
         e = min(s + _DOWNDATE_PANEL_ROWS, d)
-        rows = out[s:e, :e] if panel is None else panel[: e - s, :e]
+        rows = panel[: e - s, :e]
         np.matmul(v[:, s:e].T, v[:, :s], out=rows[:, :s])
         np.matmul(v[:, s:e].T, v[:, s:e], out=rows[:, s:])
-        np.subtract(r[s:e, :e], rows, out=out[s:e, :e])
-        out[:s, s:e] = out[s:e, :s].T
-    return out
+        r[s:e, :e] -= rows
+        r[:s, s:e] = r[s:e, :s].T
 
 
 def rilm_update(
@@ -366,7 +370,7 @@ def rilm_update(
     which reproduces the joint ridge solution over everything seen so far.
     Nothing from the phase is retained beyond the refreshed summaries, and
     an empty phase is an exact no-op. ``out`` receives the new ``r`` as in
-    ``update_r``.
+    ``update_r``; with ``out=state.r`` the passed state is consumed.
     """
     path = _check_path(path)
     f = phase.features

@@ -2,7 +2,8 @@
 
 Core claims:
     - FMAT/LABL files round-trip bit-exactly and fail with line numbers
-    - schedules partition the class range and parse from both text forms
+    - schedules partition the class range and parse from both text forms;
+      a shuffle keeps the phase sizes
     - ExperimentConfig's fields are the key table: every key has a meaning,
       and the echo keeps their order and round-trips in every data mode
     - the synthetic generator is seed-deterministic with shared class means
@@ -12,6 +13,7 @@ Core claims:
       forgets; runs are byte-deterministic and states stay sample-size-free
     - training rows are projected one phase at a time, bit-equal to one
       projection of them all, so a run never holds the projected matrix
+    - a run, naive or not, holds one d x d memory matrix, updated in place
     - evaluation scores the projected test rows without checking them again
     - every writer replaces its file atomically
 """
@@ -168,11 +170,21 @@ def test_even_schedule_rejects_empty_phases():
 
 
 def test_shuffled_schedule_valid_and_deterministic():
-    a = ch.shuffled_schedule(10, 4, seed=3)
-    b = ch.shuffled_schedule(10, 4, seed=3)
+    even = ch.even_schedule(10, 4)
+    a = ch.shuffled_schedule(even, seed=3)
+    b = ch.shuffled_schedule(even, seed=3)
     assert a == b
     assert sorted(c for ph in a.phases for c in ph) == list(range(10))
-    assert a != ch.shuffled_schedule(10, 4, seed=4)
+    assert a != ch.shuffled_schedule(even, seed=4)
+
+
+def test_schedule_shuffle_keeps_explicit_phase_sizes():
+    raw = {"schedule": "0,1|2,3,4,5", "schedule_shuffle_seed": "3", "synth_classes": "6",
+           "synth_per_class": "5", "synth_dim": "3"}
+    perm = [int(c) for c in np.random.Generator(np.random.PCG64(3)).permutation(6)]
+    assert ch.build_config(raw).schedule.phases == (
+        tuple(sorted(perm[:2])), tuple(sorted(perm[2:]))
+    )
 
 
 def test_parse_schedule_forms():
@@ -637,6 +649,37 @@ def test_run_memory_stays_below_projected_training_matrix(tmp_path):
         tracemalloc.stop()
     assert len(report.per_phase_acc) == 5
     assert peak < 4000 * 192 * 8
+
+
+@pytest.mark.parametrize("naive", [False, True], ids=["recursive", "naive"])
+def test_run_phases_holds_one_memory_matrix(tmp_path, monkeypatch, naive):
+    # d_rp 512, 200-row phases: r is updated in place, so the peak is r plus
+    # one phase's rows and Woodbury blocks; a second d x d r would read 3.2.
+    # A naive restart makes its I/eta after the old r is released.
+    cfg = ch.load_config(
+        _write_config(
+            tmp_path, schedule="10/5", synth_classes=10, synth_per_class=100,
+            synth_test_per_class=20, d_rp=512,
+        )
+    )
+    ex = ch.prepare_experiment(cfg)
+    held = []
+    empty_state = rilm.empty_state
+
+    def spy(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return empty_state(*args)
+
+    monkeypatch.setattr(rilm, "empty_state", spy)
+    tracemalloc.start()
+    try:
+        ch.run_phases(ex, naive=naive)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(held) == (5 if naive else 1)
+    assert max(held) < 0.5 * 512 * 512 * 8
+    assert peak < 2.5 * 512 * 512 * 8
 
 
 def test_evaluation_does_not_rescan_test_rows(tmp_path, monkeypatch):

@@ -209,7 +209,7 @@ def test_run_phases_override_keeps_schedule_shuffle(tmp_path, capsys):
     assert "schedule = 1,4|2,3|0,5\n" in (tmp_path / "res.cfg").read_text()
     assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--phases", "2"]) == 0
     echoed = ch.load_config(tmp_path / "res.cfg")
-    assert echoed.schedule == ch.shuffled_schedule(6, 2, 5)
+    assert echoed.schedule == ch.shuffled_schedule(ch.even_schedule(6, 2), 5)
     assert echoed.schedule != ch.even_schedule(6, 2)
     capsys.readouterr()
     assert cli.main(["run", "--config", str(cfg), "--phases", "9"]) == 1

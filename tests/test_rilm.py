@@ -13,6 +13,8 @@ Core claims:
       joint fit
     - the Woodbury downdate is exactly symmetric at every 128-row panel
       edge and, with the result in ``out``, holds no d x d temporary
+    - an update into ``out=state.r`` equals the out-of-place one bit for
+      bit; any other ``out`` overlapping ``state.r`` is rejected
     - the state constructor rejects an asymmetric r without a d x d
       temporary, and states derived from a validated one skip its scans
     - prediction uses the global id table with lowest-id tie-breaking and
@@ -262,12 +264,13 @@ def test_direct_update_holds_four_d_by_d_arrays():
 
 def test_woodbury_update_holds_no_third_d_by_d_array():
     # d = 768, n = 1000: six blocks of at most 192 rows; with the result in
-    # out, the blocks' m x d products and one 128 x d panel, no d x d array
+    # out, one block's m x d products and one 128 x d panel, no d x d array
+    # (0.71 d x d; 0.96 when a block's products lived into the next block)
     d = 768
     state = _spd_state(d, seed=17)
     f = _rng(18).standard_normal((1000, d))
     peak = _peak_bytes(rilm.update_r, state, f, "woodbury", np.empty((d, d)))
-    assert peak < 1.5 * state.r.nbytes
+    assert peak < 0.85 * state.r.nbytes
 
 
 def test_load_state_makes_no_d_by_d_temporary(tmp_path, monkeypatch):
@@ -424,16 +427,46 @@ def test_update_r_writes_into_out(path, n):
 
 def test_update_r_rejects_bad_out():
     state = rilm.empty_state(4)
+    read_only = np.empty((4, 4))
+    read_only.setflags(write=False)
     bad = (
         np.empty((4, 3)),
         np.empty((4, 4), dtype=np.float32),
         np.empty((4, 8))[:, ::2],
-        state.r,
-        state.r[:, ::-1],
+        read_only,
     )
     for out in bad:
         with pytest.raises(ShapeError):
             rilm.update_r(state, np.ones((2, 4)), out=out)
+
+
+def test_update_r_rejects_out_overlapping_r():
+    # only state.r itself may be updated in place; a view of it, reversed
+    # or whole, or an array that overlaps it in part is rejected unwritten
+    buf = np.concatenate([np.eye(4).ravel(), np.zeros(4)])
+    state = rilm.RilmState(zeros(4, 0), buf[:16].reshape(4, 4), 1.0, 0, ())
+    before = buf.copy()
+    for out in (state.r[:, ::-1], state.r[:], buf[4:20].reshape(4, 4)):
+        for path in rilm.UPDATE_PATHS:
+            with pytest.raises(ShapeError):
+                rilm.update_r(state, np.ones((2, 4)), path=path, out=out)
+    assert np.array_equal(buf, before)
+
+
+@pytest.mark.parametrize("path", ["woodbury", "direct"])
+@pytest.mark.parametrize(
+    "d, n", [(40, 0), (40, 10), (40, 35), (200, 130)],
+    ids=["empty", "one_block", "several_blocks", "d_not_panel_multiple"],
+)
+def test_update_r_in_place_matches_out_of_place(path, d, n):
+    state = _spd_state(d, seed=21)
+    f = _rng(22).standard_normal((n, d))
+    expected = rilm.update_r(state, f, path)
+    into = np.empty((d, d))
+    assert rilm.update_r(state, f, path, out=into) is into
+    assert rilm.update_r(state, f, path, out=state.r) is state.r
+    assert np.array_equal(into, expected)
+    assert np.array_equal(state.r, expected)
 
 
 def test_update_r_rejects_bad_width_and_path():
