@@ -11,13 +11,15 @@ on the test rows of every class seen so far, and reports:
 * their mean over all phases,
 * the retention drop, first-phase accuracy minus final-phase accuracy.
 
-Every phase, the first included, is one recursive update on the path that
-``rilm_path`` names. The naive sequential baseline runs the same loop but
-restarts each phase from the empty state, keeping only the seen classes,
-so each fit sees the current phase's rows alone and the old classes'
-weights are overwritten: it exhibits catastrophic forgetting next to the
-recursive learner. Runs are single-threaded and deterministic: the same
-config and seeds produce byte-identical result files.
+Every phase, the first included, is one recursive update on the path
+that ``update_r``'s ``auto`` picks from the phase's shape and eta. The
+naive sequential baseline runs the same loop but restarts each phase from
+the empty state, keeping only the seen classes, so each fit sees the
+current phase's rows alone and the old classes' weights are overwritten:
+it exhibits catastrophic forgetting next to the recursive learner. Runs
+are single-threaded and deterministic: the same config and seeds produce
+byte-identical result files. Once a run succeeds, ``out`` names its
+result file, and its ``.csv`` mirror and ``.cfg`` config echo beside it.
 
 The fields of ``ExperimentConfig`` are the config key reference: each
 key's kind, default and meaning. Exactly one data source (synthetic or
@@ -241,7 +243,6 @@ class ExperimentConfig:
     d_rp_multiplier: int = _key("expansion factor when d_rp is unset", int, 12)
     rp_seed: int = _key("projection layer seed", int, 0)
     activation: str = _key("projection nonlinearity", ACTIVATIONS, "relu")
-    rilm_path: str = _key("update path of every phase", rilm.UPDATE_PATHS, "auto")
     schedule: PhaseSchedule = _key('"<classes>/<phases>" or "0,1|2,3"', parse_schedule, MISSING)
     schedule_shuffle_seed: int | None = _key("shuffles classes between phases", int)
     d_rp: int | None = _key("explicit expanded width", int)
@@ -563,10 +564,10 @@ def run_phases(ex: Experiment, naive: bool = False):
     """Fit the schedule's phases in order, scoring each on the seen classes.
 
     Every phase, the first included, registers its classes and is one
-    ``rilm_update`` on the configured ``rilm_path``, starting from the
-    empty state. With ``naive``, each phase after the first restarts from
-    an empty state that keeps only the seen classes, so it is fitted to
-    its own rows alone. Returns (MetricsReport, final state).
+    ``rilm_update`` on the ``auto`` path, starting from the empty state.
+    With ``naive``, each phase after the first restarts from an empty
+    state that keeps only the seen classes, so it is fitted to its own rows
+    alone. Returns (MetricsReport, final state).
     """
     d = ex.layer.output_dim
     state = rilm.empty_state(d, ex.config.eta)
@@ -579,9 +580,7 @@ def run_phases(ex: Experiment, naive: bool = False):
         state = rilm.expand_classes(state, ids)
         # The phase's projected rows are not kept past its update, and r is
         # updated in place: the run holds one d x d memory matrix.
-        state = rilm.rilm_update(
-            state, phase_dataset(ex, k), path=ex.config.rilm_path, out=state.r
-        )
+        state = rilm.rilm_update(state, phase_dataset(ex, k), out=state.r)
         accs.append(evaluate_accuracy(state, ex, k))
     return compute_metrics(accs), state
 
@@ -680,20 +679,16 @@ def save_result_csv(path, report: MetricsReport, seen_counts) -> None:
             fh.write(f"{i},{k},{acc!r}\n")
 
 
-def csv_sibling(out_path: str) -> str:
-    root, _ = os.path.splitext(out_path)
-    return root + ".csv"
-
-
-def tagged_out(out_path: str, tag: str) -> str:
-    root, ext = os.path.splitext(out_path)
-    return f"{root}.{tag}{ext}"
-
-
 def _persist(config: ExperimentConfig, ex: Experiment, report: MetricsReport, tag="") -> None:
+    """Write the result file ``out``, then ``<root>.csv`` and ``<root>.cfg``
+    beside it; a tag goes before the extension of all three."""
     if config.out is None:
         return
-    out = tagged_out(config.out, tag) if tag else config.out
+    root, ext = os.path.splitext(config.out)
+    if tag:
+        root += "." + tag
     counts = seen_class_counts(ex.schedule)
-    save_result(out, report, counts)
-    save_result_csv(csv_sibling(out), report, counts)
+    save_result(root + ext, report, counts)
+    save_result_csv(root + ".csv", report, counts)
+    with fmat.atomic_writer(root + ".cfg") as fh:
+        fh.write(config_to_text(config))

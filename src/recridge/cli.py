@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import cil_harness as harness
-from . import fmat, fusion, rilm
+from . import fusion, rilm
 from .errors import NumericalError, RecridgeError
 
 VERIFY_TOL = 1e-8
@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--phases", type=int, help="re-split the schedule into this many phases")
     run.add_argument("--pipeline", choices=harness.PIPELINES)
     run.add_argument("--out")
-    _add_path_flags(run)
     run.add_argument("--naive", action="store_true", help="run the naive sequential baseline")
 
     verify = sub.add_parser("verify", help="recursion vs joint fit equivalence check")
@@ -72,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--d-rp", type=int, default=64)
     verify.add_argument("--min-samples", type=int, default=30)
     verify.add_argument("--max-samples", type=int, default=80)
-    _add_path_flags(verify)
 
     grad = sub.add_parser("gradcheck", help="fusion finite-difference gradient check")
     grad.add_argument("--seed", type=int, default=0)
@@ -85,20 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("result_file")
 
     return parser
-
-
-def _add_path_flags(sub) -> None:
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--force-woodbury", action="store_true")
-    group.add_argument("--force-direct", action="store_true")
-
-
-def _forced_path(ns: argparse.Namespace) -> str | None:
-    if ns.force_woodbury:
-        return "woodbury"
-    if ns.force_direct:
-        return "direct"
-    return None
 
 
 def _cmd_gen(ns: argparse.Namespace) -> int:
@@ -127,7 +111,6 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         "synth_seed": ns.seed,
         "pipeline": ns.pipeline,
         "out": None if ns.out is None else os.path.abspath(ns.out),
-        "rilm_path": _forced_path(ns),
     }
     overrides = {key: value for key, value in flags.items() if value is not None}
     config = harness.load_config(ns.config, overrides=overrides)
@@ -137,12 +120,6 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         overrides["schedule"] = f"{config.schedule.total_classes}/{ns.phases}"
         config = harness.load_config(ns.config, overrides=overrides)
     report = harness.run_pipeline(config, naive=ns.naive)
-    # Echo the effective config only once the run has succeeded, so a failed
-    # run leaves no output behind.
-    if config.out is not None:
-        root, _ = os.path.splitext(config.out)
-        with fmat.atomic_writer(root + ".cfg") as fh:
-            fh.write(harness.config_to_text(config))
     counts = harness.seen_class_counts(config.schedule)
     print("\n".join(harness.result_lines(report, counts)))
     return 0
@@ -155,9 +132,8 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         d_rp=ns.d_rp,
         samples_range=(ns.min_samples, ns.max_samples),
     )
-    forced = _forced_path(ns)
-    paths = (forced,) if forced else ("woodbury", "direct")
-    errs = {path: rilm.recursive_vs_batch_error(phases, ns.eta, path) for path in paths}
+    # Each path is checked against the joint fit, so each is the other's check.
+    errs = {p: rilm.recursive_vs_batch_error(phases, ns.eta, p) for p in ("woodbury", "direct")}
     err = max(errs.values())
     print(f"max_rel_error={err!r} " + " ".join(f"{p}={e!r}" for p, e in errs.items()))
     if err > VERIFY_TOL:

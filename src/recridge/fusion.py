@@ -85,16 +85,16 @@ class FusionGradients:
     classifier_b: Matrix
 
 
-def fusion_init(d: int, classes: int, seed: int = 0, scale: float = 1.0) -> FusionParams:
+def fusion_init(d: int, classes: int, seed: int = 0) -> FusionParams:
     """Seeded Gaussian initialization, fan-in scaled."""
     if d < 1 or classes < 1:
         raise ValidationError(f"dims must be >= 1, got d={d}, classes={classes}")
     gen = np.random.Generator(np.random.PCG64(seed))
     return FusionParams(
-        w_p=scale * gen.standard_normal((d, d)) / np.sqrt(d),
-        w_m=scale * gen.standard_normal((d, d)) / np.sqrt(d),
-        classifier_w=scale * gen.standard_normal((2 * d, classes)) / np.sqrt(2 * d),
-        classifier_b=scale * gen.standard_normal((1, classes)),
+        w_p=gen.standard_normal((d, d)) / np.sqrt(d),
+        w_m=gen.standard_normal((d, d)) / np.sqrt(d),
+        classifier_w=gen.standard_normal((2 * d, classes)) / np.sqrt(2 * d),
+        classifier_b=gen.standard_normal((1, classes)),
     )
 
 

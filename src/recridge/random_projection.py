@@ -37,14 +37,11 @@ def _check_activation(activation: str) -> str:
 
 @dataclass(frozen=True)
 class RpLayer:
-    """Immutable projection layer: weights, activation kind and provenance seed.
-
-    ``seed`` is None for layers built from explicit weights.
-    """
+    """Immutable projection layer: weights, activation kind and provenance seed."""
 
     w_rp: Matrix
     activation: str
-    seed: int | None
+    seed: int
     input_dim: int
     output_dim: int
 

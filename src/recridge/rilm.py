@@ -278,34 +278,29 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
     correction Vᵀ V, V = L⁻¹ g. r − Vᵀ V is formed in place, in panels of
     128 rows of its lower triangle copied to the upper one, so it is
     exactly symmetric when r is. A phase of at most d // 4 rows is one
-    block. A block system that rounding
-    leaves outside spd_half_solve's checks (at small eta, asymmetric beyond
-    SYMMETRY_RTOL) raises NumericalError. The direct path factors r = L Lᵀ,
-    sets h = f L and returns Vᵀ V for V = K⁻¹ Lᵀ, K the Cholesky factor of
-    I + hᵀh: that is (r⁻¹ + fᵀf)⁻¹, exactly symmetric the same way. r itself
-    is never inverted: rebuilding the Gram matrix from r that way lost
-    accuracy with every phase at small eta. ``auto`` takes Woodbury unless
-    n >= d and eta < 1e-4, where the direct path is the more accurate (see
-    the module docstring). The result is written to ``out`` when it is
-    given: ``state.r`` itself, updated in place (a failure partway leaves
-    it partly updated), or a d x d float64 C-order array apart from it, in
-    which case ``state.r`` is not written.
+    block. A block system that rounding leaves outside spd_half_solve's
+    checks (at small eta, asymmetric beyond SYMMETRY_RTOL) raises
+    NumericalError. The direct path factors r = L Lᵀ, sets h = f L and
+    returns Vᵀ V for V = K⁻¹ Lᵀ, K the Cholesky factor of I + hᵀh: that is
+    (r⁻¹ + fᵀf)⁻¹, exactly symmetric the same way. r itself is never
+    inverted: rebuilding the Gram matrix from r that way lost accuracy with
+    every phase at small eta. ``auto`` takes Woodbury unless n >= d and
+    eta < 1e-4, where the direct path is the more accurate (see the module
+    docstring). With ``out=None`` the result is a new array and ``state.r``
+    is left as it was; the only other ``out`` accepted is ``state.r``
+    itself, writable, which is then updated in place (a failure partway
+    leaves it partly updated).
     """
     path = _check_path(path)
     f = as_matrix(f_rp, "f_rp")
     n, d = f.shape
     if d != state.d_rp:
         raise ShapeError(f"f_rp has width {d}, state expects {state.d_rp}")
-    if out is not None and (
-        out.shape != (d, d)
-        or out.dtype != np.float64
-        or not (out.flags.c_contiguous and out.flags.writeable)
-        or (out is not state.r and np.may_share_memory(out, state.r))
-    ):
-        raise ShapeError(f"out must be state.r or a separate writable {d} x {d} float64 C array")
+    if out is not None and (out is not state.r or not out.flags.writeable):
+        raise ShapeError("out must be None or a writable state.r")
     if n == 0:
         # no data means no Gram contribution; keep the memory bit-identical
-        return np.positive(state.r, out=out)
+        return state.r.copy() if out is None else out
     if path == "auto":
         path = "direct" if n >= d and state.eta < _WOODBURY_MIN_ETA else "woodbury"
     if path == "direct":
@@ -320,8 +315,6 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
         return np.matmul(v.T, v, out=out)
     if out is None:
         out = state.r.copy()
-    elif out is not state.r:
-        np.copyto(out, state.r)
     block = max(1, d // 4)
     for start in range(0, n, block):
         fb = f[start : start + block]
@@ -369,7 +362,7 @@ def rilm_update(
 
     which reproduces the joint ridge solution over everything seen so far.
     Nothing from the phase is retained beyond the refreshed summaries, and
-    an empty phase is an exact no-op. ``out`` receives the new ``r`` as in
+    an empty phase is an exact no-op. ``out`` is None or ``state.r``, as in
     ``update_r``; with ``out=state.r`` the passed state is consumed.
     """
     path = _check_path(path)
@@ -563,7 +556,7 @@ def recursive_states(phases, eta: float = DEFAULT_ETA, path: str = "auto") -> li
     """Run the recursion from a fresh state, returning the state after each phase.
 
     Every phase, including the first, goes through expand_classes and
-    rilm_update, so a forced path applies to all transitions.
+    rilm_update, so ``path`` applies to all transitions.
     """
     phases = list(phases)
     if not phases:

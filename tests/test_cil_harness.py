@@ -416,7 +416,7 @@ def test_config_echo_golden_bytes(tmp_path):
     synth = _write_config(tmp_path, d_rp=40, schedule_shuffle_seed=3, out="res.txt")
     assert ch.config_to_text(ch.load_config(synth)) == (
         "pipeline = repoint\neta = 1.0\nd_rp_multiplier = 12\nrp_seed = 0\n"
-        "activation = relu\nrilm_path = auto\nschedule = 2,5|1,4|0,3\nd_rp = 40\n"
+        "activation = relu\nschedule = 2,5|1,4|0,3\nd_rp = 40\n"
         "synth_classes = 6\nsynth_per_class = 60\nsynth_test_per_class = 40\n"
         f"synth_dim = 16\nsynth_separation = 10.0\nsynth_seed = 7\nout = {tmp_path}/res.txt\n"
     )
@@ -424,7 +424,7 @@ def test_config_echo_golden_bytes(tmp_path):
     refu.write_text("pipeline = refu\nschedule = 4/2\neta = 1e-3\n" + _REFU_FILE_KEYS)
     assert ch.config_to_text(ch.load_config(refu)) == (
         "pipeline = refu\neta = 0.001\nd_rp_multiplier = 12\nrp_seed = 0\n"
-        "activation = relu\nrilm_path = auto\nschedule = 0,1|2,3\n"
+        "activation = relu\nschedule = 0,1|2,3\n"
         f"labels_test = {tmp_path}/test.labl\nlabels_train = {tmp_path}/train.labl\n"
         f"mesh_features_test = {tmp_path}/mesh_test.fmat\n"
         f"mesh_features_train = {tmp_path}/mesh_train.fmat\n"
@@ -435,7 +435,7 @@ def test_config_echo_golden_bytes(tmp_path):
 
 def test_every_config_key_has_a_meaning():
     keys = dataclasses.fields(ch.ExperimentConfig)
-    assert len(keys) == 25
+    assert len(keys) == 24
     assert all(key.metadata["meaning"].strip() for key in keys)
 
 
@@ -500,15 +500,14 @@ def test_naive_old_class_accuracy_collapses(tmp_path):
     assert np.mean(preds == ex.test_labels[mask]) <= 1.0 / 6.0  # forgotten after the overwrite
 
 
-@pytest.mark.parametrize("path", ["auto", "woodbury", "direct"])
-def test_run_phases_applies_rilm_path_to_every_phase(tmp_path, path):
-    # phase 0 is an update on the configured path like every later phase,
-    # and the final state counts every update applied
-    cfg = ch.load_config(_write_config(tmp_path, rilm_path=path, d_rp=40))
+def test_run_phases_updates_every_phase_on_auto(tmp_path):
+    # phase 0 is an update on the auto path like every later phase, and
+    # the final state counts every update applied
+    cfg = ch.load_config(_write_config(tmp_path, d_rp=40))
     ex = ch.prepare_experiment(cfg)
     _, state = ch.run_phases(ex)
     phases = [ch.phase_dataset(ex, k) for k in range(ex.schedule.num_phases)]
-    reference = rilm.recursive_states(phases, cfg.eta, path)[-1]
+    reference = rilm.recursive_states(phases, cfg.eta, "auto")[-1]
     assert np.array_equal(state.weights, reference.weights)
     assert np.array_equal(state.r, reference.r)
     assert state.class_ids == reference.class_ids

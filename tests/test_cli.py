@@ -55,22 +55,9 @@ def test_verify_passes_and_prints_error(capsys):
     assert fields["max_rel_error"] <= 1e-8
 
 
-@pytest.mark.parametrize("flag", ["--force-woodbury", "--force-direct"])
-def test_verify_forced_paths(capsys, flag):
-    assert cli.main(["verify", "--phases", "3", "--seed", "1", flag]) == 0
-    fields = _verify_fields(capsys.readouterr().out)
-    path = flag.removeprefix("--force-")
-    assert list(fields) == ["max_rel_error", path]
-    assert fields["max_rel_error"] == fields[path] <= 1e-8
-
-
-def test_verify_forced_paths_mutually_exclusive():
-    assert cli.main(["verify", "--force-woodbury", "--force-direct"]) == 1
-
-
 def test_verify_over_tolerance_exits_2(capsys):
     # at eta = 1e-8 the Woodbury path is about 5e-7 off the joint fit
-    assert cli.main(["verify", "--eta", "1e-8", "--force-woodbury"]) == 2
+    assert cli.main(["verify", "--eta", "1e-8"]) == 2
     captured = capsys.readouterr()
     err = _verify_fields(captured.out)["max_rel_error"]
     assert err > 1e-8
@@ -112,7 +99,7 @@ def test_subcommand_help_lists_flags(capsys):
     assert cli.main(["run", "--help"]) == 0
     out = capsys.readouterr().out
     for flag in ("--config", "--eta", "--d-rp-mult", "--seed", "--phases",
-                 "--pipeline", "--out", "--force-woodbury", "--force-direct"):
+                 "--pipeline", "--out"):
         assert flag in out
 
 
@@ -218,15 +205,14 @@ def test_run_phases_override_keeps_schedule_shuffle(tmp_path, capsys):
 
 def test_run_naive_flag(tmp_path, capsys):
     cfg = _write_synth_config(tmp_path)
-    assert cli.main(["run", "--config", str(cfg), "--naive"]) == 0
+    out = tmp_path / "res.txt"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out), "--naive"]) == 0
     final = capsys.readouterr().out.splitlines()[-1]
     # the naive baseline forgets, so its retention drop is large
     assert float(final.split("R=")[1]) > 30.0
-
-
-def test_run_forced_path(tmp_path):
-    cfg = _write_synth_config(tmp_path)
-    assert cli.main(["run", "--config", str(cfg), "--force-direct"]) == 0
+    # every output file carries the tag, the config echo included
+    names = ["exp.cfg", "res.naive.cfg", "res.naive.csv", "res.naive.txt"]
+    assert sorted(os.listdir(tmp_path)) == names
 
 
 def test_run_file_mode_from_gen(tmp_path, capsys):
@@ -242,7 +228,7 @@ def test_run_file_mode_from_gen(tmp_path, capsys):
     assert float(final.split("R=")[1]) <= 1.0
 
 
-@pytest.mark.parametrize("key", ["bogus_key", "fusion_params"])
+@pytest.mark.parametrize("key", ["bogus_key", "fusion_params", "rilm_path"])
 def test_run_unknown_config_key_exits_1(tmp_path, capsys, key):
     cfg = _write_synth_config(tmp_path, **{key: "backbone.fuse"})
     out = tmp_path / "res.txt"
@@ -349,9 +335,8 @@ def test_run_woodbury_block_asymmetry_exits_2(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == inputs
 
 
-@pytest.mark.parametrize("path", ["woodbury", "direct"])
 @pytest.mark.parametrize("eta", [1.0, 1e-4])
-def test_run_phase_without_training_rows(tmp_path, capsys, eta, path):
+def test_run_phase_without_training_rows(tmp_path, capsys, eta):
     # classes 2 and 3, phase 1 of 3, keep their test rows but lose every
     # training row: the run scores them, and its state is still the joint
     # fit. Separation 3 is the benchmark workloads'; at gen's default of 10
@@ -367,7 +352,7 @@ def test_run_phase_without_training_rows(tmp_path, capsys, eta, path):
     ch.save_labels(tmp_path / "data_train.labl", labels[keep])
     cfg = tmp_path / "file.cfg"
     cfg.write_text(
-        f"pipeline = repoint\nschedule = 6/3\neta = {eta!r}\nrilm_path = {path}\n"
+        f"pipeline = repoint\nschedule = 6/3\neta = {eta!r}\n"
         "features_train = data_train.fmat\nlabels_train = data_train.labl\n"
         "features_test = data_test.fmat\nlabels_test = data_test.labl\n"
     )

@@ -3,12 +3,15 @@
 Core claims:
     - every name in ``recridge.__all__`` resolves and is listed once
     - the README's library example runs as written
+    - every command in the README's CLI block parses, flags included
     - every module is named in the package docstring and the README layout
 """
 
 import pathlib
+import shlex
 
 import recridge
+from recridge import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,6 +31,19 @@ def test_readme_library_example_runs():
     exec(compile(code, f"{README}:Library", "exec"), namespace)
     assert namespace["labels"].shape == (5,)
     assert set(namespace["labels"].tolist()) <= {0, 1, 2, 3}
+
+
+def test_readme_cli_commands_parse():
+    # a flag the parser no longer has fails here, for its verb
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("\n```", 1)[0]
+    verbs = []
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv:
+            assert argv[0] == "recridge", line
+            verbs.append(cli.build_parser().parse_args(argv[1:]).verb)
+    assert set(verbs) == {"gen", "run", "verify", "gradcheck", "metrics"}
 
 
 def test_every_module_is_documented():

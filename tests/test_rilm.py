@@ -12,9 +12,9 @@ Core claims:
     - duplicated, rank-1 and all-zero ReLU rows keep both paths on the
       joint fit
     - the Woodbury downdate is exactly symmetric at every 128-row panel
-      edge and, with the result in ``out``, holds no d x d temporary
+      edge and, updating ``r`` in place, holds no d x d temporary
     - an update into ``out=state.r`` equals the out-of-place one bit for
-      bit; any other ``out`` overlapping ``state.r`` is rejected
+      bit; any other ``out``, or a read-only ``state.r``, is rejected
     - the state constructor rejects an asymmetric r without a d x d
       temporary, and states derived from a validated one skip its scans
     - prediction uses the global id table with lowest-id tie-breaking and
@@ -22,6 +22,7 @@ Core claims:
     - checkpoints round-trip exactly
 """
 
+import dataclasses
 import io
 import itertools
 import tracemalloc
@@ -263,13 +264,13 @@ def test_direct_update_holds_four_d_by_d_arrays():
 
 
 def test_woodbury_update_holds_no_third_d_by_d_array():
-    # d = 768, n = 1000: six blocks of at most 192 rows; with the result in
-    # out, one block's m x d products and one 128 x d panel, no d x d array
+    # d = 768, n = 1000: six blocks of at most 192 rows; updating r in
+    # place, one block's m x d products and one 128 x d panel, no d x d array
     # (0.71 d x d; 0.96 when a block's products lived into the next block)
     d = 768
     state = _spd_state(d, seed=17)
     f = _rng(18).standard_normal((1000, d))
-    peak = _peak_bytes(rilm.update_r, state, f, "woodbury", np.empty((d, d)))
+    peak = _peak_bytes(rilm.update_r, state, f, "woodbury", state.r)
     assert peak < 0.85 * state.r.nbytes
 
 
@@ -386,10 +387,10 @@ def test_blocked_woodbury_at_block_boundaries(n, eta):
     assert np.array_equal(out["auto"].r, out["woodbury"].r)
 
 
-@pytest.mark.parametrize("with_out", [False, True])
+@pytest.mark.parametrize("in_place", [False, True])
 @pytest.mark.parametrize("rows", ["one_row", "one_block", "several_blocks"])
 @pytest.mark.parametrize("d", [127, 128, 129, 300])
-def test_woodbury_downdate_panel_edges(d, rows, with_out):
+def test_woodbury_downdate_panel_edges(d, rows, in_place):
     # the downdate works in 128-row panels: d = 127 is one partial panel,
     # 128 one full one, 129 ends on a one-row panel and 300 on a partial
     # one; later Woodbury blocks update the result in place
@@ -398,9 +399,12 @@ def test_woodbury_downdate_panel_edges(d, rows, with_out):
     state = _spd_state(d, seed=d)
     f = _rng(d + n).standard_normal((n, d)) / np.sqrt(d)
     r_before = state.r.copy()
-    out = np.full((d, d), np.nan) if with_out else None
-    result = rilm.update_r(state, f, path="woodbury", out=out)
-    assert result is out or out is None
+    if in_place:
+        copy = dataclasses.replace(state, r=r_before.copy())
+        result = rilm.update_r(copy, f, path="woodbury", out=copy.r)
+        assert result is copy.r
+    else:
+        result = rilm.update_r(state, f, path="woodbury")
     assert np.array_equal(state.r, r_before)
     assert np.array_equal(result, result.T)
     expected = state.r
@@ -412,32 +416,16 @@ def test_woodbury_downdate_panel_edges(d, rows, with_out):
     assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
-@pytest.mark.parametrize("n", [0, 7, 40])
-@pytest.mark.parametrize("path", ["woodbury", "direct"])
-def test_update_r_writes_into_out(path, n):
-    # 40 rows at d = 16 are ten Woodbury blocks; 0 rows copy r
-    gen = _rng(90 + n)
-    state = _first_fit(_random_phase(gen, 20, range(2), d=16), eta=0.5)
-    f = gen.standard_normal((n, 16))
-    out = np.full((16, 16), np.nan)
-    result = rilm.update_r(state, f, path=path, out=out)
-    assert result is out
-    assert np.array_equal(out, rilm.update_r(state, f, path=path))
-
-
 def test_update_r_rejects_bad_out():
+    # only a writable state.r may receive the update
     state = rilm.empty_state(4)
-    read_only = np.empty((4, 4))
-    read_only.setflags(write=False)
-    bad = (
-        np.empty((4, 3)),
-        np.empty((4, 4), dtype=np.float32),
-        np.empty((4, 8))[:, ::2],
-        read_only,
-    )
-    for out in bad:
+    read_only = rilm.empty_state(4)
+    read_only.r.setflags(write=False)
+    for st, out in ((state, np.empty((4, 4))), (state, np.empty((4, 3))),
+                    (read_only, read_only.r)):
         with pytest.raises(ShapeError):
-            rilm.update_r(state, np.ones((2, 4)), out=out)
+            rilm.update_r(st, np.ones((2, 4)), out=out)
+    assert np.array_equal(read_only.r, np.eye(4))
 
 
 def test_update_r_rejects_out_overlapping_r():
@@ -462,10 +450,7 @@ def test_update_r_in_place_matches_out_of_place(path, d, n):
     state = _spd_state(d, seed=21)
     f = _rng(22).standard_normal((n, d))
     expected = rilm.update_r(state, f, path)
-    into = np.empty((d, d))
-    assert rilm.update_r(state, f, path, out=into) is into
     assert rilm.update_r(state, f, path, out=state.r) is state.r
-    assert np.array_equal(into, expected)
     assert np.array_equal(state.r, expected)
 
 
