@@ -335,13 +335,23 @@ def test_run_woodbury_block_asymmetry_exits_2(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == inputs
 
 
+@pytest.mark.parametrize("path", ["woodbury", "direct"])
 @pytest.mark.parametrize("eta", [1.0, 1e-4])
-def test_run_phase_without_training_rows(tmp_path, capsys, eta):
+def test_run_phase_without_training_rows(tmp_path, monkeypatch, capsys, eta, path):
     # classes 2 and 3, phase 1 of 3, keep their test rows but lose every
     # training row: the run scores them, and its state is still the joint
     # fit. Separation 3 is the benchmark workloads'; at gen's default of 10
     # the recursion is 3e-8 to 2e-7 off the joint fit at eta = 1e-4, with
-    # or without an empty phase.
+    # or without an empty phase. No option picks a run's update path, so
+    # the run's rilm_update is wrapped to take each path in turn.
+    update = rilm.rilm_update
+    calls = []
+
+    def forced(state, phase, **kwargs):
+        calls.append(phase.num_samples)
+        return update(state, phase, path=path, **kwargs)
+
+    monkeypatch.setattr(rilm, "rilm_update", forced)
     prefix = tmp_path / "data"
     gen = ["gen", "--out", str(prefix), "--classes", "6", "--dim", "6", "--separation", "3"]
     assert cli.main(gen) == 0
@@ -367,6 +377,7 @@ def test_run_phase_without_training_rows(tmp_path, capsys, eta):
     reference = rilm.batch_oracle(phases, eta)
     assert np.linalg.norm(state.weights - reference) <= 1e-8 * np.linalg.norm(reference)
     assert not state.weights[:, [2, 3]].any()
+    assert len(calls) == 6 and calls[1] == calls[4] == 0
 
 
 def test_failed_config_echo_keeps_previous_file(tmp_path, monkeypatch, capsys):
