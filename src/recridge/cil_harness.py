@@ -592,7 +592,7 @@ def run_pipeline(config: ExperimentConfig, naive: bool = False) -> MetricsReport
     """
     ex = prepare_experiment(config)
     report, _ = run_phases(ex, naive=naive)
-    _persist(config, ex, report, tag="naive" if naive else "")
+    _persist(config, ex, report, naive)
     return report
 
 
@@ -679,16 +679,18 @@ def save_result_csv(path, report: MetricsReport, seen_counts) -> None:
             fh.write(f"{i},{k},{acc!r}\n")
 
 
-def _persist(config: ExperimentConfig, ex: Experiment, report: MetricsReport, tag="") -> None:
+def _persist(config: ExperimentConfig, ex: Experiment, report: MetricsReport, naive=False) -> None:
     """Write the result file ``out``, then ``<root>.csv`` and ``<root>.cfg``
-    beside it; a tag goes before the extension of all three."""
+    beside it. A naive run tags all three ``.naive`` before the extension,
+    and its echo opens with a comment saying how to rerun it."""
     if config.out is None:
         return
     root, ext = os.path.splitext(config.out)
-    if tag:
-        root += "." + tag
+    if naive:
+        root += ".naive"
     counts = seen_class_counts(ex.schedule)
     save_result(root + ext, report, counts)
     save_result_csv(root + ".csv", report, counts)
+    comment = "# naive baseline: rerun with --naive\n" if naive else ""
     with fmat.atomic_writer(root + ".cfg") as fh:
-        fh.write(config_to_text(config))
+        fh.write(comment + config_to_text(config))

@@ -1,48 +1,52 @@
 """Plain-text matrix and label formats (FMAT / LABL).
 
-FMAT block::
+An FMAT block is a ``FMAT <rows> <cols>`` line, then one line per row of
+cols space-separated floats; a LABL block is a ``LABL <count>`` line, then
+one integer class id per line. Files are UTF-8 with LF newlines. The writer
+emits every float as a sign-prefixed literal of 18 significant digits, one
+before the point and 17 after (``%+.17e``), which round-trips float64
+exactly and keeps the byte length of a block a pure function of its
+dimensions; consumers rely on that to audit that serialized state never
+grows with sample count. The reader accepts any literal Python's
+``float()`` accepts. Parse failures raise ParseError carrying the path and
+1-based line number. Blocks can be stacked in one file (checkpoints do
+this), so the block readers share a cursor over the file's bytes.
 
-    FMAT <rows> <cols>
-    <v> <v> ... <v>        one line per row, cols space-separated floats
+Both directions convert a few thousand values per numpy pass in the one
+layout the writer produces: 25-byte tokens (sign, digit, point, 17 digits,
+``e``, sign, two digits, then a space or the row's LF). Each forms x * 10**k
+as a double-double p + q (Dekker's exact product with a table of 10**k as
+hi + lo pairs) to within 2**-100 |x * 10**k|, and keeps a result only where
+that error cannot change it. The writer rounds the mantissa p + q, scaled
+into [1e17, 1e18) and so off by under 1e-12, to the nearest integer; a row
+holding a fraction within 1e-9 of 0.5 (``%`` rounds a tie to even), an
+exponent of three digits or a log10 off by one is written with one ``%``
+instead. The reader takes a block only if its bytes have exactly that
+layout, and keeps r = fl(p + q) only if p + q lies further than the error
+bound from both midpoints between r and its neighbours; this holds for
+zero and rules out exact ties, and two-digit exponents keep r normal.
+Other blocks go to one ``np.loadtxt`` call, kept if it raised and warned
+nothing, the shape is right and every value finite, else to a loop of one
+``float()`` per value. That loop is the reference: it raises the
+ParseError, with the path and line, for whatever the faster parses turned
+down, and reads the literals only ``float()`` takes (``1_0``, non-ASCII
+digits); neither faster parse accepts anything it rejects, so a file reads
+the same either way, bit for bit. LABL blocks of lines ``-?[0-9]{1,18}``
+are read by one regular expression and one numpy call, any other by an
+``int()`` loop.
 
-LABL block::
-
-    LABL <count>
-    <id>                   one integer class id per line
-
-Files are UTF-8 with LF newlines. The writer emits every float as a
-sign-prefixed 17-significant-digit scientific literal (``%+.17e``), which
-round-trips float64 exactly and keeps the byte length of a block a pure
-function of its dimensions; consumers rely on that to audit that serialized
-state never grows with sample count. The reader accepts any literal
-Python's ``float()`` accepts. Parse failures raise ParseError carrying the
-path and 1-based line number.
-
-Blocks can be stacked in one file (checkpoints do this); the block readers
-therefore operate on a shared line cursor, which cuts lines from the
-file's text as they are read.
-
-Both directions run at the speed of their float conversions. The writer
-formats each row with one ``%`` from a row format built once per block.
-The reader hands a block's lines to one ``np.loadtxt`` call and keeps the
-result only if the call raised and warned nothing, the shape is
-(rows, cols) and every value is finite; otherwise it rewinds the cursor
-and parses the block again one line and one ``float()`` at a time. That
-loop is the reference: it raises the ParseError, with the path and line,
-for whatever the fast parse turned down, and it reads the few literals
-``float()`` accepts and loadtxt does not (digit-group underscores,
-non-ASCII digits). loadtxt accepts nothing the loop rejects, so a file
-reads the same either way, bit for bit. Measured on a 2-vCPU Xeon
-(numpy 2.4, best of 5 calls per process, three processes each), against
-the former per-value loops: writing a 5000 x 64 block took
-0.25-0.36 s instead of 0.45-0.52 s and reading it 0.11-0.19 s instead of
-0.20-0.23 s; a d_rp 1536 checkpoint (60 MB) saved in 1.9-2.3 s instead of
-3.7-4.5 s and loaded in 1.0-1.4 s instead of 1.6-1.9 s.
+Measured on a 2-vCPU Xeon (numpy 2.4, best of 5 calls per process, three
+processes), before and after the token codec: a 5000 x 64 block writes in
+0.03-0.06 s instead of 0.21-0.26 s and loads in 0.05-0.07 s instead of
+0.10-0.15 s; a d_rp 1536 checkpoint (60 MB) saves in 0.27-0.45 s instead
+of 1.7-2.7 s and loads in 0.48-0.73 s instead of 0.81-0.85 s.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import re
 import warnings
 from contextlib import contextmanager
 
@@ -53,18 +57,59 @@ from .errors import ParseError
 
 # The float spec of the format (see the module docstring).
 _FLOAT_SPEC = "%+.17e"
+_CHUNK = 2048  # values per numpy pass, in whole rows
+# A token: "+1.2", the mantissa's last 16 digits, "e-05" and the separator.
+_TOKEN = np.dtype([("head", "S4"), ("digits", "S4", 4), ("tail", "S5")])
+# The token of 0.0, and how far above it each of a token's bytes may lie.
+_ZERO = np.frombuffer(b"+0.00000000000000000e+00", np.uint8)
+_SPAN = np.select([_ZERO == 48, _ZERO == 43], [9, 2], 0).astype(np.uint8)  # digits, signs
+_KMAX = 116  # the powers 10**k both directions use have |k| <= _KMAX
+_LABEL_LINE = rb"-?[0-9]{1,18}\n"
+
+
+def _split(a):
+    # Dekker: a == hi + lo, hi holding the upper 26 bits
+    hi = a * 134217729.0
+    hi -= hi - a
+    return hi, a - hi
+
+
+@functools.cache
+def _tables():
+    # Built on first use, not at import: 10**k as hi + lo, each correctly
+    # rounded, hi split, and the token pieces.
+    pairs = []
+    for k in range(-_KMAX, _KMAX + 1):
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        a, b = (num / den).as_integer_ratio()
+        pairs.append((a / b, (num * b - a * den) / (den * b)))
+    hi, lo = np.array(pairs).T.copy()
+    quads = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48)
+    heads = [f"{s}{t // 10}.{t % 10}" for s in "+-" for t in range(100)]
+    tails = [f"e{e:+03d}{sep}" for e in range(-99, 100) for sep in " \n"]
+    quads, heads, tails = quads.view("S4").ravel(), np.array(heads, "S4"), np.array(tails, "S5")
+    return hi, lo, *_split(hi), quads, heads, tails
+
+
+def _times_power(xh, xl, k):
+    # (p, q): p + q = (xh + xl) * 10**k within 2**-100, xl below an ulp of xh
+    hi, lo, sh, sl = (t[k + _KMAX] for t in _tables()[:4])
+    p = xh * hi
+    ah, al = _split(xh)
+    err = ((ah * sh - p) + ah * sl + al * sh) + al * sl
+    return p, err + (xh * lo + xl * hi)
 
 
 class LineCursor:
-    """Sequential reader over the lines of a text, tracking line numbers.
+    """Sequential reader over the lines of a file's bytes, tracking line numbers.
 
-    Lines are the text split at "\n", cut from it as they are read, so a
-    file is never held both as its text and as a list of its lines.
+    Lines are the bytes split at LF and decoded as UTF-8, cut from them as
+    they are read, so a file is never held both whole and as its lines.
     """
 
-    def __init__(self, path, text: str):
+    def __init__(self, path, data: bytes):
         self.path = path
-        self._text = text
+        self._data = data
         self._start = 0  # offset of the next line; past the end once all are read
         self._pos = 0
 
@@ -73,16 +118,16 @@ class LineCursor:
         return self._pos
 
     def _has_line(self) -> bool:
-        return self._start <= len(self._text)
+        return self._start <= len(self._data)
 
     def _cut_line(self) -> str:
-        end = self._text.find("\n", self._start)
+        end = self._data.find(b"\n", self._start)
         if end < 0:
-            end = len(self._text)
-        line = self._text[self._start : end]
+            end = len(self._data)
+        line = self._data[self._start : end]
         self._start = end + 1
         self._pos += 1
-        return line
+        return line.decode("utf-8")
 
     def next_line(self, expect: str) -> str:
         if not self._has_line():
@@ -97,6 +142,14 @@ class LineCursor:
                 return
             yield self._cut_line()
 
+    def rest(self) -> memoryview:
+        # The bytes not read yet, for a caller that then skips what it used.
+        return memoryview(self._data)[self._start :]
+
+    def skip(self, size: int, lines: int) -> None:
+        self._start += size
+        self._pos += lines
+
     def mark(self) -> tuple[int, int]:
         return self._start, self._pos
 
@@ -105,7 +158,7 @@ class LineCursor:
 
     def at_end(self) -> bool:
         # Trailing blank lines (from the final LF) do not count as content.
-        return not self._text[self._start :].strip()
+        return not self._data[self._start :].decode("utf-8").strip()
 
     def error(self, message: str) -> ParseError:
         return ParseError(self.path, self._pos, message)
@@ -130,8 +183,78 @@ def write_matrix_block(fh, m: Matrix) -> None:
     rows, cols = m.shape
     fh.write(f"FMAT {rows} {cols}\n")
     row_format = " ".join([_FLOAT_SPEC] * cols) + "\n"
-    for row in m:
-        fh.write(row_format % tuple(row.tolist()))
+    step = max(1, _CHUNK // max(cols, 1))
+    for i in range(0, rows, step):
+        chunk = m[i : i + step]
+        text, fallback = _format_tokens(chunk) if cols else ("\n" * len(chunk), [])
+        width, done = cols * _TOKEN.itemsize, 0
+        for row in fallback:
+            fh.write(text[done * width : row * width] + row_format % tuple(chunk[row].tolist()))
+            done = row + 1
+        fh.write(text[done * width :])
+
+
+def _format_tokens(chunk: Matrix) -> tuple[str, np.ndarray]:
+    # The rows of ``chunk`` as tokens, and the rows to write with ``%``
+    # instead (their tokens are garbage).
+    *_, quads, heads, tails = _tables()
+    a = np.abs(chunk.ravel())
+    zero, live = a == 0, (a >= 1e-99) & (a < 1e100)
+    a[~live] = 1.0  # zeros are patched in below, the rest written by ``%``
+    e = np.clip(np.floor(np.log10(a)), -99, 99).astype(np.intp)
+    p, q = _times_power(a, 0.0, 17 - e)
+    floor = np.floor(q)
+    m = np.minimum(p, 2e18).astype(np.int64) + floor.astype(np.int64)
+    # The certificate: a clear rounding to 18 digits under a two-digit
+    # exponent (log10 may round across a power of 10, the clip cut it).
+    bad = ~(live | zero) | (m < 10**17) | (np.abs(q - floor - 0.5) < 1e-9)
+    m += q - floor > 0.5
+    bad |= m >= 10**18
+    m[zero | bad] = 0  # keeps the table indices below in range
+    top, rest = np.divmod(m, 10**16)
+    tokens = np.empty(a.size, _TOKEN)
+    tokens["head"] = heads[np.signbit(chunk.ravel()) * 100 + top]
+    groups = np.divmod(np.stack(np.divmod(rest, 10**8), 1), 10**4)
+    tokens["digits"] = quads[np.stack(groups, 2).reshape(-1, 4)]
+    last = np.arange(chunk.shape[1]) == chunk.shape[1] - 1
+    tokens["tail"] = tails[((e.reshape(chunk.shape) + 99) * 2 + last).ravel()]
+    return str(tokens, "ascii"), np.flatnonzero(bad.reshape(chunk.shape).any(1))
+
+
+def _read_tokens(cursor: LineCursor, rows: int, cols: int) -> Matrix | None:
+    # The block if each chunk has the writer's layout and passes the
+    # bound; None otherwise, the cursor then moved by an unknown amount.
+    if not (rows and cols):
+        return None
+    data = np.empty((rows, cols), dtype=np.float64)
+    step = max(1, _CHUNK // cols)
+    for out in (data[i : i + step] for i in range(0, rows, step)):
+        size = out.size * _TOKEN.itemsize
+        if size > len(cursor.rest()):
+            return None
+        tok = np.frombuffer(cursor.rest(), np.uint8, size).reshape(*out.shape, -1)
+        cursor.skip(size, len(out))
+        u = tok.reshape(out.size, -1)[:, :-1] - _ZERO  # digit values at digits
+        seps = (tok[:, :-1, -1] == 32).all() and (tok[:, -1, -1] == 10).all()
+        if not (seps and (u <= _SPAN).all() and (u[:, [0, 21]] != 1).all()):  # 1 is ','
+            return None
+        # Digits 2-17 as two little-endian words of 8 digits, combined
+        # (SWAR) into 2-digit, then 4-digit, then 8-digit lanes.
+        w = np.ascontiguousarray(u[:, 4:20]).view("<u8")
+        w = (w * 10 + (w >> 8)) & 0x00FF00FF00FF00FF
+        w = (w * 100 + (w >> 16)) & 0x0000FFFF0000FFFF
+        w = ((w * 10000 + (w >> 32)) & 0xFFFFFFFF).astype(np.int64)
+        m = (u[:, 1] * 10 + u[:, 3]).astype(np.int64) * 10**16 + w[:, 0] * 10**8 + w[:, 1]
+        mh, e = m.astype(np.float64), u[:, 22].astype(np.intp) * 10 + u[:, 23]
+        ml = (m - mh.astype(np.int64)).astype(np.float64)
+        p, q = _times_power(mh, ml, np.where(u[:, 21], -e, e) - 17)
+        r = p + q
+        # p + q - r is exact, the gap below |r| the smaller one, 2**-100 the error
+        a = np.abs(r)
+        if not (np.abs(q - (r - p)) <= (a - np.nextafter(a, 0)) * 0.5 - a * 2.0**-100).all():
+            return None
+        out[...] = np.where(u[:, 0], -r, r).reshape(out.shape)
+    return data
 
 
 def _parse_rows(lines, rows: int, cols: int) -> Matrix | None:
@@ -156,7 +279,10 @@ def _parse_rows(lines, rows: int, cols: int) -> Matrix | None:
 def read_matrix_block(cursor: LineCursor) -> Matrix:
     rows, cols = _parse_header(cursor, "FMAT", 2)
     start = cursor.mark()
-    data = _parse_rows(cursor.next_lines(rows), rows, cols)
+    data = _read_tokens(cursor, rows, cols)
+    if data is None:
+        cursor.reset(start)
+        data = _parse_rows(cursor.next_lines(rows), rows, cols)
     if data is None:
         cursor.reset(start)
         data = _read_rows(cursor, rows, cols)
@@ -183,13 +309,17 @@ def _read_rows(cursor: LineCursor, rows: int, cols: int) -> Matrix:
 
 def write_labels_block(fh, ids) -> None:
     ids = [int(i) for i in ids]
-    fh.write(f"LABL {len(ids)}\n")
-    for i in ids:
-        fh.write(f"{i}\n")
+    fh.write(f"LABL {len(ids)}\n" + "".join(f"{i}\n" for i in ids))
 
 
 def read_labels_block(cursor: LineCursor) -> list[int]:
     (count,) = _parse_header(cursor, "LABL", 1)
+    # Each line takes a byte at least, which bounds the repeat count.
+    pattern = b"(?:%s){%d}" % (_LABEL_LINE, count)
+    found = count <= len(cursor.rest()) and re.compile(pattern).match(cursor.rest())
+    if found:
+        cursor.skip(found.end(), count)
+        return np.fromstring(found[0], np.int64, sep="\n").tolist()
     ids = []
     for i in range(count):
         line = cursor.next_line(f"label {i}")
@@ -201,12 +331,16 @@ def read_labels_block(cursor: LineCursor) -> list[int]:
 
 
 def open_cursor(path) -> LineCursor:
+    # Bytes, read in place by the fast paths, with text mode's newlines
+    # (replace returns the same object when it finds nothing) and UTF-8 check.
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if not data.isascii():
+            data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(path, 0, f"cannot read file: {exc}") from exc
-    return LineCursor(path, text)
+    return LineCursor(path, data)
 
 
 def check_consumed(cursor: LineCursor) -> None:

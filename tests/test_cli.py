@@ -213,6 +213,10 @@ def test_run_naive_flag(tmp_path, capsys):
     # every output file carries the tag, the config echo included
     names = ["exp.cfg", "res.naive.cfg", "res.naive.csv", "res.naive.txt"]
     assert sorted(os.listdir(tmp_path)) == names
+    # the echo is the run's config, headed by how to rerun the baseline
+    echo = tmp_path / "res.naive.cfg"
+    assert echo.read_text().startswith("# naive baseline: rerun with --naive\n")
+    assert ch.load_config(echo) == ch.load_config(cfg, {"out": str(out)})
 
 
 def test_run_file_mode_from_gen(tmp_path, capsys):

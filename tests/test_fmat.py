@@ -1,15 +1,22 @@
-"""FMAT block I/O tests: the one-call parse and the per-line loop behind it.
+"""FMAT/LABL block I/O tests: the token codec, the one-call parse and the
+per-line loop behind them.
 
 Core claims:
-    - the writer's bytes are those of one ``%+.17e`` per value
-    - the numpy parse accepts only what the per-line loop accepts, and
-      returns it bit for bit; everything else falls back to the loop
+    - the writer's bytes are those of one ``%+.17e`` per value, and the
+      token reader's values those of one ``float()`` per literal, bit for
+      bit over the whole exponent range
+    - the numpy parses accept only what the per-line loop accepts, and
+      return it bit for bit; everything else falls back to the loop
     - a corrupted checkpoint or data file raises the ParseError, line
       included, that the per-line loop raises
+    - block I/O holds no more than the file's bytes, the matrix and about
+      1 MB of chunk temporaries
 """
 
 import io
+import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +30,7 @@ def _rng(seed):
 
 
 def _cursor(text):
-    return fmat.LineCursor("m.fmat", text)
+    return fmat.LineCursor("m.fmat", text.encode())
 
 
 def _outcome(read, *args):
@@ -36,8 +43,9 @@ def _outcome(read, *args):
 
 
 def _loop_only(monkeypatch, read, *args):
-    # the outcome with the numpy parse switched off
+    # the outcome with both numpy parses switched off
     with monkeypatch.context() as m:
+        m.setattr(fmat, "_read_tokens", lambda cursor, rows, cols: None)
         m.setattr(fmat, "_parse_rows", lambda lines, rows, cols: None)
         return _outcome(read, *args)
 
@@ -174,6 +182,221 @@ def test_all_blank_block_emits_no_warning(rows, cols):
             assert info.value.lineno == 2
     assert caught == []
 
+
+
+# -- token codec --------------------------------------------------------------
+
+
+def _expected_text(m):
+    return f"FMAT {m.shape[0]} {m.shape[1]}\n" + "".join(
+        " ".join("%+.17e" % v for v in row) + "\n" for row in m.tolist()
+    )
+
+
+def _written(m):
+    fh = io.StringIO()
+    fmat.write_matrix_block(fh, m)
+    return fh.getvalue()
+
+
+def _neighbours(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)])
+
+
+def _ties(gen):
+    # a / 2**b with a odd and a * 5**b of 19 digits: 19 significant digits
+    # ending in 5, so exactly halfway between two 18-digit mantissas
+    out = []
+    for b in range(3, 28):
+        lo, hi = -(-(10**18) // 5**b) // 2, min(10**19 // 5**b, 2**53) // 2
+        if lo < hi:
+            a = 2 * gen.integers(lo, hi, size=40) + 1
+            out.append(np.ldexp(a.astype(np.float64), -b))
+    ties = np.concatenate(out + [[1 + 2.0**-18, 2.0**-27]])
+    exact = [x.as_integer_ratio() for x in ties.tolist()]
+    assert all(len(str(n * 5 ** (d.bit_length() - 1))) == 19 for n, d in exact)
+    return ties
+
+
+def _corpus():
+    # Over 10**6 values in two blocks of 8 columns, signs mixed: random
+    # mantissas over every two-digit decimal exponent with the in-range
+    # edge cases, then every edge case of the binary and decimal grids.
+    gen = _rng(11)
+    n = 1_000_000
+    spread = gen.uniform(1.0, 10.0, n) * 10.0 ** gen.integers(-99, 100, n)
+    bits = gen.integers(0, 2**63 - 1, 20_000, dtype=np.int64).view(np.float64)
+    edges = np.concatenate([
+        [0.0, 5e-324, 2.2250738585072014e-308, 2.2250738585072009e-308, 1.7976931348623157e308],
+        np.ldexp(gen.integers(1, 2**52, 1000), -1074).astype(np.float64),  # subnormals
+        _neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+        _neighbours([float(f"1e{k}") for k in range(-323, 309)]),
+        _ties(gen),
+        bits[np.isfinite(bits)],
+    ])
+    in_range = (np.abs(edges) >= 1e-99) & (np.abs(edges) < 1e99)
+    for values in (np.concatenate([spread, edges[in_range]]), edges):
+        values = values * np.where(gen.random(values.size) < 0.5, -1.0, 1.0)
+        yield values[: values.size // 8 * 8].reshape(-1, 8)
+
+
+def test_codec_matches_printf_and_float_bit_for_bit():
+    in_range, edges = _corpus()
+    assert in_range.size + edges.size > 10**6
+    for m in (in_range, edges):
+        text = _written(m)
+        assert text == _expected_text(m)
+        read = fmat.read_matrix_block(_cursor(text))
+        assert read.tobytes() == np.array([float(t) for t in text.split()[3:]]).tobytes()
+    # the in-range block takes the token reader, and the token writer for
+    # all rows but those holding a tie (a few in a hundred near 1e14)
+    cursor = _cursor(_written(in_range))
+    read = fmat._read_tokens(cursor, *fmat._parse_header(cursor, "FMAT", 2))
+    assert read.tobytes() == in_range.tobytes()
+    fallback = [fmat._format_tokens(in_range[i : i + 512])[1] for i in range(0, len(in_range), 512)]
+    assert sum(map(len, fallback)) < len(in_range) // 20
+
+
+def test_exact_ties_take_the_row_format():
+    ties = _ties(_rng(12))[:, None]
+    text, fallback = fmat._format_tokens(ties)
+    assert fallback.tolist() == list(range(len(ties)))
+    assert _written(ties) == _expected_text(ties)
+
+
+@pytest.mark.parametrize("bias", [-1e-12, 1e-12])
+def test_writer_stays_exact_when_log10_rounds_across_a_power_of_ten(monkeypatch, bias):
+    # log10 is not correctly rounded on every platform; an exponent off by
+    # one must send its row to the row format, never write a wrong token
+    m = _neighbours(10.0 ** np.arange(-98, 99)).reshape(-1, 3)
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + bias)
+    assert _written(m) == _expected_text(m)
+    assert len(fmat._format_tokens(m)[1]) > len(m) // 3
+
+
+def test_only_rows_the_tokens_cannot_write_take_the_row_format():
+    m = _rng(13).standard_normal((6, 3))
+    m[1, 2] = 1e200  # three-digit exponent
+    m[4, 0] = 1 + 2.0**-18  # an exact tie
+    m[5] = [0.0, -0.0, 1e-99]
+    text, fallback = fmat._format_tokens(m)
+    assert fallback.tolist() == [1, 4]
+    assert _written(m) == _expected_text(m)
+    for empty in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0))):
+        assert _written(empty) == _expected_text(empty)
+        assert fmat.read_matrix_block(_cursor(_written(empty))).shape == empty.shape
+
+
+def _is_midpoint(literal):
+    # exactly halfway between float(literal) and one of its neighbours
+    x = float(literal)
+    return any(
+        Fraction(literal) == (Fraction(x) + Fraction(y)) / 2
+        for y in (np.nextafter(x, np.inf), np.nextafter(x, -np.inf))
+    )
+
+
+def test_token_reader_matches_float_on_any_canonical_literal():
+    gen = _rng(14)
+    n = 20_000
+    mant = gen.integers(0, 10**18, n)
+    mant[:50] = 0
+    mant[50:100] //= 10 ** gen.integers(1, 18, 50)  # leading zeros
+    digits = [f"{x:018d}" for x in mant.tolist()]
+    exps = gen.integers(-99, 100, n).tolist()
+    signs = gen.choice(["+", "-"], n)
+    literals = [f"{s}{d[0]}.{d[1:]}e{e:+03d}" for s, d, e in zip(signs, digits, exps)]
+    # integers halfway between two doubles, as 18-digit literals
+    halves = [str(2**j + (2 * k + 1) * 2 ** (j - 53)) for j in range(53, 57) for k in (0, 7, 12345)]
+    literals += [f"+{d[0]}.{d[1:]:0<17}e{len(d) - 1:+03d}" for d in halves]
+    rows = [literals[i : i + 4] for i in range(0, len(literals), 4)]
+    text = f"FMAT {len(rows)} 4\n" + "".join(" ".join(row) + "\n" for row in rows)
+    expected = np.array([float(t) for t in literals])
+    assert _read_text(text).tobytes() == expected.tobytes()
+    # Row by row, the token reader reads every row as float() does, except
+    # that its bound turns down exactly the rows holding a midpoint.
+    turned_down = []
+    for i, row in enumerate(rows):
+        cursor = _cursor(" ".join(row) + "\n")
+        fast = fmat._read_tokens(cursor, 1, 4)
+        if fast is None:
+            turned_down.append(i)
+        else:
+            assert fast.tobytes() == expected[4 * i : 4 * i + 4].tobytes()
+    assert turned_down == [i for i, row in enumerate(rows) if any(map(_is_midpoint, row))]
+    assert len(rows) - 3 > len(turned_down) >= 3
+
+
+# One character of a written token replaced: a digit, a space, a LF, an
+# underscore (float() reads it between digits), a non-ASCII digit, a NUL,
+# and the neighbours of the layout's other bytes.
+TOKEN_EDITS = ["7", " ", "\n", "_", "\u0661", "\x00", ",", "-", "E"]
+
+
+@pytest.mark.parametrize("col", [0, 1], ids=["mid-row", "row-end"])
+def test_edited_token_reads_as_the_loop_reads_it(monkeypatch, col):
+    text = _written(_rng(15).standard_normal((3, 2)))
+    start = text.index("\n") + 1 + (2 + col) * 25  # a 25-byte token on row 1
+    for pos in range(25):
+        for edit in TOKEN_EDITS:
+            bad = text[: start + pos] + edit + text[start + pos + 1 :]
+            assert _outcome(_read_text, bad) == _loop_only(monkeypatch, _read_text, bad)
+        cut = text[: start + pos]  # truncated mid-token
+        assert _outcome(_read_text, cut) == _loop_only(monkeypatch, _read_text, cut)
+
+
+LABEL_LINES = ["0", "-0", "007", "-12", "123456789012345678", "1234567890123456789",
+               "+5", " 7 ", "7\r", "1_0", "\u0661", "", "-", "--1", "1-", "x", "1 2"]
+
+
+@pytest.mark.parametrize("line", LABEL_LINES, ids=[ascii(x) for x in LABEL_LINES])
+def test_label_lines_read_as_the_loop_reads_them(monkeypatch, line):
+    text = f"LABL 3\n4\n{line}\n-5\n"
+    def read(t):
+        return fmat.read_labels_block(_cursor(t))
+    with monkeypatch.context() as m:
+        m.setattr(fmat, "_LABEL_LINE", rb"(?!)")  # never matches
+        reference = _label_outcome(read, text)
+    assert _label_outcome(read, text) == reference
+    assert _label_outcome(read, text[:-1]) == reference  # no final LF
+
+
+def _label_outcome(read, text):
+    try:
+        return ("ok", read(text))
+    except ParseError as exc:
+        return ("error", str(exc))
+
+
+def test_files_read_with_text_mode_newlines(tmp_path):
+    # a CR LF or a lone CR ends a line, as in a file opened in text mode
+    m = _rng(17).standard_normal((3, 2))
+    path = tmp_path / "m.fmat"
+    path.write_bytes(_written(m).replace("\n", "\r\n").encode())
+    assert fmat.load_matrix(path).tobytes() == m.tobytes()
+    path.write_bytes(b"FMAT 2 2\r\n1 2\r3 4\r\n")
+    assert fmat.load_matrix(path).tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    path.write_bytes(b"LABL 2\r\n1\r2\r\n")
+    assert fmat.load_labels(path) == [1, 2]
+
+
+def test_block_io_holds_the_file_the_matrix_and_one_chunk(tmp_path):
+    m = _rng(16).standard_normal((5000, 64))
+    path = tmp_path / "m.fmat"
+    tracemalloc.start()
+    try:
+        fmat.save_matrix(path, m)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = fmat.load_matrix(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.tobytes() == m.tobytes()
+    bound = path.stat().st_size + m.nbytes + 2**20
+    assert save_peak <= bound and load_peak <= bound
 
 
 # -- corrupted files ----------------------------------------------------------
