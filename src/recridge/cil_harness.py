@@ -405,12 +405,9 @@ class Experiment:
     classes seen after it are slices, not gathers.
 
     Training rows are kept at input width and projected one phase at a
-    time by ``phase_dataset``, since each is used in exactly one phase. So
-    a run holds the raw rows, the projected test rows, one phase's
-    projected rows, the learner's state (one d x d ``r``, updated in place,
-    and one scratch panel of at most 128 x d during a Woodbury update,
-    however tall the phase) and one block of scores, never the whole
-    projected training matrix.
+    time by ``phase_dataset``, since each is used in exactly one phase, so
+    a run never holds the whole projected training matrix (the README
+    lists what it holds).
     """
 
     config: ExperimentConfig
@@ -680,17 +677,31 @@ def save_result_csv(path, report: MetricsReport, seen_counts) -> None:
 
 
 def _persist(config: ExperimentConfig, ex: Experiment, report: MetricsReport, naive=False) -> None:
-    """Write the result file ``out``, then ``<root>.csv`` and ``<root>.cfg``
-    beside it. A naive run tags all three ``.naive`` before the extension,
-    and its echo opens with a comment saying how to rerun it."""
+    """Write the result file ``out``, ``<root>.csv`` and ``<root>.cfg``; a
+    naive run tags all three ``.naive`` before the extension, and its echo
+    opens with how to rerun it. All three go to temporaries first: no
+    target is replaced unless every one is written and none is a
+    directory, and the result file is replaced last."""
     if config.out is None:
         return
     root, ext = os.path.splitext(config.out)
     if naive:
         root += ".naive"
     counts = seen_class_counts(ex.schedule)
-    save_result(root + ext, report, counts)
-    save_result_csv(root + ".csv", report, counts)
-    comment = "# naive baseline: rerun with --naive\n" if naive else ""
-    with fmat.atomic_writer(root + ".cfg") as fh:
-        fh.write(comment + config_to_text(config))
+    targets = (root + ".csv", root + ".cfg", root + ext)
+    tag = f".{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    csv, cfg, result = (target + tag for target in targets)
+    try:
+        save_result_csv(csv, report, counts)
+        comment = "# naive baseline: rerun with --naive\n" if naive else ""
+        with fmat.atomic_writer(cfg) as fh:
+            fh.write(comment + config_to_text(config))
+        save_result(result, report, counts)
+        for target in targets:
+            if os.path.isdir(target):
+                raise ValidationError(f"output path is a directory: {target}")
+        for tmp, target in zip((csv, cfg, result), targets):
+            os.replace(tmp, target)
+    finally:
+        for tmp in filter(os.path.exists, (csv, cfg, result)):
+            os.remove(tmp)

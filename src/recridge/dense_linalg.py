@@ -17,18 +17,12 @@ SYMMETRY_RTOL is copied into (a + aᵀ)/2.
 
 The symmetric positive-definite operations run on LAPACK through numpy:
 ``np.linalg.cholesky`` is the positive-definiteness check, then
-``np.linalg.solve`` does the work. ``spd_half_solve`` applies the inverse
-of the Cholesky factor L itself, by forward substitution over blocks of
-rows in which every step is a matrix product: each 16-row diagonal block
-of L is inverted explicitly and applied with one step of iterative
-refinement (see ``spd_half_solve`` for why).
-numpy has no triangular solve: ``np.linalg.solve(L, b)`` runs a pivoted
-LU of L and two triangular sweeps, which with hundreds of right-hand
-sides ran far below matrix-product speed. Measured with 2 BLAS threads on
-a 2-vCPU Xeon (numpy 2.4, best of 20 calls, three runs), ``spd_half_solve``
-on n x d rows took 4.6 to 6.5 ms at n = 200, d = 1536, 3.0 to 3.8 ms at
-n = 192, d = 768 and 0.3 to 0.5 ms at n = 60, d = 384; with
-``np.linalg.solve(L, b)`` it took 10 to 14, 5.5 to 6.9 and 0.6 to 0.8 ms.
+``np.linalg.solve`` does the work. ``spd_half_solve`` applies L⁻¹, L the
+Cholesky factor, by forward substitution over 16-row blocks, every step
+a matrix product (see ``spd_half_solve``): numpy has no triangular
+solve, and ``np.linalg.solve(L, b)``, a pivoted LU and two sweeps, ran
+at under half that speed with hundreds of right-hand sides (timings in
+``CHANGES.md``).
 
 A hand-written Cholesky loop is kept for one purpose only: when LAPACK
 rejects a matrix, the loop reruns to report the exact failing pivot index,
@@ -207,12 +201,9 @@ def spd_half_solve(a, b) -> Matrix:
     I as well, so ‖D⁻¹‖₂ <= 1 too. That bounds the norm of V, not its
     relative error: V is much smaller than b there, and an explicit
     inverse loses the digits that cancel. Applying inv(L) to b in one
-    product made the Woodbury joint-fit error at eta = 1e-4 about 5x larger
-    on ``recridge gen`` data (separation 10, d = 72, three phases; median
-    of 6 seeds 1.7e-7 against 2.8e-8 with ``np.linalg.solve(L, b)``), and
-    unrefined 16-row blocks did as badly. With the refinement step the
-    median over 20 seeds was 3.8e-8 against 3.1e-8, and over 12 clustered
-    ReLU problems 2.2e-9 for both.
+    product, or unrefined 16-row blocks, made the Woodbury joint-fit error
+    on ``recridge gen`` data about 5x larger than ``np.linalg.solve(L, b)``;
+    the refined blocks match it (``CHANGES.md``).
     """
     a, b = _solve_operands(a, b, "spd_half_solve")
     low = cholesky_lower(_symmetric_operand(a, "spd_half_solve"))

@@ -18,10 +18,11 @@ layout the writer produces: 25-byte tokens (sign, digit, point, 17 digits,
 as a double-double p + q (Dekker's exact product with a table of 10**k as
 hi + lo pairs) to within 2**-100 |x * 10**k|, and keeps a result only where
 that error cannot change it. The writer rounds the mantissa p + q, scaled
-into [1e17, 1e18) and so off by under 1e-12, to the nearest integer; a row
-holding a fraction within 1e-9 of 0.5 (``%`` rounds a tie to even), an
-exponent of three digits or a log10 off by one is written with one ``%``
-instead. The reader takes a block only if its bytes have exactly that
+into [1e17, 1e18) and so off by under 1e-12, to the nearest integer; where
+10**k is a double (0 <= k <= 22) p + q is exact and a tie rounds to even,
+as ``%`` does. A row holding a fraction within 1e-9 of 0.5 at any other k,
+an exponent of three digits or a log10 off by one is written with one
+``%`` instead. The reader takes a block only if its bytes have exactly that
 layout, and keeps r = fl(p + q) only if p + q lies further than the error
 bound from both midpoints between r and its neighbours; this holds for
 zero and rules out exact ties, and two-digit exponents keep r normal.
@@ -34,12 +35,6 @@ digits); neither faster parse accepts anything it rejects, so a file reads
 the same either way, bit for bit. LABL blocks of lines ``-?[0-9]{1,18}``
 are read by one regular expression and one numpy call, any other by an
 ``int()`` loop.
-
-Measured on a 2-vCPU Xeon (numpy 2.4, best of 5 calls per process, three
-processes), before and after the token codec: a 5000 x 64 block writes in
-0.03-0.06 s instead of 0.21-0.26 s and loads in 0.05-0.07 s instead of
-0.10-0.15 s; a d_rp 1536 checkpoint (60 MB) saves in 0.27-0.45 s instead
-of 1.7-2.7 s and loads in 0.48-0.73 s instead of 0.81-0.85 s.
 """
 
 from __future__ import annotations
@@ -204,11 +199,15 @@ def _format_tokens(chunk: Matrix) -> tuple[str, np.ndarray]:
     e = np.clip(np.floor(np.log10(a)), -99, 99).astype(np.intp)
     p, q = _times_power(a, 0.0, 17 - e)
     floor = np.floor(q)
+    frac = q - floor
     m = np.minimum(p, 2e18).astype(np.int64) + floor.astype(np.int64)
     # The certificate: a clear rounding to 18 digits under a two-digit
     # exponent (log10 may round across a power of 10, the clip cut it).
-    bad = ~(live | zero) | (m < 10**17) | (np.abs(q - floor - 0.5) < 1e-9)
-    m += q - floor > 0.5
+    # Where 10**(17 - e) is a double, p + q is the exact product, so even
+    # a tie is clear: it rounds half to even, as ``%`` does.
+    exact = (e >= -5) & (e <= 17)
+    bad = ~(live | zero) | (m < 10**17) | (~exact & (np.abs(frac - 0.5) < 1e-9))
+    m += (frac > 0.5) | ((frac == 0.5) & ((m & 1) == 1))
     bad |= m >= 10**18
     m[zero | bad] = 0  # keeps the table indices below in range
     top, rest = np.divmod(m, 10**16)

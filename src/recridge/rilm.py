@@ -8,39 +8,28 @@ number of samples seen. The central guarantee, exercised heavily by the
 test suite, is that updating phase by phase lands on exactly the same
 weights as solving one joint ridge problem over all phases at once.
 
-Updating ``r`` when a phase of n rows arrives can be done two ways:
+A phase of n rows is absorbed one of two ways:
 
 * ``direct``: with r = L Lᵀ and h = f L, the new memory is
   L (I + hᵀh)⁻¹ Lᵀ, formed from d x d Cholesky factors and products
-  without inverting r; about 2.7d³ + 3nd² flops,
-* ``woodbury``: downdate the previous inverse through the matrix inversion
-  lemma, one block of at most m = max(1, d // 4) rows at a time, so it only
-  ever factors m x m systems; about 3nd²(1 + m/d) flops.
+  without inverting r, about 2.7d³ + 3nd² flops; then the weights step
+  by r_new fᵀ (y − f w),
+* ``woodbury``: block recursive least squares. Each block of at most
+  m = max(1, d // 4) rows downdates r through the matrix inversion lemma,
+  factoring only an m x m system, and steps the weights by the block's
+  gain, formed before the downdate; about 3nd²(1 + m/d) flops.
 
 Both must agree to tight tolerance. ``auto`` takes Woodbury, except that a
 phase of n >= d rows goes to the direct path when eta is below 1e-4 (see
-the eta paragraph below). Measured with 2 BLAS threads on a 2-vCPU Xeon
-(numpy 2.4, ReLU rows, best of 7, three runs), Woodbury against direct at
-d = 768: 0.048 to 0.065 vs 0.082 to 0.098 s for n = 1000, 0.11 to 0.13 vs
-0.10 to 0.13 s for n = 2000 and 0.16 to 0.17 vs 0.11 to 0.14 s for
-n = 3000, so phases of more than about 2.5d rows would run faster direct;
-``auto`` does not switch there, because no benchmark workload has phases
-that tall to check a crossover on. The block size was compared at those
-sizes, before the panelled downdate below: against d // 4, d // 8 is 15
-to 26 %, d // 2 1 to 15 % and d 21 to 53 % slower, and one unblocked
-solve (m = n) takes 0.11 to 0.13 s at n = 1000.
+the eta paragraph below). Timed at d = 768, phases of more than about 2.5d
+rows would run faster direct; ``auto`` does not switch there, because no
+benchmark workload has phases that tall. That crossover, the block size
+and the downdate's panel height were measured as ``CHANGES.md`` records.
 
-Each Woodbury block ends with r − Vᵀ V for an m x d V. It is formed in
-panels of 128 rows: below and on the diagonal by matrix products and a
-``syrk`` per 128 x 128 diagonal block, m d² flops in all, then copied to
-the mirror entries above the diagonal. Every block updates r in place
-through one 128 x d scratch panel, so an update of any height holds no
-d x d array but r (and a copy if the old r is kept). On the same host
-(medians of 30 or 40, three runs) one downdate took 12 to 14 ms against
-20 to 27 ms for numpy's whole-matrix r − Vᵀ V at d = 1536, m = 200, and
-3.0 to 3.4 against 3.5 to 4.9 ms at d = 768, m = 192: numpy mirrors the
-triangle its ``syrk`` computes with a scalar, strided loop over all of
-d x d. Panels of 64 and 256 rows were slower than 128 at both sizes.
+Each Woodbury block subtracts Vᵀ V, for an m x d V, from r in 128-row
+panels through one 128 x d scratch panel (see ``_downdate``), so an
+update of any height holds no d x d array but r (and a copy if the old r
+is kept).
 
 States are immutable values; every operation returns a new state, except
 that ``update_r`` and ``rilm_update`` with ``out=state.r`` overwrite the
@@ -55,24 +44,15 @@ drift away from symmetry however many phases run.
 Every phase, the first included, is one update of this pair, starting from
 the empty state (no classes, ``r = I/eta``).
 
-The ridge strength ``eta`` may be any positive number, but on the Woodbury
-path the float64 error grows roughly as 1/eta. For one phase of 50 rows at
-d = 192 (Gaussian or ReLU features) the weights differ from
-``np.linalg.solve`` of the normal equations by about 1.1e-13 relative at
-eta = 1, 1.1e-11 at 1e-2, 1.1e-9 at 1e-4 and 1.2e-7 at 1e-6 (median of
-10), the last beyond the 1e-8 weight tolerance of the tests. With 300 to
-2000 ReLU rows the gap is 3e-10 to 8e-10 at eta = 1e-4 and 3e-8 to 8e-8
-at 1e-6, where the direct path stays near 1e-14 on a first phase; so below
-eta = 1e-4 ``auto`` keeps phases of n >= d rows on the direct path. Over
-eight phases of 60 clustered ReLU rows at d = 192 the final weights'
-error against the joint fit (median of 7 seeds) is 2.6e-9 on the Woodbury
-path and 2.1e-9 on the direct path at eta = 1e-4, and 2.5e-7 and 1.9e-7 at
-1e-6; duplicated, rank-1 and all-zero rows stay inside that envelope. The
-error grows with the features' scale as well, roughly as ||F||²/eta: on
-``recridge gen`` data at its default separation of 10 (d = 72, three
-phases) it is 3.8e-8 (Woodbury) and 3.4e-9 (direct) at eta = 1e-4, median
-of 20 seeds. The tests cover eta >= 1e-4 on both paths, at the benchmark
-workloads' separation of 3, and eta = 1e-6 for ``auto`` on such a phase.
+The ridge strength ``eta`` may be any positive number, but the float64
+error grows roughly as ||F||²/eta. The tests hold the weights within 1e-8
+of the joint fit for eta >= 1e-4: on both paths at the benchmark
+workloads' feature scale, and on the Woodbury path on ``recridge gen``
+data at its separation of 10
+(``test_woodbury_holds_joint_fit_on_gen_data``). On a
+phase of n >= d rows at smaller eta the direct path is the more accurate
+(``test_auto_keeps_tall_phases_direct_below_tested_eta``), so ``auto``
+takes it there.
 """
 
 from __future__ import annotations
@@ -272,27 +252,28 @@ def expand_classes(state: RilmState, new_class_ids) -> RilmState:
 def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
     """Memory matrix after absorbing the Gram matrix of new feature rows.
 
-    The woodbury path never touches a d x d system. It takes the rows in
-    consecutive blocks f_b of at most max(1, d // 4) rows; per block, with
-    g = f_b r and L the Cholesky factor of g f_bᵀ + I, it subtracts the
-    correction Vᵀ V, V = L⁻¹ g. r − Vᵀ V is formed in place, in panels of
-    128 rows of its lower triangle copied to the upper one, so it is
-    exactly symmetric when r is. A phase of at most d // 4 rows is one
-    block. A block system that rounding leaves outside spd_half_solve's
-    checks (at small eta, asymmetric beyond SYMMETRY_RTOL) raises
-    NumericalError. The direct path factors r = L Lᵀ, sets h = f L and
-    returns Vᵀ V for V = K⁻¹ Lᵀ, K the Cholesky factor of I + hᵀh: that is
-    (r⁻¹ + fᵀf)⁻¹, exactly symmetric the same way. r itself is never
-    inverted: rebuilding the Gram matrix from r that way lost accuracy with
-    every phase at small eta. ``auto`` takes Woodbury unless n >= d and
-    eta < 1e-4, where the direct path is the more accurate (see the module
-    docstring). With ``out=None`` the result is a new array and ``state.r``
+    The woodbury path takes the rows in consecutive blocks f_b of at most
+    max(1, d // 4) rows; per block, with g = f_b r and L the Cholesky
+    factor of g f_bᵀ + I, it subtracts Vᵀ V, V = L⁻¹ g, in place and
+    exactly symmetric (see ``_downdate``). A block system that rounding
+    leaves outside spd_half_solve's checks (at small eta, asymmetric
+    beyond SYMMETRY_RTOL) raises NumericalError. The direct path factors
+    r = L Lᵀ, sets h = f L and returns Vᵀ V for V = K⁻¹ Lᵀ, K the Cholesky
+    factor of I + hᵀh: that is (r⁻¹ + fᵀf)⁻¹, exactly symmetric the same
+    way. Neither inverts r: rebuilding the Gram matrix from r that way lost
+    accuracy with every phase at small eta. ``auto`` is as in the module
+    docstring. With ``out=None`` the result is a new array and ``state.r``
     is left as it was; the only other ``out`` accepted is ``state.r``
     itself, writable, which is then updated in place (a failure partway
     leaves it partly updated).
     """
     path = _check_path(path)
-    f = as_matrix(f_rp, "f_rp")
+    return _update(state, as_matrix(f_rp, "f_rp"), path, out)
+
+
+def _update(state, f, path, out, w=None, labels=None):
+    # update_r on checked rows. Given the d x c weights w, stepped in place,
+    # and the label column of each row, it also steps w by the phase.
     n, d = f.shape
     if d != state.d_rp:
         raise ShapeError(f"f_rp has width {d}, state expects {state.d_rp}")
@@ -303,6 +284,7 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
         return state.r.copy() if out is None else out
     if path == "auto":
         path = "direct" if n >= d and state.eta < _WOODBURY_MIN_ETA else "woodbury"
+    c = 0 if w is None else w.shape[1]
     if path == "direct":
         low_t = np.ascontiguousarray(cholesky_lower(state.r).T)
         h = f @ low_t.T
@@ -312,31 +294,51 @@ def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
         # four d x d arrays at most: inner, low_t, K and V
         v = spd_half_solve(inner, low_t)
         del inner, low_t
-        return np.matmul(v.T, v, out=out)
+        r_new = np.matmul(v.T, v, out=out)
+        if c:
+            w += r_new @ (f.T @ _residual(f, w, labels))
+        return r_new
     if out is None:
         out = state.r.copy()
     block = max(1, d // 4)
     for start in range(0, n, block):
         fb = f[start : start + block]
-        g = fb @ out
+        # the block's g = f_b r and, for the weights, e = y_b − f_b w
+        rhs = np.empty((fb.shape[0], d + c))
+        g = np.matmul(fb, out, out=rhs[:, :d])
+        if c:
+            _residual(fb, w, labels[start : start + block], out=rhs[:, d:])
+        a = g @ fb.T
+        a.flat[:: a.shape[0] + 1] += 1.0
         try:
-            v = spd_half_solve(g @ fb.T + identity(fb.shape[0]), g)
+            sol = spd_half_solve(a, rhs)
         except ValidationError as exc:
             raise NumericalError(f"woodbury block: {exc}") from exc
+        del a, g, rhs  # consumed: only sol and the downdate's panel stay
+        v = sol[:, :d]
+        if c:
+            w += v.T @ sol[:, d:]
         _downdate(out, v)
-        del g, v  # freed before the next block's are formed
+        del sol, v  # freed before the next block's are formed
     return out
+
+
+def _residual(f, w, labels, out=None):
+    # y − f w for one-hot rows y whose 1 is in column labels[i]
+    e = np.matmul(f, w, out=out)
+    np.negative(e, out=e)
+    e[np.arange(len(labels)), labels] += 1.0
+    return e
 
 
 def _downdate(r, v):
     """Overwrite ``r`` with r − vᵀv, in panels of rows.
 
-    For the rows s:e of each panel, the block left of the diagonal is one
-    matrix product and the diagonal block one ``syrk`` of numpy's, which is
-    exactly symmetric; both are formed in one scratch panel and subtracted,
-    then the block left of the diagonal is copied to its mirror above it,
-    with no temporary as the ranges are disjoint. Each panel reads only its
-    own rows of ``r`` and writes those and rows earlier panels have read.
+    Per panel of rows s:e, the block left of the diagonal (a matrix
+    product) and the diagonal block (numpy's exactly symmetric ``syrk``)
+    are formed in one scratch panel and subtracted; the former is then
+    copied to its mirror above the diagonal. Each panel reads only its own
+    rows of ``r`` and writes those and rows earlier panels have read.
     """
     d = r.shape[0]
     panel = np.empty((min(_DOWNDATE_PANEL_ROWS, d), d))
@@ -355,15 +357,19 @@ def rilm_update(
     """Absorb one phase of data into the state.
 
     The phase's classes must have been registered through expand_classes
-    beforehand. Labels are embedded at their registered columns, then the
-    weights move by the recursive least-squares correction
+    beforehand. Each row's label selects its registered column of y, and
+    the weights move by the recursive least-squares correction, which
+    reproduces the joint ridge solution over everything seen so far. On
+    the Woodbury path it is taken in ``update_r``'s block loop, before
+    each block's downdate: with L and V = L⁻¹ g as there,
 
-        w  <-  w + r_new fᵀ (y - f w)
+        w  <-  w + Vᵀ L⁻¹ (y_b − f_b w)
 
-    which reproduces the joint ridge solution over everything seen so far.
+    The direct path steps once, after the update: w + r_new fᵀ (y − f w).
     Nothing from the phase is retained beyond the refreshed summaries, and
     an empty phase is an exact no-op. ``out`` is None or ``state.r``, as in
-    ``update_r``; with ``out=state.r`` the passed state is consumed.
+    ``update_r``; with ``out=state.r`` the passed state is consumed, its
+    weights stepped in place.
     """
     path = _check_path(path)
     f = phase.features
@@ -373,20 +379,13 @@ def rilm_update(
     missing = [cid for cid in phase.class_ids if cid not in column]
     if missing:
         raise ProtocolError(f"class ids not registered before update: {missing}")
-    y_full = zeros(phase.num_samples, state.classes_seen)
-    cols = [column[cid] for cid in phase.class_ids]
-    y_full[:, cols] = phase.labels_onehot
-
-    r_new = update_r(state, f, path=path, out=out)
+    cols = np.array([column[cid] for cid in phase.class_ids], dtype=np.intp)
+    labels = cols[np.nonzero(phase.labels_onehot)[1]]
     w = state.weights
-    w_new = w + r_new @ (f.T @ (y_full - f @ w))
-    return RilmState(
-        weights=w_new,
-        r=r_new,
-        eta=state.eta,
-        phase=state.phase + 1,
-        class_ids=state.class_ids,
-    )
+    if out is None or not w.flags.writeable:
+        w = w.copy()
+    r_new = _update(state, f, path, out, w, labels)
+    return RilmState(w, r_new, state.eta, state.phase + 1, state.class_ids)
 
 
 def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:

@@ -1,13 +1,31 @@
-"""Reference checks that only the tests use.
+"""Reference checks and inputs that only the tests use.
 
 ``kn_identity_check`` audits the algebra behind the recursive downdate
 against an explicit inverse, which the library itself never forms.
+``gen_experiment`` builds, in memory, the experiment ``recridge run``
+builds from ``recridge gen`` files.
 """
 
 import numpy as np
 
+from recridge import cil_harness
 from recridge.dense_linalg import as_matrix, identity, spd_solve
 from recridge.errors import ShapeError
+
+
+def gen_experiment(seed, eta, d_rp_mult):
+    """The experiment of ``recridge run`` on the files of
+    ``recridge gen --dim 6 --seed <seed>`` (6 classes, 40 training and 20
+    test rows each, separation 10) with a repoint config of schedule 6/3,
+    that eta and ``--d-rp-mult``. Synthetic mode draws the same rows as
+    gen, which FMAT stores exactly, so no file is written.
+    """
+    raw = {
+        "pipeline": "repoint", "schedule": "6/3", "eta": repr(eta),
+        "d_rp_multiplier": str(d_rp_mult), "synth_classes": "6", "synth_per_class": "40",
+        "synth_test_per_class": "20", "synth_dim": "6", "synth_seed": str(seed),
+    }
+    return cil_harness.prepare_experiment(cil_harness.build_config(raw))
 
 
 def kn_identity_check(r_prev, f_rp) -> float:

@@ -400,6 +400,21 @@ def test_failed_config_echo_keeps_previous_file(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "res.cfg", "res.csv", "res.txt"]
 
 
+def test_run_with_a_directory_in_place_of_an_output_replaces_nothing(tmp_path, capsys):
+    # the csv target is a directory: the run fails before any target is
+    # replaced, so the older result file is not left beside newer siblings
+    cfg = _write_synth_config(tmp_path)
+    out = tmp_path / "res.txt"
+    out.write_text("phase=0 seen_classes=2 acc=50.0\nA=50.0 R=0.0\n")
+    before = out.read_bytes()
+    (tmp_path / "res.csv").mkdir()
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "directory" in capsys.readouterr().err
+    assert out.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "res.csv", "res.txt"]
+    assert not os.listdir(tmp_path / "res.csv")
+
+
 # -- metrics ----------------------------------------------------------------------
 
 

@@ -4,7 +4,8 @@ per-line loop behind them.
 Core claims:
     - the writer's bytes are those of one ``%+.17e`` per value, and the
       token reader's values those of one ``float()`` per literal, bit for
-      bit over the whole exponent range
+      bit over the whole exponent range; exact decimal ties between 1e-5
+      and 1e18 are rounded to even in the tokens, not sent to ``%``
     - the numpy parses accept only what the per-line loop accepts, and
       return it bit for bit; everything else falls back to the loop
     - a corrupted checkpoint or data file raises the ParseError, line
@@ -250,18 +251,28 @@ def test_codec_matches_printf_and_float_bit_for_bit():
         read = fmat.read_matrix_block(_cursor(text))
         assert read.tobytes() == np.array([float(t) for t in text.split()[3:]]).tobytes()
     # the in-range block takes the token reader, and the token writer for
-    # all rows but those holding a tie (a few in a hundred near 1e14)
+    # all rows but a few holding a near-tie or an edge case
     cursor = _cursor(_written(in_range))
     read = fmat._read_tokens(cursor, *fmat._parse_header(cursor, "FMAT", 2))
     assert read.tobytes() == in_range.tobytes()
     fallback = [fmat._format_tokens(in_range[i : i + 512])[1] for i in range(0, len(in_range), 512)]
     assert sum(map(len, fallback)) < len(in_range) // 20
+    # Between 1e-5 and 1e18 the scaled mantissa is exact, so a tie (an
+    # eighth of all values near 1e14) is rounded: of the random mantissas
+    # there, no row falls back.
+    spread = in_range[: 10**6 // 8].ravel()
+    mid = spread[(np.abs(spread) >= 1e-5) & (np.abs(spread) < 1e18)]
+    assert fmat._format_tokens(mid[: mid.size // 8 * 8].reshape(-1, 8))[1].size == 0
 
 
-def test_exact_ties_take_the_row_format():
+def test_exact_ties_round_to_even_or_take_the_row_format():
+    # a / 2**b has the exponent E = 18 - b; a tie is rounded half to even
+    # where 10**(17 - E) is a double, and written by ``%`` elsewhere
     ties = _ties(_rng(12))[:, None]
     text, fallback = fmat._format_tokens(ties)
-    assert fallback.tolist() == list(range(len(ties)))
+    exponent = np.floor(np.log10(ties[:, 0]))
+    assert fallback.tolist() == np.flatnonzero(exponent < -5).tolist()
+    assert 0 < len(fallback) < len(ties)
     assert _written(ties) == _expected_text(ties)
 
 
@@ -279,7 +290,8 @@ def test_writer_stays_exact_when_log10_rounds_across_a_power_of_ten(monkeypatch,
 def test_only_rows_the_tokens_cannot_write_take_the_row_format():
     m = _rng(13).standard_normal((6, 3))
     m[1, 2] = 1e200  # three-digit exponent
-    m[4, 0] = 1 + 2.0**-18  # an exact tie
+    m[2, 1] = 1 + 2.0**-18  # an exact tie, rounded to even
+    m[4, 0] = 2.0**-27  # an exact tie where 10**26 is no double
     m[5] = [0.0, -0.0, 1e-99]
     text, fallback = fmat._format_tokens(m)
     assert fallback.tolist() == [1, 4]

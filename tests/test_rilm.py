@@ -10,7 +10,8 @@ Core claims:
       every update, even over hundreds of ReLU-projected phases
     - empty phases are exact no-ops; states never grow with sample count
     - duplicated, rank-1 and all-zero ReLU rows keep both paths on the
-      joint fit
+      joint fit, and on ``recridge gen`` data at eta 1e-4 the Woodbury
+      path, stepping the weights by each block's gain, holds 1e-8 too
     - the Woodbury downdate is exactly symmetric at every 128-row panel
       edge and, updating ``r`` in place, holds no d x d temporary
     - an update into ``out=state.r`` equals the out-of-place one bit for
@@ -30,11 +31,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from recridge import cil_harness as ch
 from recridge import dense_linalg, fmat, random_projection, rilm
 from recridge.dense_linalg import cholesky_lower, identity, zeros
 from recridge.errors import ParseError, ProtocolError, ShapeError, ValidationError
 
-from oracles import kn_identity_check
+from oracles import gen_experiment, kn_identity_check
 
 
 def _rng(seed):
@@ -644,6 +646,21 @@ def test_clustered_relu_phases_keep_joint_fit(seed):
         phases.append(rilm.PhaseDataset(f, y, (2 * k, 2 * k + 1)))
     for path in ("woodbury", "direct"):
         assert rilm.recursive_vs_batch_error(phases, eta, path) <= 1e-8
+
+
+@pytest.mark.parametrize("mult", [12, 14])
+def test_woodbury_holds_joint_fit_on_gen_data(mult):
+    # ``recridge gen --dim 6`` data (separation 10) at eta 1e-4, three
+    # phases of 80 rows: stepping the weights by r_new fᵀ(y − f w) after
+    # the downdate put them 3.8e-8 (mult 12) and 7.0e-8 (mult 14) off the
+    # joint fit, median of these seeds; the block gain step holds 1e-8
+    errs = {}
+    for seed in range(20):
+        ex = gen_experiment(seed, 1e-4, mult)
+        phases = [ch.phase_dataset(ex, k) for k in range(3)]
+        errs[seed] = rilm.recursive_vs_batch_error(phases, 1e-4, "woodbury")
+    bad = {seed: f"{err:.2g}" for seed, err in errs.items() if err > 1e-8}
+    assert not bad, f"seeds over 1e-8: {bad}"
 
 
 # -- batch oracle -------------------------------------------------------------
