@@ -58,7 +58,6 @@ from .rilm import (
     expand_classes,
     predict_ids,
     rilm_update,
-    update_r,
 )
 
 __version__ = "0.1.0"
@@ -105,5 +104,4 @@ __all__ = [
     "save_labels",
     "shuffled_schedule",
     "synth_dataset",
-    "update_r",
 ]

@@ -12,7 +12,7 @@ on the test rows of every class seen so far, and reports:
 * the retention drop, first-phase accuracy minus final-phase accuracy.
 
 Every phase, the first included, is one recursive update on the path
-that ``update_r``'s ``auto`` picks from the phase's shape and eta. The
+that ``rilm_update``'s ``auto`` picks from the phase's shape and eta. The
 naive sequential baseline runs the same loop but restarts each phase from
 the empty state, keeping only the seen classes, so each fit sees the
 current phase's rows alone and the old classes' weights are overwritten:
@@ -36,7 +36,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from . import fmat, fusion, rilm
-from .dense_linalg import Matrix, as_matrix, zeros
+from .dense_linalg import Matrix, as_matrix
 from .errors import ParseError, ShapeError, ValidationError
 from .random_projection import ACTIVATIONS, RpLayer, rp_forward, rp_new
 
@@ -209,13 +209,10 @@ def synth_dataset(
     noise_gen = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence([int(seed), 1 + int(stream)]))
     )
-    features = np.empty((classes * per_class, dim), dtype=np.float64)
-    labels = np.empty(classes * per_class, dtype=np.int64)
-    for c in range(classes):
-        block = slice(c * per_class, (c + 1) * per_class)
-        features[block] = means[c] + noise_gen.standard_normal((per_class, dim))
-        labels[block] = c
-    return features, [int(v) for v in labels]
+    features = noise_gen.standard_normal((classes * per_class, dim))
+    by_class = features.reshape(classes, per_class, dim)
+    by_class += means[:, None, :]
+    return features, np.repeat(np.arange(classes), per_class).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -523,22 +520,21 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
 
 
 def phase_dataset(ex: Experiment, k: int) -> rilm.PhaseDataset:
-    """Projected training rows and one-hot labels of schedule phase ``k``.
+    """Projected training rows and class ids of schedule phase ``k``.
 
     The rows are one slice of the experiment's phase-ordered training rows,
     in input order, projected here; only this phase's projection is made.
+    Their labels are the same slice of ``ex.train_labels``, a view.
     The projection acts row by row, so the rows match the same rows of
     ``ex.train_features`` bit for bit, except that a one-row phase goes
     through numpy's matrix-vector product, which may differ in the last bit.
     """
-    ids = ex.schedule.phases[k]
     rows = slice(ex.train_bounds[k], ex.train_bounds[k + 1])
-    feats, labs = rp_forward(ex.layer, ex.train_raw[rows]), ex.train_labels[rows]
-    column = np.zeros(max(ids, default=-1) + 1, dtype=np.intp)
-    column[list(ids)] = np.arange(len(ids))
-    y = zeros(feats.shape[0], len(ids))
-    y[np.arange(feats.shape[0]), column[labs]] = 1.0
-    return rilm.PhaseDataset(features=feats, labels_onehot=y, class_ids=ids)
+    return rilm.PhaseDataset(
+        features=rp_forward(ex.layer, ex.train_raw[rows]),
+        labels=ex.train_labels[rows],
+        class_ids=ex.schedule.phases[k],
+    )
 
 
 def evaluate_accuracy(state: rilm.RilmState, ex: Experiment, k: int) -> float:

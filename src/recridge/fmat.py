@@ -52,7 +52,11 @@ from .errors import ParseError
 
 # The float spec of the format (see the module docstring).
 _FLOAT_SPEC = "%+.17e"
-_CHUNK = 2048  # values per numpy pass, in whole rows
+# Values per numpy pass, in whole rows. A read pass holds about 200 bytes
+# of temporaries per value, so reads take the smaller passes; a write
+# pass holds far less.
+_WRITE_CHUNK = 8192
+_READ_CHUNK = 2048
 # A token: "+1.2", the mantissa's last 16 digits, "e-05" and the separator.
 _TOKEN = np.dtype([("head", "S4"), ("digits", "S4", 4), ("tail", "S5")])
 # The token of 0.0, and how far above it each of a token's bytes may lie.
@@ -178,7 +182,7 @@ def write_matrix_block(fh, m: Matrix) -> None:
     rows, cols = m.shape
     fh.write(f"FMAT {rows} {cols}\n")
     row_format = " ".join([_FLOAT_SPEC] * cols) + "\n"
-    step = max(1, _CHUNK // max(cols, 1))
+    step = max(1, _WRITE_CHUNK // max(cols, 1))
     for i in range(0, rows, step):
         chunk = m[i : i + step]
         text, fallback = _format_tokens(chunk) if cols else ("\n" * len(chunk), [])
@@ -226,7 +230,7 @@ def _read_tokens(cursor: LineCursor, rows: int, cols: int) -> Matrix | None:
     if not (rows and cols):
         return None
     data = np.empty((rows, cols), dtype=np.float64)
-    step = max(1, _CHUNK // cols)
+    step = max(1, _READ_CHUNK // cols)
     for out in (data[i : i + step] for i in range(0, rows, step)):
         size = out.size * _TOKEN.itemsize
         if size > len(cursor.rest()):

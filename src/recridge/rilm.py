@@ -8,7 +8,8 @@ number of samples seen. The central guarantee, exercised heavily by the
 test suite, is that updating phase by phase lands on exactly the same
 weights as solving one joint ridge problem over all phases at once.
 
-A phase of n rows is absorbed one of two ways:
+A phase, n feature rows and the global class id of each (which picks the
+weight column the row trains), is absorbed one of two ways:
 
 * ``direct``: with r = L Lᵀ and h = f L, the new memory is
   L (I + hᵀh)⁻¹ Lᵀ, formed from d x d Cholesky factors and products
@@ -32,8 +33,8 @@ update of any height holds no d x d array but r (and a copy if the old r
 is kept).
 
 States are immutable values; every operation returns a new state, except
-that ``update_r`` and ``rilm_update`` with ``out=state.r`` overwrite the
-old memory and consume the state: a run holds one d x d memory matrix.
+that ``rilm_update`` with ``out=state.r`` overwrites the old memory and
+consumes the state: a run holds one d x d memory matrix.
 
 ``r`` is exactly symmetric in every state: the empty state's ``I/eta`` is,
 both update paths return an exactly symmetric matrix from an exactly
@@ -125,33 +126,32 @@ def _check_class_ids(ids, what: str) -> tuple[int, ...]:
 class PhaseDataset:
     """Training data for one incremental phase.
 
-    ``labels_onehot`` has one column per entry of ``class_ids`` (which are
-    global ids, strictly increasing).
+    ``labels[i]``, an entry of a 1-d integer array, is the global class id
+    of row i of ``features``; every label lies in ``class_ids`` (global
+    ids, strictly increasing).
     """
 
     features: Matrix
-    labels_onehot: Matrix
+    labels: np.ndarray
     class_ids: tuple[int, ...]
 
     def __post_init__(self):
         f = as_matrix(self.features, "features")
-        y = as_matrix(self.labels_onehot, "labels_onehot")
+        y = np.asarray(self.labels)
         ids = _check_class_ids(self.class_ids, "class_ids")
-        if f.shape[0] != y.shape[0]:
+        if y.shape != (f.shape[0],):
             raise ShapeError(
-                f"features have {f.shape[0]} rows but labels have {y.shape[0]} rows"
+                f"labels must hold one id per feature row, shape ({f.shape[0]},), "
+                f"got {y.shape}"
             )
-        if y.shape[1] != len(ids):
-            raise ShapeError(
-                f"labels have {y.shape[1]} columns but {len(ids)} class ids were given"
-            )
-        if y.shape[0]:
-            if not np.isin(y, (0.0, 1.0)).all():
-                raise ValidationError("labels_onehot entries must be exactly 0 or 1")
-            if not (y.sum(axis=1) == 1.0).all():
-                raise ValidationError("each label row must contain exactly one 1")
+        if y.dtype.kind not in "iu":
+            if y.size:
+                raise ValidationError(f"labels must be integer class ids, got {y.dtype}")
+            y = y.astype(np.intp)
+        if not np.isin(y, ids).all():
+            raise ValidationError(f"labels must lie in class_ids {ids}")
         object.__setattr__(self, "features", f)
-        object.__setattr__(self, "labels_onehot", y)
+        object.__setattr__(self, "labels", y)
         object.__setattr__(self, "class_ids", ids)
 
     @property
@@ -249,34 +249,23 @@ def expand_classes(state: RilmState, new_class_ids) -> RilmState:
     return out
 
 
-def update_r(state: RilmState, f_rp, path: str = "auto", out=None) -> Matrix:
-    """Memory matrix after absorbing the Gram matrix of new feature rows.
+def _update(state, f, path, out, w, cols):
+    """``rilm_update`` on checked inputs: returns the new r, steps ``w``.
 
-    The woodbury path takes the rows in consecutive blocks f_b of at most
-    max(1, d // 4) rows; per block, with g = f_b r and L the Cholesky
-    factor of g f_bᵀ + I, it subtracts Vᵀ V, V = L⁻¹ g, in place and
-    exactly symmetric (see ``_downdate``). A block system that rounding
-    leaves outside spd_half_solve's checks (at small eta, asymmetric
-    beyond SYMMETRY_RTOL) raises NumericalError. The direct path factors
-    r = L Lᵀ, sets h = f L and returns Vᵀ V for V = K⁻¹ Lᵀ, K the Cholesky
-    factor of I + hᵀh: that is (r⁻¹ + fᵀf)⁻¹, exactly symmetric the same
-    way. Neither inverts r: rebuilding the Gram matrix from r that way lost
-    accuracy with every phase at small eta. ``auto`` is as in the module
-    docstring. With ``out=None`` the result is a new array and ``state.r``
-    is left as it was; the only other ``out`` accepted is ``state.r``
-    itself, writable, which is then updated in place (a failure partway
-    leaves it partly updated).
+    Row i of ``f`` trains column ``cols[i]`` of the d x c ``w``, which is
+    stepped in place. The woodbury path takes the rows in consecutive
+    blocks f_b of at most max(1, d // 4) rows; per block, with g = f_b r
+    and L the Cholesky factor of g f_bᵀ + I, it steps w by the block's gain
+    and subtracts Vᵀ V, V = L⁻¹ g, from r in place and exactly symmetric
+    (see ``_downdate``). A block system that rounding leaves outside
+    spd_half_solve's checks (at small eta, asymmetric beyond SYMMETRY_RTOL)
+    raises NumericalError. The direct path factors r = L Lᵀ, sets h = f L
+    and returns Vᵀ V for V = K⁻¹ Lᵀ, K the Cholesky factor of I + hᵀh: that
+    is (r⁻¹ + fᵀf)⁻¹, exactly symmetric the same way. Neither inverts r:
+    rebuilding the Gram matrix from r that way lost accuracy with every
+    phase at small eta.
     """
-    path = _check_path(path)
-    return _update(state, as_matrix(f_rp, "f_rp"), path, out)
-
-
-def _update(state, f, path, out, w=None, labels=None):
-    # update_r on checked rows. Given the d x c weights w, stepped in place,
-    # and the label column of each row, it also steps w by the phase.
     n, d = f.shape
-    if d != state.d_rp:
-        raise ShapeError(f"f_rp has width {d}, state expects {state.d_rp}")
     if out is not None and (out is not state.r or not out.flags.writeable):
         raise ShapeError("out must be None or a writable state.r")
     if n == 0:
@@ -284,7 +273,6 @@ def _update(state, f, path, out, w=None, labels=None):
         return state.r.copy() if out is None else out
     if path == "auto":
         path = "direct" if n >= d and state.eta < _WOODBURY_MIN_ETA else "woodbury"
-    c = 0 if w is None else w.shape[1]
     if path == "direct":
         low_t = np.ascontiguousarray(cholesky_lower(state.r).T)
         h = f @ low_t.T
@@ -295,8 +283,7 @@ def _update(state, f, path, out, w=None, labels=None):
         v = spd_half_solve(inner, low_t)
         del inner, low_t
         r_new = np.matmul(v.T, v, out=out)
-        if c:
-            w += r_new @ (f.T @ _residual(f, w, labels))
+        w += r_new @ (f.T @ _residual(f, w, cols))
         return r_new
     if out is None:
         out = state.r.copy()
@@ -304,10 +291,9 @@ def _update(state, f, path, out, w=None, labels=None):
     for start in range(0, n, block):
         fb = f[start : start + block]
         # the block's g = f_b r and, for the weights, e = y_b − f_b w
-        rhs = np.empty((fb.shape[0], d + c))
+        rhs = np.empty((fb.shape[0], d + w.shape[1]))
         g = np.matmul(fb, out, out=rhs[:, :d])
-        if c:
-            _residual(fb, w, labels[start : start + block], out=rhs[:, d:])
+        _residual(fb, w, cols[start : start + block], out=rhs[:, d:])
         a = g @ fb.T
         a.flat[:: a.shape[0] + 1] += 1.0
         try:
@@ -316,18 +302,17 @@ def _update(state, f, path, out, w=None, labels=None):
             raise NumericalError(f"woodbury block: {exc}") from exc
         del a, g, rhs  # consumed: only sol and the downdate's panel stay
         v = sol[:, :d]
-        if c:
-            w += v.T @ sol[:, d:]
+        w += v.T @ sol[:, d:]
         _downdate(out, v)
         del sol, v  # freed before the next block's are formed
     return out
 
 
-def _residual(f, w, labels, out=None):
-    # y − f w for one-hot rows y whose 1 is in column labels[i]
+def _residual(f, w, cols, out=None):
+    # y − f w, where row i of y is 1 in column cols[i] and 0 elsewhere
     e = np.matmul(f, w, out=out)
     np.negative(e, out=e)
-    e[np.arange(len(labels)), labels] += 1.0
+    e[np.arange(len(cols)), cols] += 1.0
     return e
 
 
@@ -357,19 +342,23 @@ def rilm_update(
     """Absorb one phase of data into the state.
 
     The phase's classes must have been registered through expand_classes
-    beforehand. Each row's label selects its registered column of y, and
-    the weights move by the recursive least-squares correction, which
-    reproduces the joint ridge solution over everything seen so far. On
-    the Woodbury path it is taken in ``update_r``'s block loop, before
-    each block's downdate: with L and V = L⁻¹ g as there,
+    beforehand; each row's class id selects the weight column it trains.
+    ``r`` absorbs the rows' Gram matrix and the weights move by the
+    recursive least-squares correction, which reproduces the joint ridge
+    solution over everything seen so far. On the Woodbury path the weights
+    step inside the block loop, before each block's downdate: with
+    g = f_b r, L the Cholesky factor of g f_bᵀ + I and V = L⁻¹ g,
 
         w  <-  w + Vᵀ L⁻¹ (y_b − f_b w)
 
     The direct path steps once, after the update: w + r_new fᵀ (y − f w).
-    Nothing from the phase is retained beyond the refreshed summaries, and
-    an empty phase is an exact no-op. ``out`` is None or ``state.r``, as in
-    ``update_r``; with ``out=state.r`` the passed state is consumed, its
-    weights stepped in place.
+    ``path`` is one of ``UPDATE_PATHS``, ``auto`` as in the module
+    docstring. Nothing from the phase is retained beyond the refreshed
+    summaries, and an empty phase is an exact no-op. With ``out=None`` the
+    passed state is left as it was. The only other ``out`` accepted is
+    ``state.r`` itself, writable: then ``r`` is updated in place and the
+    weights stepped in place, so the passed state is consumed (a failure
+    partway leaves it partly updated).
     """
     path = _check_path(path)
     f = phase.features
@@ -379,12 +368,13 @@ def rilm_update(
     missing = [cid for cid in phase.class_ids if cid not in column]
     if missing:
         raise ProtocolError(f"class ids not registered before update: {missing}")
+    # each label's index in the sorted phase.class_ids, then its weight column
     cols = np.array([column[cid] for cid in phase.class_ids], dtype=np.intp)
-    labels = cols[np.nonzero(phase.labels_onehot)[1]]
+    cols = cols[np.searchsorted(phase.class_ids, phase.labels)]
     w = state.weights
     if out is None or not w.flags.writeable:
         w = w.copy()
-    r_new = _update(state, f, path, out, w, labels)
+    r_new = _update(state, f, path, out, w, cols)
     return RilmState(w, r_new, state.eta, state.phase + 1, state.class_ids)
 
 
@@ -419,7 +409,8 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
         f = ph.features
         a_sum += f.T @ f
         cols = [column[cid] for cid in ph.class_ids]
-        c_sum[:, cols] += f.T @ ph.labels_onehot
+        onehot = np.equal.outer(ph.labels, ph.class_ids).astype(np.float64)
+        c_sum[:, cols] += f.T @ onehot
     return spd_solve(a_sum + eta * identity(d), c_sum)
 
 
@@ -533,7 +524,7 @@ def random_phase_problem(
     samples_range: tuple[int, int] = (50, 200),
     classes_per_phase_range: tuple[int, int] = (2, 5),
 ) -> list[PhaseDataset]:
-    """Synthetic multi-phase problem with Gaussian features and one-hot labels."""
+    """Synthetic multi-phase problem with Gaussian features and uniform labels."""
     if n_phases < 1:
         raise ValidationError(f"n_phases must be >= 1, got {n_phases}")
     gen = np.random.Generator(np.random.PCG64(seed))
@@ -543,11 +534,10 @@ def random_phase_problem(
         n = int(gen.integers(samples_range[0], samples_range[1] + 1))
         c = int(gen.integers(classes_per_phase_range[0], classes_per_phase_range[1] + 1))
         ids = tuple(range(next_class, next_class + c))
-        next_class += c
         features = gen.standard_normal((n, d_rp))
-        y = np.zeros((n, c))
-        y[np.arange(n), gen.integers(0, c, size=n)] = 1.0
-        phases.append(PhaseDataset(features=features, labels_onehot=y, class_ids=ids))
+        labels = next_class + gen.integers(0, c, size=n)
+        phases.append(PhaseDataset(features=features, labels=labels, class_ids=ids))
+        next_class += c
     return phases
 
 

@@ -12,7 +12,8 @@ Core claims:
     - the recursive pipeline matches the joint fit while the naive baseline
       forgets; runs are byte-deterministic and states stay sample-size-free
     - training rows are projected one phase at a time, bit-equal to one
-      projection of them all, so a run never holds the projected matrix
+      projection of them all, so a run never holds the projected matrix;
+      a phase's labels are a view of the training labels
     - a run, naive or not, holds one d x d memory matrix, updated in place
     - evaluation scores the projected test rows without checking them again
     - every writer replaces its file atomically
@@ -245,9 +246,7 @@ def _joint_accuracy(separation, seed):
     ftr, ltr = ch.synth_dataset(6, 60, 16, separation, seed, stream=0)
     fte, lte = ch.synth_dataset(6, 40, 16, separation, seed, stream=1)
     layer = rp_new(16, 192, seed, "relu")
-    y = np.zeros((ftr.shape[0], 6))
-    y[np.arange(len(ltr)), ltr] = 1.0
-    phase = rilm.PhaseDataset(rp_forward(layer, ftr), y, tuple(range(6)))
+    phase = rilm.PhaseDataset(rp_forward(layer, ftr), np.asarray(ltr), tuple(range(6)))
     state = rilm.recursive_states([phase], eta=1.0)[0]
     preds = rilm.predict_ids(state, rp_forward(layer, fte))
     return float(np.mean(preds == np.asarray(lte)))
@@ -524,7 +523,7 @@ def test_naive_final_state_is_ridge_fit_of_last_phase(tmp_path):
     last = ch.phase_dataset(ex, ex.schedule.num_phases - 1)
     column = {cid: j for j, cid in enumerate(state.class_ids)}
     y = np.zeros((last.num_samples, len(column)))
-    y[:, [column[cid] for cid in last.class_ids]] = last.labels_onehot
+    y[np.arange(last.num_samples), [column[int(c)] for c in last.labels]] = 1.0
     f = last.features
     expected = dense_linalg.spd_solve(f.T @ f + cfg.eta * np.eye(f.shape[1]), f.T @ y)
     assert state.class_ids == tuple(range(6))
@@ -534,10 +533,7 @@ def test_naive_final_state_is_ridge_fit_of_last_phase(tmp_path):
 
 def _gathered_phase(f, labels, ids):
     mask = np.isin(labels, ids)
-    y = np.zeros((int(mask.sum()), len(ids)))
-    for i, lab in enumerate(labels[mask]):
-        y[i, ids.index(lab)] = 1.0
-    return rilm.PhaseDataset(f[mask], y, ids)
+    return rilm.PhaseDataset(f[mask], labels[mask], ids)
 
 
 def _mask_gather_run(cfg, train, test):
@@ -603,7 +599,7 @@ def test_phase_ordered_rows_match_mask_gather_oracle(tmp_path, case):
     for k, ids in enumerate(cfg.schedule.phases):
         ours, theirs = ch.phase_dataset(ex, k), _gathered_phase(ftr, ltr, ids)
         assert np.array_equal(ours.features, theirs.features)
-        assert np.array_equal(ours.labels_onehot, theirs.labels_onehot)
+        assert np.array_equal(ours.labels, theirs.labels)
 
 
 @pytest.mark.parametrize(
@@ -624,7 +620,11 @@ def test_phase_projection_matches_one_full_projection(tmp_path, overrides):
     for k in range(ex.schedule.num_phases):
         rows = slice(ex.train_bounds[k], ex.train_bounds[k + 1])
         assert rows.stop - rows.start >= 2
-        assert np.array_equal(ch.phase_dataset(ex, k).features, full[rows])
+        phase = ch.phase_dataset(ex, k)
+        assert np.array_equal(phase.features, full[rows])
+        # the labels are the phase's slice of the training labels, not a copy
+        assert np.shares_memory(phase.labels, ex.train_labels)
+        assert np.array_equal(phase.labels, ex.train_labels[rows])
 
 
 def test_run_memory_stays_below_projected_training_matrix(tmp_path):

@@ -1,6 +1,7 @@
 """Recursive learner tests.
 
 Core claims:
+    - a phase's labels are one class id per row, each among its class ids
     - the first phase, one update from the empty state, matches an
       independently solved normal equation
     - recursive updates reproduce the joint closed-form fit for any split
@@ -43,19 +44,23 @@ def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def _onehot(rows, cols, picks):
-    y = np.zeros((rows, cols))
-    y[np.arange(rows), picks] = 1.0
-    return y
+def _onehot(phase):
+    # the phase's rows of the label matrix y, one column per phase class
+    return np.equal.outer(phase.labels, phase.class_ids).astype(np.float64)
 
 
 def _random_phase(gen, n, class_ids, d):
-    c = len(class_ids)
+    ids = tuple(class_ids)
     return rilm.PhaseDataset(
         features=gen.standard_normal((n, d)),
-        labels_onehot=_onehot(n, c, gen.integers(0, c, size=n)),
-        class_ids=tuple(class_ids),
+        labels=np.asarray(ids)[gen.integers(0, len(ids), size=n)],
+        class_ids=ids,
     )
+
+
+def _phase_of(f):
+    # rows all of class 0, for checks of r, which no label moves
+    return rilm.PhaseDataset(f, np.zeros(len(f), dtype=np.int64), (0,))
 
 
 def _stacked_ridge(phases, eta):
@@ -65,11 +70,9 @@ def _stacked_ridge(phases, eta):
     table = [c for ph in phases for c in ph.class_ids]
     col = {c: j for j, c in enumerate(table)}
     f = np.vstack([ph.features for ph in phases])
+    labels = np.concatenate([ph.labels for ph in phases])
     y = np.zeros((f.shape[0], len(table)))
-    row = 0
-    for ph in phases:
-        y[row : row + ph.num_samples, [col[c] for c in ph.class_ids]] = ph.labels_onehot
-        row += ph.num_samples
+    y[np.arange(len(labels)), [col[int(c)] for c in labels]] = 1.0
     aug_a = np.vstack([f, np.sqrt(eta) * np.eye(d)])
     aug_b = np.vstack([y, np.zeros((d, len(table)))])
     return np.linalg.lstsq(aug_a, aug_b, rcond=None)[0]
@@ -84,30 +87,37 @@ def _first_fit(phase, eta, path="auto"):
 
 
 def test_phase_dataset_rejects_soft_labels():
-    with pytest.raises(ValidationError):
-        rilm.PhaseDataset(np.ones((1, 2)), np.array([[0.5, 0.5]]), (0, 1))
+    # labels are integer class ids, not weights or floats that look like ids
+    for labels in ([0.5], [1.0], [True]):
+        with pytest.raises(ValidationError):
+            rilm.PhaseDataset(np.ones((1, 2)), np.array(labels), (0, 1))
 
 
-def test_phase_dataset_rejects_multiple_ones():
-    with pytest.raises(ValidationError):
-        rilm.PhaseDataset(np.ones((1, 2)), np.array([[1.0, 1.0]]), (0, 1))
+def test_phase_dataset_rejects_misshapen_labels():
+    # one id per row: too few, too many, a column, a one-hot matrix, a scalar
+    for labels in ([0, 1], [0, 1, 1, 0], [[0], [1], [1]], np.eye(3, 2, dtype=int), 0):
+        with pytest.raises(ShapeError):
+            rilm.PhaseDataset(np.ones((3, 4)), np.array(labels), (0, 1))
 
 
 def test_phase_dataset_rejects_unsorted_ids():
     with pytest.raises(ProtocolError):
-        rilm.PhaseDataset(np.ones((1, 2)), np.array([[1.0, 0.0]]), (3, 2))
+        rilm.PhaseDataset(np.ones((1, 2)), np.array([2]), (3, 2))
 
 
 def test_phase_dataset_rejects_rows_without_labels():
-    with pytest.raises(ValidationError):
-        rilm.PhaseDataset(np.ones((3, 4)), zeros(3, 0), ())
+    # a row whose id is not among class_ids has no class of the phase; with
+    # no class ids at all, no row has one
+    for labels, ids in (([0, 0, 0], ()), ([0, 2, 1], (0, 1)), ([-1, 0, 1], (0, 1))):
+        with pytest.raises(ValidationError):
+            rilm.PhaseDataset(np.ones((3, 4)), np.array(labels), ids)
 
 
 # -- initial fit --------------------------------------------------------------
 
 
 def test_init_identity_example():
-    state = _first_fit(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), eta=1.0)
+    state = _first_fit(rilm.PhaseDataset(np.eye(2), [0, 1], (0, 1)), eta=1.0)
     assert np.allclose(state.weights, 0.5 * np.eye(2))
     assert np.allclose(state.r, 0.5 * np.eye(2))
     assert state.phase == 1 and state.class_ids == (0, 1)
@@ -115,7 +125,7 @@ def test_init_identity_example():
 
 def test_init_small_eta_limit():
     # diagonal least squares: eta -> 0 recovers Y / F on the diagonal
-    phase = rilm.PhaseDataset(np.diag([1.0, 2.0]), np.eye(2), (0, 1))
+    phase = rilm.PhaseDataset(np.diag([1.0, 2.0]), [0, 1], (0, 1))
     state = _first_fit(phase, eta=1e-12)
     assert np.allclose(state.weights, np.diag([1.0, 0.5]), atol=1e-9)
 
@@ -124,7 +134,7 @@ def test_init_matches_normal_equations_oracle():
     gen = _rng(1)
     phase = _random_phase(gen, 40, range(3), d=16)
     state = _first_fit(phase, eta=0.5)
-    f, y = phase.features, phase.labels_onehot
+    f, y = phase.features, _onehot(phase)
     expected = np.linalg.solve(f.T @ f + 0.5 * np.eye(16), f.T @ y)
     assert np.linalg.norm(state.weights - expected) <= 1e-10 * np.linalg.norm(expected)
 
@@ -140,13 +150,13 @@ def test_init_paths_match_normal_equations_oracle(n, path, eta, relu):
     d = 192
     phase = _random_phase(_rng(1), n, range(3), d=d)
     if relu:
-        phase = rilm.PhaseDataset(np.maximum(phase.features, 0.0), phase.labels_onehot, (0, 1, 2))
+        phase = rilm.PhaseDataset(np.maximum(phase.features, 0.0), phase.labels, (0, 1, 2))
     state = _first_fit(phase, eta)
     forced = _first_fit(phase, eta, path)
     routed = forced if path == "woodbury" else _first_fit(phase, eta, "woodbury")
     assert np.array_equal(state.weights, routed.weights)
     assert np.array_equal(state.r, routed.r)
-    f, y = phase.features, phase.labels_onehot
+    f, y = phase.features, _onehot(phase)
     expected = np.linalg.solve(f.T @ f + eta * np.eye(d), f.T @ y)
     for fitted in (state, forced):
         assert np.linalg.norm(fitted.weights - expected) <= 1e-8 * np.linalg.norm(expected)
@@ -158,26 +168,26 @@ def test_auto_keeps_tall_phases_direct_below_tested_eta(n, routed):
     # auto takes the direct path there; shorter phases stay on Woodbury
     d, eta = 192, 1e-6
     phase = _random_phase(_rng(1), n, range(3), d=d)
-    phase = rilm.PhaseDataset(np.maximum(phase.features, 0.0), phase.labels_onehot, (0, 1, 2))
+    phase = rilm.PhaseDataset(np.maximum(phase.features, 0.0), phase.labels, (0, 1, 2))
     fresh = rilm.expand_classes(rilm.empty_state(d, eta), phase.class_ids)
     auto, forced = rilm.rilm_update(fresh, phase), rilm.rilm_update(fresh, phase, path=routed)
     assert np.array_equal(auto.weights, forced.weights)
     assert np.array_equal(auto.r, forced.r)
     if n >= d:
-        f, y = phase.features, phase.labels_onehot
+        f, y = phase.features, _onehot(phase)
         expected = np.linalg.solve(f.T @ f + eta * np.eye(d), f.T @ y)
         assert np.linalg.norm(auto.weights - expected) <= 1e-8 * np.linalg.norm(expected)
 
 
 def test_init_rejects_bad_eta():
-    phase = rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1))
+    phase = rilm.PhaseDataset(np.eye(2), [0, 1], (0, 1))
     for eta in (0.0, -1.0, np.nan):
         with pytest.raises(ValidationError):
             _first_fit(phase, eta)
 
 
 def test_init_empty_phase_gives_fresh_state():
-    phase = rilm.PhaseDataset(zeros(0, 4), zeros(0, 0), ())
+    phase = rilm.PhaseDataset(zeros(0, 4), [], ())
     state = _first_fit(phase, eta=2.0)
     assert np.allclose(state.r, np.eye(4) / 2.0)
     assert state.weights.shape == (4, 0)
@@ -189,12 +199,12 @@ def test_init_empty_phase_gives_fresh_state():
 
 
 def test_expand_by_zero_is_identity():
-    state = _first_fit(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), 1.0)
+    state = _first_fit(rilm.PhaseDataset(np.eye(2), [0, 1], (0, 1)), 1.0)
     assert rilm.expand_classes(state, ()) is state
 
 
 def test_expand_pads_zero_columns():
-    state = _first_fit(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), 1.0)
+    state = _first_fit(rilm.PhaseDataset(np.eye(2), [0, 1], (0, 1)), 1.0)
     grown = rilm.expand_classes(state, (2, 3))
     assert grown.weights.shape == (2, 4)
     assert np.array_equal(grown.weights[:, 2:], np.zeros((2, 2)))
@@ -204,7 +214,7 @@ def test_expand_pads_zero_columns():
 
 
 def test_expand_rejects_duplicates():
-    state = _first_fit(rilm.PhaseDataset(np.eye(2), np.eye(2), (0, 1)), 1.0)
+    state = _first_fit(rilm.PhaseDataset(np.eye(2), [0, 1], (0, 1)), 1.0)
     with pytest.raises(ProtocolError):
         rilm.expand_classes(state, (1, 2))
     with pytest.raises(ProtocolError):
@@ -260,8 +270,8 @@ def test_direct_update_holds_four_d_by_d_arrays():
     # factor K and V; the rows' product with the factor is freed first
     d = 768
     state = _spd_state(d, seed=17)
-    f = _rng(18).standard_normal((1000, d))
-    peak = _peak_bytes(rilm.update_r, state, f, "direct")
+    phase = _phase_of(_rng(18).standard_normal((1000, d)))
+    peak = _peak_bytes(rilm.rilm_update, state, phase, "direct")
     assert peak < 4.2 * state.r.nbytes
 
 
@@ -271,8 +281,8 @@ def test_woodbury_update_holds_no_third_d_by_d_array():
     # (0.71 d x d; 0.96 when a block's products lived into the next block)
     d = 768
     state = _spd_state(d, seed=17)
-    f = _rng(18).standard_normal((1000, d))
-    peak = _peak_bytes(rilm.update_r, state, f, "woodbury", state.r)
+    phase = _phase_of(_rng(18).standard_normal((1000, d)))
+    peak = _peak_bytes(rilm.rilm_update, state, phase, "woodbury", state.r)
     assert peak < 0.85 * state.r.nbytes
 
 
@@ -326,16 +336,17 @@ def test_derived_states_do_not_rescan_r(monkeypatch):
 
 
 def test_update_r_scalar_case():
-    state = rilm.RilmState(zeros(1, 0), np.array([[1.0]]), 1.0, 0, ())
+    state = rilm.RilmState(zeros(1, 1), np.array([[1.0]]), 1.0, 0, (0,))
     for path in ("woodbury", "direct"):
-        out = rilm.update_r(state, np.array([[1.0]]), path=path)
-        assert np.allclose(out, [[0.5]])
+        out = rilm.rilm_update(state, _phase_of(np.array([[1.0]])), path=path)
+        assert np.allclose(out.r, [[0.5]])
 
 
 def test_update_r_empty_phase_keeps_r():
     state = rilm.empty_state(5, eta=0.7)
     for path in ("woodbury", "direct"):
-        assert np.array_equal(rilm.update_r(state, zeros(0, 5), path=path), state.r)
+        out = rilm.rilm_update(state, rilm.PhaseDataset(zeros(0, 5), [], ()), path=path)
+        assert np.array_equal(out.r, state.r)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -345,16 +356,16 @@ def test_update_r_matches_inverse_oracle(seed):
     f = gen.standard_normal((8, 12))
     expected = np.linalg.inv(np.linalg.inv(state.r) + f.T @ f)
     for path in ("woodbury", "direct"):
-        out = rilm.update_r(state, f, path=path)
+        out = rilm.rilm_update(state, _phase_of(f), path=path).r
         assert np.linalg.norm(out - expected) <= 1e-9 * np.linalg.norm(expected)
 
 
 def test_update_r_paths_agree():
     gen = _rng(7)
     state = _first_fit(_random_phase(gen, 50, range(3), d=20), eta=0.3)
-    f = gen.standard_normal((35, 20))
-    wood = rilm.update_r(state, f, path="woodbury")
-    direct = rilm.update_r(state, f, path="direct")
+    phase = _phase_of(gen.standard_normal((35, 20)))
+    wood = rilm.rilm_update(state, phase, path="woodbury").r
+    direct = rilm.rilm_update(state, phase, path="direct").r
     assert np.linalg.norm(wood - direct) <= 1e-9 * np.linalg.norm(direct)
     assert np.array_equal(wood, wood.T) and np.array_equal(direct, direct.T)
 
@@ -372,7 +383,7 @@ def test_blocked_woodbury_at_block_boundaries(n, eta):
     def relu_phase(rows, ids):
         f = random_projection.rp_forward(layer, gen.standard_normal((rows, d_in)))
         picks = gen.integers(0, len(ids), size=rows)
-        return rilm.PhaseDataset(f, _onehot(rows, len(ids), picks), ids)
+        return rilm.PhaseDataset(f, np.asarray(ids)[picks], ids)
 
     first, second = relu_phase(30, (0, 1)), relu_phase(n, (2, 3, 4))
     state = rilm.expand_classes(_first_fit(first, eta=eta), second.class_ids)
@@ -403,10 +414,10 @@ def test_woodbury_downdate_panel_edges(d, rows, in_place):
     r_before = state.r.copy()
     if in_place:
         copy = dataclasses.replace(state, r=r_before.copy())
-        result = rilm.update_r(copy, f, path="woodbury", out=copy.r)
+        result = rilm.rilm_update(copy, _phase_of(f), path="woodbury", out=copy.r).r
         assert result is copy.r
     else:
-        result = rilm.update_r(state, f, path="woodbury")
+        result = rilm.rilm_update(state, _phase_of(f), path="woodbury").r
     assert np.array_equal(state.r, r_before)
     assert np.array_equal(result, result.T)
     expected = state.r
@@ -420,13 +431,13 @@ def test_woodbury_downdate_panel_edges(d, rows, in_place):
 
 def test_update_r_rejects_bad_out():
     # only a writable state.r may receive the update
-    state = rilm.empty_state(4)
-    read_only = rilm.empty_state(4)
+    state = rilm.empty_state(4, class_ids=(0,))
+    read_only = rilm.empty_state(4, class_ids=(0,))
     read_only.r.setflags(write=False)
     for st, out in ((state, np.empty((4, 4))), (state, np.empty((4, 3))),
                     (read_only, read_only.r)):
         with pytest.raises(ShapeError):
-            rilm.update_r(st, np.ones((2, 4)), out=out)
+            rilm.rilm_update(st, _phase_of(np.ones((2, 4))), out=out)
     assert np.array_equal(read_only.r, np.eye(4))
 
 
@@ -434,12 +445,12 @@ def test_update_r_rejects_out_overlapping_r():
     # only state.r itself may be updated in place; a view of it, reversed
     # or whole, or an array that overlaps it in part is rejected unwritten
     buf = np.concatenate([np.eye(4).ravel(), np.zeros(4)])
-    state = rilm.RilmState(zeros(4, 0), buf[:16].reshape(4, 4), 1.0, 0, ())
+    state = rilm.RilmState(zeros(4, 1), buf[:16].reshape(4, 4), 1.0, 0, (0,))
     before = buf.copy()
     for out in (state.r[:, ::-1], state.r[:], buf[4:20].reshape(4, 4)):
         for path in rilm.UPDATE_PATHS:
             with pytest.raises(ShapeError):
-                rilm.update_r(state, np.ones((2, 4)), path=path, out=out)
+                rilm.rilm_update(state, _phase_of(np.ones((2, 4))), path=path, out=out)
     assert np.array_equal(buf, before)
 
 
@@ -450,18 +461,20 @@ def test_update_r_rejects_out_overlapping_r():
 )
 def test_update_r_in_place_matches_out_of_place(path, d, n):
     state = _spd_state(d, seed=21)
-    f = _rng(22).standard_normal((n, d))
-    expected = rilm.update_r(state, f, path)
-    assert rilm.update_r(state, f, path, out=state.r) is state.r
-    assert np.array_equal(state.r, expected)
+    phase = _random_phase(_rng(22), n, (0, 1), d)
+    expected = rilm.rilm_update(state, phase, path)
+    result = rilm.rilm_update(state, phase, path, out=state.r)
+    assert result.r is state.r and result.weights is state.weights
+    assert np.array_equal(state.r, expected.r)
+    assert np.array_equal(state.weights, expected.weights)
 
 
 def test_update_r_rejects_bad_width_and_path():
-    state = rilm.empty_state(4)
+    state = rilm.empty_state(4, class_ids=(0,))
     with pytest.raises(ShapeError):
-        rilm.update_r(state, np.ones((2, 3)))
+        rilm.rilm_update(state, _phase_of(np.ones((2, 3))))
     with pytest.raises(ValidationError):
-        rilm.update_r(state, np.ones((2, 4)), path="fast")
+        rilm.rilm_update(state, _phase_of(np.ones((2, 4))), path="fast")
 
 
 # -- phase update -------------------------------------------------------------
@@ -470,7 +483,7 @@ def test_update_r_rejects_bad_width_and_path():
 def test_update_empty_phase_is_identity_map():
     gen = _rng(2)
     state = _first_fit(_random_phase(gen, 20, range(2), d=8), eta=1.0)
-    empty = rilm.PhaseDataset(zeros(0, 8), zeros(0, 2), (0, 1))
+    empty = rilm.PhaseDataset(zeros(0, 8), [], (0, 1))
     out = rilm.rilm_update(state, empty)
     assert np.array_equal(out.weights, state.weights)
     assert np.array_equal(out.r, state.r)
@@ -489,8 +502,8 @@ def test_two_phase_split_matches_batch_oracle():
     gen = _rng(4)
     joint = _random_phase(gen, 60, range(3), d=10)
     half = 30
-    first = rilm.PhaseDataset(joint.features[:half], joint.labels_onehot[:half], (0, 1, 2))
-    second = rilm.PhaseDataset(joint.features[half:], joint.labels_onehot[half:], (0, 1, 2))
+    first = rilm.PhaseDataset(joint.features[:half], joint.labels[:half], (0, 1, 2))
+    second = rilm.PhaseDataset(joint.features[half:], joint.labels[half:], (0, 1, 2))
     state = _first_fit(first, eta=1.0)
     state = rilm.rilm_update(state, second)
     reference = _first_fit(joint, eta=1.0)
@@ -514,8 +527,8 @@ def test_sub_batched_phase_matches_single_update():
     second = _random_phase(gen, 40, (2, 3), d=8)
     state = _first_fit(first, eta=1.0)
     state = rilm.expand_classes(state, (2, 3))
-    sub_a = rilm.PhaseDataset(second.features[:18], second.labels_onehot[:18], (2, 3))
-    sub_b = rilm.PhaseDataset(second.features[18:], second.labels_onehot[18:], (2, 3))
+    sub_a = rilm.PhaseDataset(second.features[:18], second.labels[:18], (2, 3))
+    sub_b = rilm.PhaseDataset(second.features[18:], second.labels[18:], (2, 3))
     state = rilm.rilm_update(state, sub_a)
     state = rilm.rilm_update(state, sub_b)
     reference = rilm.batch_oracle([first, second], eta=1.0)
@@ -562,7 +575,7 @@ def test_many_relu_phases_keep_r_exactly_symmetric(tmp_path, eta):
     for k in range(300):
         x = gen.standard_normal((10, d_in)) + gen.standard_normal(d_in)
         f = random_projection.rp_forward(layer, x)
-        phases.append(rilm.PhaseDataset(f, np.ones((10, 1)), (k,)))
+        phases.append(rilm.PhaseDataset(f, np.full(10, k), (k,)))
     state = rilm.empty_state(d, eta)
     for ph in phases:
         state = rilm.rilm_update(rilm.expand_classes(state, ph.class_ids), ph, path="woodbury")
@@ -609,8 +622,8 @@ def _degenerate_phases(case, gen, d):
         feats = [rows(80, 30), rows(40, 40), rows(90, 45)]
     phases = []
     for k, f in enumerate(feats):
-        y = _onehot(len(f), 2, gen.integers(0, 2, size=len(f)))
-        phases.append(rilm.PhaseDataset(f, y, (2 * k, 2 * k + 1)))
+        labels = 2 * k + gen.integers(0, 2, size=len(f))
+        phases.append(rilm.PhaseDataset(f, labels, (2 * k, 2 * k + 1)))
     return phases
 
 
@@ -642,8 +655,8 @@ def test_clustered_relu_phases_keep_joint_fit(seed):
     for k in range(8):
         x = gen.standard_normal((60, d_in)) + gen.standard_normal(d_in)
         f = random_projection.rp_forward(layer, x)
-        y = _onehot(60, 2, gen.integers(0, 2, size=60))
-        phases.append(rilm.PhaseDataset(f, y, (2 * k, 2 * k + 1)))
+        labels = 2 * k + gen.integers(0, 2, size=60)
+        phases.append(rilm.PhaseDataset(f, labels, (2 * k, 2 * k + 1)))
     for path in ("woodbury", "direct"):
         assert rilm.recursive_vs_batch_error(phases, eta, path) <= 1e-8
 
@@ -678,7 +691,7 @@ def test_batch_oracle_single_phase_matches_init():
 
 
 def test_batch_oracle_no_label_mass_gives_zero_weights():
-    phase = rilm.PhaseDataset(zeros(0, 5), zeros(0, 2), (0, 1))
+    phase = rilm.PhaseDataset(zeros(0, 5), [], (0, 1))
     assert np.array_equal(rilm.batch_oracle([phase], eta=1.0), np.zeros((5, 2)))
 
 
