@@ -26,13 +26,12 @@ an exponent of three digits or a log10 off by one is written with one
 layout, and keeps r = fl(p + q) only if p + q lies further than the error
 bound from both midpoints between r and its neighbours; this holds for
 zero and rules out exact ties, and two-digit exponents keep r normal.
-Other blocks go to one ``np.loadtxt`` call, kept if it raised and warned
-nothing, the shape is right and every value finite, else to a loop of one
-``float()`` per value. That loop is the reference: it raises the
-ParseError, with the path and line, for whatever the faster parses turned
-down, and reads the literals only ``float()`` takes (``1_0``, non-ASCII
-digits); neither faster parse accepts anything it rejects, so a file reads
-the same either way, bit for bit. LABL blocks of lines ``-?[0-9]{1,18}``
+Any other block (of the writer's own, only one holding a three-digit
+exponent) goes to a loop of one ``float()`` per value. That loop is the
+reference: it raises the ParseError, with the path and line, for whatever
+the token reader turned down, and reads every literal ``float()`` takes;
+the token reader accepts nothing it rejects, so a file reads the same
+either way, bit for bit. LABL blocks of lines ``-?[0-9]{1,18}``
 are read by one regular expression and one numpy call, any other by an
 ``int()`` loop.
 """
@@ -42,12 +41,11 @@ from __future__ import annotations
 import functools
 import os
 import re
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
 
-from .dense_linalg import Matrix, _all_finite, as_matrix
+from .dense_linalg import Matrix, as_matrix
 from .errors import ParseError
 
 # The float spec of the format (see the module docstring).
@@ -116,10 +114,9 @@ class LineCursor:
     def lineno(self) -> int:
         return self._pos
 
-    def _has_line(self) -> bool:
-        return self._start <= len(self._data)
-
-    def _cut_line(self) -> str:
+    def next_line(self, expect: str) -> str:
+        if self._start > len(self._data):
+            raise ParseError(self.path, self._pos + 1, f"unexpected end of file, expected {expect}")
         end = self._data.find(b"\n", self._start)
         if end < 0:
             end = len(self._data)
@@ -127,19 +124,6 @@ class LineCursor:
         self._start = end + 1
         self._pos += 1
         return line.decode("utf-8")
-
-    def next_line(self, expect: str) -> str:
-        if not self._has_line():
-            raise ParseError(self.path, self._pos + 1, f"unexpected end of file, expected {expect}")
-        return self._cut_line()
-
-    def next_lines(self, count: int):
-        # Up to ``count`` lines, fewer at the end of the file, each cut as
-        # the consumer asks for it.
-        for _ in range(count):
-            if not self._has_line():
-                return
-            yield self._cut_line()
 
     def rest(self) -> memoryview:
         # The bytes not read yet, for a caller that then skips what it used.
@@ -260,32 +244,10 @@ def _read_tokens(cursor: LineCursor, rows: int, cols: int) -> Matrix | None:
     return data
 
 
-def _parse_rows(lines, rows: int, cols: int) -> Matrix | None:
-    # One numpy parse of a block's lines; None when anything is off, so the
-    # per-line loop can name the line. loadtxt accepts a subset of the
-    # literals float() does and skips blank lines, which only ever makes
-    # it fail where the loop might not, never the other way round. Given
-    # max_rows, it allocates the block once instead of growing it.
-    if not (rows and cols):
-        return None
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            data = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2, max_rows=rows)
-    except Exception:
-        return None
-    if data.shape != (rows, cols) or not _all_finite(data):
-        return None
-    return data
-
-
 def read_matrix_block(cursor: LineCursor) -> Matrix:
     rows, cols = _parse_header(cursor, "FMAT", 2)
     start = cursor.mark()
     data = _read_tokens(cursor, rows, cols)
-    if data is None:
-        cursor.reset(start)
-        data = _parse_rows(cursor.next_lines(rows), rows, cols)
     if data is None:
         cursor.reset(start)
         data = _read_rows(cursor, rows, cols)
@@ -335,10 +297,13 @@ def read_labels_block(cursor: LineCursor) -> list[int]:
 
 def open_cursor(path) -> LineCursor:
     # Bytes, read in place by the fast paths, with text mode's newlines
-    # (replace returns the same object when it finds nothing) and UTF-8 check.
+    # (one scan for a CR spares the two full replace passes most files
+    # need none of) and UTF-8 check.
     try:
         with open(path, "rb") as fh:
-            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            data = fh.read()
+        if b"\r" in data:
+            data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if not data.isascii():
             data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense_linalg import Matrix, as_matrix
+from .dense_linalg import Matrix, _all_finite, as_matrix
 from .errors import ShapeError, ValidationError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
@@ -68,7 +68,7 @@ def rp_forward(layer: RpLayer, features) -> Matrix:
     # and before an activation could map it to a finite value (tanh(inf)).
     with np.errstate(over="ignore", invalid="ignore"):
         out = f @ layer.w_rp
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise ValidationError("rp_forward produced non-finite entries")
     # The pre-activation is a fresh array, so it is activated in place.
     if layer.activation == "relu":

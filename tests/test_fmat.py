@@ -1,13 +1,15 @@
-"""FMAT/LABL block I/O tests: the token codec, the one-call parse and the
-per-line loop behind them.
+"""FMAT/LABL block I/O tests: the token codec and the per-line loop behind
+it.
 
 Core claims:
     - the writer's bytes are those of one ``%+.17e`` per value, and the
       token reader's values those of one ``float()`` per literal, bit for
       bit over the whole exponent range; exact decimal ties between 1e-5
       and 1e18 are rounded to even in the tokens, not sent to ``%``
-    - the numpy parses accept only what the per-line loop accepts, and
-      return it bit for bit; everything else falls back to the loop
+    - the token reader accepts only what the per-line loop accepts, and
+      returns it bit for bit; everything else falls back to the loop
+    - every block the program writes, bar one holding a three-digit
+      exponent, reads through the tokens
     - a corrupted checkpoint or data file raises the ParseError, line
       included, that the per-line loop raises
     - block I/O holds no more than the file's bytes, the matrix and about
@@ -22,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from recridge import fmat, rilm
+from recridge import cli, fmat, rilm
 from recridge.errors import ParseError
 
 
@@ -44,10 +46,9 @@ def _outcome(read, *args):
 
 
 def _loop_only(monkeypatch, read, *args):
-    # the outcome with both numpy parses switched off
+    # the outcome with the token reader switched off
     with monkeypatch.context() as m:
         m.setattr(fmat, "_read_tokens", lambda cursor, rows, cols: None)
-        m.setattr(fmat, "_parse_rows", lambda lines, rows, cols: None)
         return _outcome(read, *args)
 
 
@@ -82,18 +83,12 @@ def test_random_matrices_round_trip_bit_for_bit(tmp_path, shape):
     loaded = fmat.load_matrix(path)
     assert loaded.shape == m.shape and loaded.tobytes() == m.tobytes()
     assert loaded.flags.c_contiguous
-    lines = text.split("\n")[1 : shape[0] + 1]
-    fast = fmat._parse_rows(lines, *shape)
-    if m.size:
-        assert fast is not None and fast.tobytes() == m.tobytes()
-    else:
-        assert fast is None
 
 
-# -- numpy parse against the per-line loop -------------------------------------
+# -- fast path against the per-line loop ---------------------------------------
 
-# One row of a two-column block each: rows both parsers read, rows only
-# float() reads, and rows neither reads. The loop is the reference.
+# One row of a two-column block each: rows float() reads, some only it
+# reads, and rows it does not read. The loop is the reference.
 ODD_ROWS = [
     "1.5 -2",
     "+4.9406564584124654e-324 2.2250738585072009e-308",  # subnormals
@@ -117,8 +112,8 @@ ODD_ROWS = [
     "1 2\r",
     "1\r2",
     "1\u20282",  # LINE SEPARATOR
-    "1_0 2",  # float() reads underscores, loadtxt does not
-    "\u0661 2",  # ARABIC-INDIC DIGIT ONE: float() reads it, loadtxt does not
+    "1_0 2",  # float() reads underscores
+    "\u0661 2",  # ARABIC-INDIC DIGIT ONE: float() reads it
     "infinity 1",
     "-Infinity 1",
     "+nan 1",
@@ -149,35 +144,21 @@ def test_numpy_parse_accepts_only_what_the_loop_accepts(monkeypatch, row, place)
     text = f"FMAT {len(lines)} 2\n" + "\n".join(lines) + "\n"
     reference = _loop_only(monkeypatch, _read_text, text)
     assert _outcome(_read_text, text) == reference
-    fast = fmat._parse_rows(lines, len(lines), 2)
-    if fast is not None:
-        assert reference == ("ok", fast.shape, fast.tobytes())
 
 
 @pytest.mark.parametrize("row", ["1_0 2", "\u0661 2"])
 def test_literals_only_float_reads_take_the_loop(row):
-    assert fmat._parse_rows([row], 1, 2) is None
     assert np.array_equal(_read_text(f"FMAT 1 2\n{row}\n"), [[float(p) for p in row.split()]])
-
-
-def test_written_rows_take_the_numpy_parse():
-    m = _rng(1).standard_normal((6, 3))
-    fh = io.StringIO()
-    fmat.write_matrix_block(fh, m)
-    lines = fh.getvalue().splitlines()[1:]
-    assert fmat._parse_rows(lines, 6, 3).tobytes() == m.tobytes()
 
 
 @pytest.mark.parametrize("rows,cols", [(3, 0), (2, 2)])
 def test_all_blank_block_emits_no_warning(rows, cols):
-    # loadtxt warns on input with no data; the warning must not escape
     text = f"FMAT {rows} {cols}\n" + "\n" * rows
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         if cols == 0:
             assert _read_text(text).shape == (rows, 0)
         else:
-            assert fmat._parse_rows([""] * rows, rows, cols) is None
             with pytest.raises(ParseError) as info:
                 _read_text(text)
             assert info.value.lineno == 2
@@ -299,6 +280,43 @@ def test_only_rows_the_tokens_cannot_write_take_the_row_format():
     for empty in (np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((0, 0))):
         assert _written(empty) == _expected_text(empty)
         assert fmat.read_matrix_block(_cursor(_written(empty))).shape == empty.shape
+
+
+def _no_loop(cursor, rows, cols):
+    raise AssertionError(f"{cursor.path}: a block reached the per-line loop")
+
+
+def test_program_written_files_read_through_the_tokens(tmp_path, monkeypatch):
+    # gen's data files, a block with a row the writer sends to ``%`` and a
+    # d 768 checkpoint all read through the tokens, bit for bit; only a
+    # value the writer gives a three-digit exponent sends its block to the
+    # loop
+    assert cli.main(["gen", "--out", str(tmp_path / "syn")]) == 0
+    generated = sorted(tmp_path.glob("syn_*.fmat"))
+    reference = [_loop_only(monkeypatch, fmat.load_matrix, path) for path in generated]
+    assert len(generated) == 2 and all(ref[0] == "ok" for ref in reference)
+    m = _rng(18).standard_normal((6, 3))
+    m[2, 1] = 1 + 2.0**-18  # an exact tie, rounded to even in the tokens
+    m[4, 0] = 2.0**-27  # an exact tie, written with ``%``
+    assert fmat._format_tokens(m)[1].tolist() == [4]
+    fmat.save_matrix(tmp_path / "ties.fmat", m)
+    phases = rilm.random_phase_problem(seed=3, n_phases=2, d_rp=768, samples_range=(300, 400))
+    state = rilm.recursive_states(phases)[-1]
+    rilm.save_state(state, tmp_path / "state.rilm")
+    far = m.copy()
+    far[1, 2], far[3, 1] = 1e200, -1e-120
+    fmat.save_matrix(tmp_path / "far.fmat", far)
+    with monkeypatch.context() as patched:
+        patched.setattr(fmat, "_read_rows", _no_loop)
+        assert [_outcome(fmat.load_matrix, path) for path in generated] == reference
+        assert fmat.load_matrix(tmp_path / "ties.fmat").tobytes() == m.tobytes()
+        loaded = rilm.load_state(tmp_path / "state.rilm")
+        with pytest.raises(AssertionError, match="per-line loop"):
+            fmat.load_matrix(tmp_path / "far.fmat")
+    assert loaded.weights.tobytes() == state.weights.tobytes()
+    assert loaded.r.tobytes() == state.r.tobytes()
+    assert loaded.class_ids == state.class_ids
+    assert fmat.load_matrix(tmp_path / "far.fmat").tobytes() == far.tobytes()
 
 
 def _is_midpoint(literal):
