@@ -553,11 +553,12 @@ def evaluate_accuracy(state: rilm.RilmState, ex: Experiment, k: int) -> float:
     return 100.0 * float(np.mean(rilm.predict_finite_ids(state, feats) == truth))
 
 
-def run_phases(ex: Experiment, naive: bool = False):
+def run_phases(ex: Experiment, naive: bool = False, path: str = "auto"):
     """Fit the schedule's phases in order, scoring each on the seen classes.
 
     Every phase, the first included, registers its classes and is one
-    ``rilm_update`` on the ``auto`` path, starting from the empty state.
+    ``rilm_update`` on ``path``, starting from the empty state. ``run``
+    always takes ``auto``; ``verify`` checks each fixed path in turn.
     With ``naive``, each phase after the first restarts from an empty
     state that keeps only the seen classes, so it is fitted to its own rows
     alone. Returns (MetricsReport, final state).
@@ -573,7 +574,7 @@ def run_phases(ex: Experiment, naive: bool = False):
         state = rilm.expand_classes(state, ids)
         # The phase's projected rows are not kept past its update, and r is
         # updated in place: the run holds one d x d memory matrix.
-        state = rilm.rilm_update(state, phase_dataset(ex, k), out=state.r)
+        state = rilm.rilm_update(state, phase_dataset(ex, k), path=path, out=state.r)
         accs.append(evaluate_accuracy(state, ex, k))
     return compute_metrics(accs), state
 

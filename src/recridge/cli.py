@@ -4,7 +4,7 @@ Verbs:
 
 * ``gen``       write synthetic FMAT/LABL feature files
 * ``run``       execute an experiment config (recursive pipeline or naive baseline)
-* ``verify``    check that the recursion reproduces the joint closed-form fit
+* ``verify``    check that a config's phase loop reproduces the joint closed-form fit
 * ``gradcheck`` compare fusion gradients against central finite differences
 * ``metrics``   parse a result file and print its aggregates
 
@@ -64,13 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out")
     run.add_argument("--naive", action="store_true", help="run the naive sequential baseline")
 
-    verify = sub.add_parser("verify", help="recursion vs joint fit equivalence check")
-    verify.add_argument("--phases", type=int, default=4)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--eta", type=float, default=rilm.DEFAULT_ETA)
-    verify.add_argument("--d-rp", type=int, default=64)
-    verify.add_argument("--min-samples", type=int, default=30)
-    verify.add_argument("--max-samples", type=int, default=80)
+    verify = sub.add_parser(
+        "verify",
+        help="recursion vs joint fit equivalence check on a config's data",
+        description="Run the config's phase loop on the woodbury and on the direct path and "
+        "compare the final weights with the joint ridge fit over every phase. The joint fit "
+        "holds every projected training row, so this is a check, not a production run; it "
+        "writes no file.",
+    )
+    verify.add_argument("--config", required=True)
 
     grad = sub.add_parser("gradcheck", help="fusion finite-difference gradient check")
     grad.add_argument("--seed", type=int, default=0)
@@ -126,14 +128,16 @@ def _cmd_run(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    phases = rilm.random_phase_problem(
-        seed=ns.seed,
-        n_phases=ns.phases,
-        d_rp=ns.d_rp,
-        samples_range=(ns.min_samples, ns.max_samples),
-    )
+    ex = harness.prepare_experiment(harness.load_config(ns.config))
+    phases = [harness.phase_dataset(ex, k) for k in range(ex.schedule.num_phases)]
+    reference = rilm.batch_oracle(phases, ex.config.eta)
+    del phases
+    denom = max(float(np.linalg.norm(reference)), 1e-300)
     # Each path is checked against the joint fit, so each is the other's check.
-    errs = {p: rilm.recursive_vs_batch_error(phases, ns.eta, p) for p in ("woodbury", "direct")}
+    errs = {}
+    for p in ("woodbury", "direct"):
+        _, state = harness.run_phases(ex, path=p)
+        errs[p] = float(np.linalg.norm(state.weights - reference)) / denom
     err = max(errs.values())
     print(f"max_rel_error={err!r} " + " ".join(f"{p}={e!r}" for p, e in errs.items()))
     if err > VERIFY_TOL:

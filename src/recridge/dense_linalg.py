@@ -3,8 +3,9 @@
 A matrix here is a 2-d, C-contiguous (row-major), float64 numpy array; the
 row-major layout is part of the serialization contract in
 :mod:`recridge.fmat`. All public operations validate their inputs (shape
-conformance, finite entries), never mutate them, and return freshly
-allocated arrays, so values can be shared freely between threads.
+conformance, finite entries) and never mutate them. ``as_matrix`` returns
+its input itself when that is already a C-order float64 matrix; the
+factor and solve operations return new arrays.
 
 Finiteness is checked without an elementwise temporary: a float64 sum is
 finite only when every entry is, so only a non-finite sum (a NaN or Inf
@@ -77,18 +78,6 @@ def _check_finite_result(m: Matrix, op: str) -> Matrix:
     if not _all_finite(m):
         raise ValidationError(f"{op} produced non-finite entries (overflow?)")
     return m
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    if rows < 0 or cols < 0:
-        raise ValidationError(f"zeros: negative dimension ({rows}, {cols})")
-    return np.zeros((rows, cols), dtype=np.float64)
-
-
-def identity(n: int) -> Matrix:
-    if n < 0:
-        raise ValidationError(f"identity: negative dimension {n}")
-    return np.eye(n, dtype=np.float64)
 
 
 def _require_square(a: Matrix, op: str) -> None:

@@ -69,10 +69,8 @@ from .dense_linalg import (
     _symmetrized,
     as_matrix,
     cholesky_lower,
-    identity,
     spd_half_solve,
     spd_solve,
-    zeros,
 )
 from .errors import (
     NotPositiveDefiniteError,
@@ -154,10 +152,6 @@ class PhaseDataset:
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "class_ids", ids)
 
-    @property
-    def num_samples(self) -> int:
-        return self.features.shape[0]
-
 
 @dataclass(frozen=True)
 class RilmState:
@@ -217,10 +211,10 @@ def empty_state(d_rp: int, eta: float = DEFAULT_ETA, class_ids=()) -> RilmState:
     if d_rp < 1:
         raise ValidationError(f"d_rp must be >= 1, got {d_rp}")
     eta = _check_eta(eta)
-    r = identity(d_rp)
+    r = np.eye(d_rp)
     r /= eta
     return RilmState(
-        weights=zeros(d_rp, len(class_ids)),
+        weights=np.zeros((d_rp, len(class_ids))),
         r=r,
         eta=eta,
         phase=0,
@@ -241,7 +235,7 @@ def expand_classes(state: RilmState, new_class_ids) -> RilmState:
     clash = set(new_ids) & set(state.class_ids)
     if clash:
         raise ProtocolError(f"class ids already registered: {sorted(clash)}")
-    padded = np.hstack([state.weights, zeros(state.d_rp, len(new_ids))])
+    padded = np.hstack([state.weights, np.zeros((state.d_rp, len(new_ids)))])
     # Zero columns for new, checked ids keep a validated state valid, so the
     # constructor's scans are skipped and the d x d ``r`` is not read again.
     out = object.__new__(RilmState)
@@ -403,15 +397,15 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
         if ph.features.shape[1] != d:
             raise ShapeError("all phases must share the same feature width")
     column = {cid: j for j, cid in enumerate(table)}
-    a_sum = zeros(d, d)
-    c_sum = zeros(d, len(table))
+    a_sum = np.zeros((d, d))
+    c_sum = np.zeros((d, len(table)))
     for ph in phases:
         f = ph.features
         a_sum += f.T @ f
         cols = [column[cid] for cid in ph.class_ids]
         onehot = np.equal.outer(ph.labels, ph.class_ids).astype(np.float64)
         c_sum[:, cols] += f.T @ onehot
-    return spd_solve(a_sum + eta * identity(d), c_sum)
+    return spd_solve(a_sum + eta * np.eye(d), c_sum)
 
 
 def predict_ids(state: RilmState, f_rp) -> np.ndarray:
@@ -511,57 +505,3 @@ def load_state(path) -> RilmState:
         ) from None
     return RilmState(weights=weights, r=sym, eta=eta, phase=phase, class_ids=tuple(ids))
 
-
-# ---------------------------------------------------------------------------
-# Self-check helpers shared by the CLI `verify` command and the test suite.
-# ---------------------------------------------------------------------------
-
-
-def random_phase_problem(
-    seed: int,
-    n_phases: int,
-    d_rp: int,
-    samples_range: tuple[int, int] = (50, 200),
-    classes_per_phase_range: tuple[int, int] = (2, 5),
-) -> list[PhaseDataset]:
-    """Synthetic multi-phase problem with Gaussian features and uniform labels."""
-    if n_phases < 1:
-        raise ValidationError(f"n_phases must be >= 1, got {n_phases}")
-    gen = np.random.Generator(np.random.PCG64(seed))
-    phases = []
-    next_class = 0
-    for _ in range(n_phases):
-        n = int(gen.integers(samples_range[0], samples_range[1] + 1))
-        c = int(gen.integers(classes_per_phase_range[0], classes_per_phase_range[1] + 1))
-        ids = tuple(range(next_class, next_class + c))
-        features = gen.standard_normal((n, d_rp))
-        labels = next_class + gen.integers(0, c, size=n)
-        phases.append(PhaseDataset(features=features, labels=labels, class_ids=ids))
-        next_class += c
-    return phases
-
-
-def recursive_states(phases, eta: float = DEFAULT_ETA, path: str = "auto") -> list[RilmState]:
-    """Run the recursion from a fresh state, returning the state after each phase.
-
-    Every phase, including the first, goes through expand_classes and
-    rilm_update, so ``path`` applies to all transitions.
-    """
-    phases = list(phases)
-    if not phases:
-        raise ValidationError("recursive_states needs at least one phase")
-    state = empty_state(phases[0].features.shape[1], eta)
-    out = []
-    for ph in phases:
-        state = expand_classes(state, ph.class_ids)
-        state = rilm_update(state, ph, path=path)
-        out.append(state)
-    return out
-
-
-def recursive_vs_batch_error(phases, eta: float = DEFAULT_ETA, path: str = "auto") -> float:
-    """Relative Frobenius gap between the recursion's final weights and the joint fit."""
-    final = recursive_states(phases, eta, path)[-1]
-    reference = batch_oracle(phases, eta)
-    denom = max(float(np.linalg.norm(reference)), 1e-300)
-    return float(np.linalg.norm(final.weights - reference)) / denom

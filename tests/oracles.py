@@ -3,14 +3,25 @@
 ``kn_identity_check`` audits the algebra behind the recursive downdate
 against an explicit inverse, which the library itself never forms.
 ``gen_experiment`` builds, in memory, the experiment ``recridge run``
-builds from ``recridge gen`` files.
+builds from ``recridge gen`` files. ``random_phase_problem`` draws
+Gaussian phases, and ``recursive_states`` runs the recursion over any
+list of phases, outside the schedule-driven loop of ``run_phases``.
 """
 
 import numpy as np
 
 from recridge import cil_harness
-from recridge.dense_linalg import as_matrix, identity, spd_solve
-from recridge.errors import ShapeError
+from recridge.dense_linalg import as_matrix, spd_solve
+from recridge.errors import ShapeError, ValidationError
+from recridge.rilm import (
+    DEFAULT_ETA,
+    PhaseDataset,
+    RilmState,
+    batch_oracle,
+    empty_state,
+    expand_classes,
+    rilm_update,
+)
 
 
 def gen_experiment(seed, eta, d_rp_mult):
@@ -45,12 +56,67 @@ def kn_identity_check(r_prev, f_rp) -> float:
     if n == 0:
         return 0.0
     g = f @ r
-    inner = g @ f.T + identity(n)
+    inner = g @ f.T + np.eye(n)
     k = np.linalg.inv(inner)
     k = 0.5 * (k + k.T)
-    res1 = np.linalg.norm(k - (identity(n) - k @ g @ f.T)) / max(np.linalg.norm(k), 1e-300)
+    res1 = np.linalg.norm(k - (np.eye(n) - k @ g @ f.T)) / max(np.linalg.norm(k), 1e-300)
     r_next = r - g.T @ spd_solve(inner, g)
     lhs = r @ f.T @ k
     rhs = r_next @ f.T
     res2 = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300)
     return float(max(res1, res2))
+
+
+# ---------------------------------------------------------------------------
+# Random multi-phase problems and the recursion over them.
+# ---------------------------------------------------------------------------
+
+
+def random_phase_problem(
+    seed: int,
+    n_phases: int,
+    d_rp: int,
+    samples_range: tuple[int, int] = (50, 200),
+    classes_per_phase_range: tuple[int, int] = (2, 5),
+) -> list[PhaseDataset]:
+    """Synthetic multi-phase problem with Gaussian features and uniform labels."""
+    if n_phases < 1:
+        raise ValidationError(f"n_phases must be >= 1, got {n_phases}")
+    gen = np.random.Generator(np.random.PCG64(seed))
+    phases = []
+    next_class = 0
+    for _ in range(n_phases):
+        n = int(gen.integers(samples_range[0], samples_range[1] + 1))
+        c = int(gen.integers(classes_per_phase_range[0], classes_per_phase_range[1] + 1))
+        ids = tuple(range(next_class, next_class + c))
+        features = gen.standard_normal((n, d_rp))
+        labels = next_class + gen.integers(0, c, size=n)
+        phases.append(PhaseDataset(features=features, labels=labels, class_ids=ids))
+        next_class += c
+    return phases
+
+
+def recursive_states(phases, eta: float = DEFAULT_ETA, path: str = "auto") -> list[RilmState]:
+    """Run the recursion from a fresh state, returning the state after each phase.
+
+    Every phase, including the first, goes through expand_classes and
+    rilm_update, so ``path`` applies to all transitions.
+    """
+    phases = list(phases)
+    if not phases:
+        raise ValidationError("recursive_states needs at least one phase")
+    state = empty_state(phases[0].features.shape[1], eta)
+    out = []
+    for ph in phases:
+        state = expand_classes(state, ph.class_ids)
+        state = rilm_update(state, ph, path=path)
+        out.append(state)
+    return out
+
+
+def recursive_vs_batch_error(phases, eta: float = DEFAULT_ETA, path: str = "auto") -> float:
+    """Relative Frobenius gap between the recursion's final weights and the joint fit."""
+    final = recursive_states(phases, eta, path)[-1]
+    reference = batch_oracle(phases, eta)
+    denom = max(float(np.linalg.norm(reference)), 1e-300)
+    return float(np.linalg.norm(final.weights - reference)) / denom

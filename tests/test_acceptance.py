@@ -22,9 +22,9 @@ import pytest
 
 from recridge import cil_harness as ch
 from recridge import fusion, rilm
-from recridge.dense_linalg import cholesky_lower, identity
+from recridge.dense_linalg import cholesky_lower
 
-from oracles import kn_identity_check
+from oracles import kn_identity_check, random_phase_problem, recursive_states
 
 W_TOL = 1e-8
 R_TOL = 1e-8
@@ -52,7 +52,7 @@ def equivalence_runs():
         d_rp = int(rng.integers(64, 257))
         n_phases = int(rng.integers(2, 11))
         eta = float(ETAS[int(rng.integers(0, len(ETAS)))])
-        phases = rilm.random_phase_problem(
+        phases = random_phase_problem(
             seed=7000 + i, n_phases=n_phases, d_rp=d_rp, samples_range=(50, 200)
         )
         reference = rilm.batch_oracle(phases, eta)
@@ -60,7 +60,7 @@ def equivalence_runs():
         states = {}
         errors = {}
         for path in ("woodbury", "direct"):
-            trail = rilm.recursive_states(phases, eta, path)
+            trail = recursive_states(phases, eta, path)
             states[path] = trail
             errors[path] = float(np.linalg.norm(trail[-1].weights - reference) / denom)
         runs.append(_Run(d_rp=d_rp, eta=eta, phases=phases, states=states, errors=errors))
@@ -84,7 +84,7 @@ def test_criterion_1_recursive_vs_joint_equivalence(equivalence_runs):
 def test_criterion_2_phase_order_invariance():
     worst = 0.0
     for problem in range(10):
-        phases = rilm.random_phase_problem(
+        phases = random_phase_problem(
             seed=8100 + problem,
             n_phases=4,
             d_rp=24,
@@ -93,7 +93,7 @@ def test_criterion_2_phase_order_invariance():
         )
         aligned = {}
         for order in itertools.permutations(range(4)):
-            final = rilm.recursive_states([phases[i] for i in order], eta=1.0)[-1]
+            final = recursive_states([phases[i] for i in order], eta=1.0)[-1]
             cols = np.argsort(np.asarray(final.class_ids))
             aligned[order] = final.weights[:, cols]
         baseline = aligned[(0, 1, 2, 3)]
@@ -112,7 +112,7 @@ def test_criterion_3_r_consistency_and_spd(equivalence_runs):
     worst = 0.0
     checked = 0
     for run in equivalence_runs:
-        eye = identity(run.d_rp)
+        eye = np.eye(run.d_rp)
         for path in ("woodbury", "direct"):
             a_sum = np.zeros((run.d_rp, run.d_rp))
             for phase, state in zip(run.phases, run.states[path]):
@@ -185,7 +185,7 @@ def test_criterion_6_forgetting_demonstration(tmp_path):
     phases = [ch.phase_dataset(ex, k) for k in range(ex.schedule.num_phases)]
     joint_state = rilm.RilmState(
         weights=rilm.batch_oracle(phases, config.eta),
-        r=identity(ex.layer.output_dim),
+        r=np.eye(ex.layer.output_dim),
         eta=config.eta,
         phase=0,
         class_ids=tuple(c for ids in ex.schedule.phases for c in ids),

@@ -31,6 +31,8 @@ from recridge import dense_linalg, fmat, rilm
 from recridge.errors import ParseError, ShapeError, ValidationError
 from recridge.random_projection import rp_forward, rp_new
 
+from oracles import recursive_states
+
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
@@ -247,7 +249,7 @@ def _joint_accuracy(separation, seed):
     fte, lte = ch.synth_dataset(6, 40, 16, separation, seed, stream=1)
     layer = rp_new(16, 192, seed, "relu")
     phase = rilm.PhaseDataset(rp_forward(layer, ftr), np.asarray(ltr), tuple(range(6)))
-    state = rilm.recursive_states([phase], eta=1.0)[0]
+    state = recursive_states([phase], eta=1.0)[0]
     preds = rilm.predict_ids(state, rp_forward(layer, fte))
     return float(np.mean(preds == np.asarray(lte)))
 
@@ -506,7 +508,7 @@ def test_run_phases_updates_every_phase_on_auto(tmp_path):
     ex = ch.prepare_experiment(cfg)
     _, state = ch.run_phases(ex)
     phases = [ch.phase_dataset(ex, k) for k in range(ex.schedule.num_phases)]
-    reference = rilm.recursive_states(phases, cfg.eta, "auto")[-1]
+    reference = recursive_states(phases, cfg.eta, "auto")[-1]
     assert np.array_equal(state.weights, reference.weights)
     assert np.array_equal(state.r, reference.r)
     assert state.class_ids == reference.class_ids
@@ -522,9 +524,9 @@ def test_naive_final_state_is_ridge_fit_of_last_phase(tmp_path):
     _, state = ch.run_phases(ex, naive=True)
     last = ch.phase_dataset(ex, ex.schedule.num_phases - 1)
     column = {cid: j for j, cid in enumerate(state.class_ids)}
-    y = np.zeros((last.num_samples, len(column)))
-    y[np.arange(last.num_samples), [column[int(c)] for c in last.labels]] = 1.0
     f = last.features
+    y = np.zeros((f.shape[0], len(column)))
+    y[np.arange(f.shape[0]), [column[int(c)] for c in last.labels]] = 1.0
     expected = dense_linalg.spd_solve(f.T @ f + cfg.eta * np.eye(f.shape[1]), f.T @ y)
     assert state.class_ids == tuple(range(6))
     assert np.linalg.norm(state.weights - expected) <= 1e-8 * np.linalg.norm(expected)
@@ -692,7 +694,7 @@ def test_evaluation_does_not_rescan_test_rows(tmp_path, monkeypatch):
         )
     )
     ex = ch.prepare_experiment(cfg)
-    state = rilm.recursive_states([ch.phase_dataset(ex, 0)], cfg.eta)[0]
+    state = recursive_states([ch.phase_dataset(ex, 0)], cfg.eta)[0]
     n, d = ex.test_features.shape
     expected = 100.0 * np.mean(rilm.predict_ids(state, ex.test_features) == ex.test_labels)
     scanned = []

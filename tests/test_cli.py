@@ -2,7 +2,8 @@
 
 Core claims:
     - exit codes follow the contract: 0 ok, 1 input problems, 2 numerical
-    - verify/gradcheck print their measured error and gate on tolerance
+    - verify/gradcheck print their measured error and gate on tolerance;
+      verify checks the run's own phase loop and writes no file
     - gen/run/metrics wire files end to end, with override echo; --phases
       re-splits the classes under the config's schedule shuffle
     - a failed run or echo leaves no partial or replaced output behind
@@ -45,8 +46,9 @@ def _verify_fields(out):
     return {key: float(value) for key, value in (p.split("=", 1) for p in out.split())}
 
 
-def test_verify_passes_and_prints_error(capsys):
-    assert cli.main(["verify", "--phases", "4", "--seed", "7"]) == 0
+def test_verify_passes_and_prints_error(tmp_path, capsys):
+    cfg = _write_synth_config(tmp_path, eta=1.0)
+    assert cli.main(["verify", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("max_rel_error=")
     fields = _verify_fields(out)
@@ -55,13 +57,50 @@ def test_verify_passes_and_prints_error(capsys):
     assert fields["max_rel_error"] <= 1e-8
 
 
-def test_verify_over_tolerance_exits_2(capsys):
-    # at eta = 1e-8 the Woodbury path is about 5e-7 off the joint fit
-    assert cli.main(["verify", "--eta", "1e-8"]) == 2
+def test_verify_over_tolerance_exits_2(tmp_path, capsys):
+    # at eta = 1e-8 both paths are 2e-5 to 6e-5 off the joint fit here
+    cfg = _write_synth_config(tmp_path, eta=1e-8, d_rp_multiplier=12)
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     err = _verify_fields(captured.out)["max_rel_error"]
     assert err > 1e-8
     assert captured.err == f"equivalence check failed: {err!r} > 1e-08\n"
+
+
+def test_verify_writes_no_file(tmp_path, capsys):
+    cfg = _write_synth_config(tmp_path, out="res.txt")
+    assert cli.main(["verify", "--config", str(cfg)]) == 0
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def test_verify_checks_the_run_phase_loop(tmp_path, monkeypatch, capsys):
+    # with the Woodbury downdate gone, r stays I/eta on that path; verify
+    # runs the program's own loop, so it sees the broken path
+    monkeypatch.setattr(rilm, "_downdate", lambda r, v: None)
+    cfg = _write_synth_config(tmp_path)
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    fields = _verify_fields(capsys.readouterr().out)
+    assert fields["woodbury"] > 1e-8 >= fields["direct"]
+
+
+def test_verify_numerical_failure_exits_2(tmp_path, capsys):
+    # the recridge gen --dim 6 --seed 9 data at eta 1e-8: a Woodbury block
+    # system comes out asymmetric beyond tolerance and raises NumericalError
+    cfg = _write_synth_config(
+        tmp_path, synth_dim=6, synth_seed=9, eta=1e-8, d_rp_multiplier=12, out="res.txt"
+    )
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ") and not captured.out
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def test_verify_help_lists_only_config(capsys):
+    assert cli.main(["verify", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--config" in out and "not a production run" in out
+    flags = {word.strip("[],") for word in out.split() if word.startswith(("--", "[--"))}
+    assert flags == {"--config", "--help"}
 
 
 def test_gradcheck_passes(capsys):
@@ -79,8 +118,9 @@ def test_missing_config_exits_1_with_path(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
-def test_unknown_flag_exits_1(capsys):
-    assert cli.main(["verify", "--bogus"]) == 1
+def test_unknown_flag_exits_1(tmp_path, capsys):
+    cfg = _write_synth_config(tmp_path)
+    assert cli.main(["verify", "--config", str(cfg), "--bogus"]) == 1
     assert "--bogus" in capsys.readouterr().err
 
 
@@ -347,13 +387,15 @@ def test_run_phase_without_training_rows(tmp_path, monkeypatch, capsys, eta, pat
     # fit. Separation 3 is the benchmark workloads'; at gen's default of 10
     # the recursion is 3e-8 to 2e-7 off the joint fit at eta = 1e-4, with
     # or without an empty phase. No option picks a run's update path, so
-    # the run's rilm_update is wrapped to take each path in turn.
+    # the run's rilm_update is wrapped to override the path run_phases
+    # passes, taking each path in turn.
     update = rilm.rilm_update
     calls = []
 
     def forced(state, phase, **kwargs):
-        calls.append(phase.num_samples)
-        return update(state, phase, path=path, **kwargs)
+        calls.append(phase.features.shape[0])
+        kwargs["path"] = path
+        return update(state, phase, **kwargs)
 
     monkeypatch.setattr(rilm, "rilm_update", forced)
     prefix = tmp_path / "data"
@@ -377,7 +419,7 @@ def test_run_phase_without_training_rows(tmp_path, monkeypatch, capsys, eta, pat
     ex = ch.prepare_experiment(ch.load_config(cfg))
     _, state = ch.run_phases(ex)
     phases = [ch.phase_dataset(ex, k) for k in range(3)]
-    assert phases[1].num_samples == 0
+    assert phases[1].features.shape[0] == 0
     reference = rilm.batch_oracle(phases, eta)
     assert np.linalg.norm(state.weights - reference) <= 1e-8 * np.linalg.norm(reference)
     assert not state.weights[:, [2, 3]].any()
@@ -437,15 +479,16 @@ def test_metrics_on_malformed_file(tmp_path, capsys):
 # -- module entry point -------------------------------------------------------
 
 
-def test_subprocess_module_invocation():
+def test_subprocess_module_invocation(tmp_path):
     import subprocess
     import sys
 
+    cfg = _write_synth_config(tmp_path)
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-m", "recridge", "verify", "--phases", "3", "--seed", "1"],
+        [sys.executable, "-m", "recridge", "verify", "--config", str(cfg)],
         capture_output=True,
         text=True,
         env=env,

@@ -27,6 +27,8 @@ import pytest
 from recridge import cli, fmat, rilm
 from recridge.errors import ParseError
 
+from oracles import random_phase_problem, recursive_states
+
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
@@ -300,8 +302,8 @@ def test_program_written_files_read_through_the_tokens(tmp_path, monkeypatch):
     m[4, 0] = 2.0**-27  # an exact tie, written with ``%``
     assert fmat._format_tokens(m)[1].tolist() == [4]
     fmat.save_matrix(tmp_path / "ties.fmat", m)
-    phases = rilm.random_phase_problem(seed=3, n_phases=2, d_rp=768, samples_range=(300, 400))
-    state = rilm.recursive_states(phases)[-1]
+    phases = random_phase_problem(seed=3, n_phases=2, d_rp=768, samples_range=(300, 400))
+    state = recursive_states(phases)[-1]
     rilm.save_state(state, tmp_path / "state.rilm")
     far = m.copy()
     far[1, 2], far[3, 1] = 1e200, -1e-120
@@ -433,9 +435,9 @@ def test_block_io_holds_the_file_the_matrix_and_one_chunk(tmp_path):
 
 
 def _checkpoint(tmp_path):
-    phases = rilm.random_phase_problem(seed=5, n_phases=2, d_rp=8, samples_range=(20, 30))
+    phases = random_phase_problem(seed=5, n_phases=2, d_rp=8, samples_range=(20, 30))
     path = tmp_path / "state.rilm"
-    rilm.save_state(rilm.recursive_states(phases)[-1], path)
+    rilm.save_state(recursive_states(phases)[-1], path)
     return path, rilm.load_state
 
 

@@ -34,10 +34,16 @@ import pytest
 
 from recridge import cil_harness as ch
 from recridge import dense_linalg, fmat, random_projection, rilm
-from recridge.dense_linalg import cholesky_lower, identity, zeros
+from recridge.dense_linalg import cholesky_lower
 from recridge.errors import ParseError, ProtocolError, ShapeError, ValidationError
 
-from oracles import gen_experiment, kn_identity_check
+from oracles import (
+    gen_experiment,
+    kn_identity_check,
+    random_phase_problem,
+    recursive_states,
+    recursive_vs_batch_error,
+)
 
 
 def _rng(seed):
@@ -80,7 +86,7 @@ def _stacked_ridge(phases, eta):
 
 def _first_fit(phase, eta, path="auto"):
     # a first phase: its classes registered on the empty state, then one update
-    return rilm.recursive_states([phase], eta, path)[0]
+    return recursive_states([phase], eta, path)[0]
 
 
 # -- phase dataset validation -------------------------------------------------
@@ -187,7 +193,7 @@ def test_init_rejects_bad_eta():
 
 
 def test_init_empty_phase_gives_fresh_state():
-    phase = rilm.PhaseDataset(zeros(0, 4), [], ())
+    phase = rilm.PhaseDataset(np.zeros((0, 4)), [], ())
     state = _first_fit(phase, eta=2.0)
     assert np.allclose(state.r, np.eye(4) / 2.0)
     assert state.weights.shape == (4, 0)
@@ -230,7 +236,7 @@ def test_state_rejects_asymmetric_r(d, entry):
     r = np.eye(d)
     r[entry] += 1e-13
     with pytest.raises(ValidationError):
-        rilm.RilmState(zeros(d, 1), r, 1.0, 0, (0,))
+        rilm.RilmState(np.zeros((d, 1)), r, 1.0, 0, (0,))
 
 
 def test_state_construction_makes_no_d_by_d_temporary():
@@ -238,7 +244,7 @@ def test_state_construction_makes_no_d_by_d_temporary():
     d = 1536
     g = _rng(15).standard_normal((d, d))
     r = g + g.T
-    weights = zeros(d, 4)
+    weights = np.zeros((d, 4))
     tracemalloc.start()
     try:
         rilm.RilmState(weights, r, 1.0, 0, (0, 1, 2, 3))
@@ -250,9 +256,9 @@ def test_state_construction_makes_no_d_by_d_temporary():
 
 def _spd_state(d, seed):
     g = _rng(seed).standard_normal((d, d)) / np.sqrt(d)
-    r = g @ g.T + identity(d)
+    r = g @ g.T + np.eye(d)
     r = np.triu(r) + np.triu(r, 1).T
-    return rilm.RilmState(zeros(d, 2), r, 1.0, 1, (0, 1))
+    return rilm.RilmState(np.zeros((d, 2)), r, 1.0, 1, (0, 1))
 
 
 def _peak_bytes(fn, *args):
@@ -336,7 +342,7 @@ def test_derived_states_do_not_rescan_r(monkeypatch):
 
 
 def test_update_r_scalar_case():
-    state = rilm.RilmState(zeros(1, 1), np.array([[1.0]]), 1.0, 0, (0,))
+    state = rilm.RilmState(np.zeros((1, 1)), np.array([[1.0]]), 1.0, 0, (0,))
     for path in ("woodbury", "direct"):
         out = rilm.rilm_update(state, _phase_of(np.array([[1.0]])), path=path)
         assert np.allclose(out.r, [[0.5]])
@@ -345,7 +351,7 @@ def test_update_r_scalar_case():
 def test_update_r_empty_phase_keeps_r():
     state = rilm.empty_state(5, eta=0.7)
     for path in ("woodbury", "direct"):
-        out = rilm.rilm_update(state, rilm.PhaseDataset(zeros(0, 5), [], ()), path=path)
+        out = rilm.rilm_update(state, rilm.PhaseDataset(np.zeros((0, 5)), [], ()), path=path)
         assert np.array_equal(out.r, state.r)
 
 
@@ -424,7 +430,7 @@ def test_woodbury_downdate_panel_edges(d, rows, in_place):
     for start in range(0, n, block):
         fb = f[start : start + block]
         g = fb @ expected
-        v = dense_linalg.spd_half_solve(g @ fb.T + identity(fb.shape[0]), g)
+        v = dense_linalg.spd_half_solve(g @ fb.T + np.eye(fb.shape[0]), g)
         expected = expected - np.matmul(v.T, v)
     assert np.linalg.norm(result - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -445,7 +451,7 @@ def test_update_r_rejects_out_overlapping_r():
     # only state.r itself may be updated in place; a view of it, reversed
     # or whole, or an array that overlaps it in part is rejected unwritten
     buf = np.concatenate([np.eye(4).ravel(), np.zeros(4)])
-    state = rilm.RilmState(zeros(4, 1), buf[:16].reshape(4, 4), 1.0, 0, (0,))
+    state = rilm.RilmState(np.zeros((4, 1)), buf[:16].reshape(4, 4), 1.0, 0, (0,))
     before = buf.copy()
     for out in (state.r[:, ::-1], state.r[:], buf[4:20].reshape(4, 4)):
         for path in rilm.UPDATE_PATHS:
@@ -483,7 +489,7 @@ def test_update_r_rejects_bad_width_and_path():
 def test_update_empty_phase_is_identity_map():
     gen = _rng(2)
     state = _first_fit(_random_phase(gen, 20, range(2), d=8), eta=1.0)
-    empty = rilm.PhaseDataset(zeros(0, 8), [], (0, 1))
+    empty = rilm.PhaseDataset(np.zeros((0, 8)), [], (0, 1))
     out = rilm.rilm_update(state, empty)
     assert np.array_equal(out.weights, state.weights)
     assert np.array_equal(out.r, state.r)
@@ -514,10 +520,10 @@ def test_two_phase_split_matches_batch_oracle():
 @pytest.mark.parametrize("path", ["woodbury", "direct"])
 @pytest.mark.parametrize("seed", range(3))
 def test_joint_equivalence_random_partitions(seed, path):
-    phases = rilm.random_phase_problem(
+    phases = random_phase_problem(
         seed=seed, n_phases=4, d_rp=24, samples_range=(10, 40)
     )
-    assert rilm.recursive_vs_batch_error(phases, eta=1.0, path=path) <= 1e-8
+    assert recursive_vs_batch_error(phases, eta=1.0, path=path) <= 1e-8
 
 
 def test_sub_batched_phase_matches_single_update():
@@ -536,12 +542,12 @@ def test_sub_batched_phase_matches_single_update():
 
 
 def test_phase_order_invariance_small():
-    phases = rilm.random_phase_problem(
+    phases = random_phase_problem(
         seed=11, n_phases=3, d_rp=16, samples_range=(8, 20), classes_per_phase_range=(2, 3)
     )
     results = {}
     for order in itertools.permutations(range(3)):
-        final = rilm.recursive_states([phases[i] for i in order], eta=1.0)[-1]
+        final = recursive_states([phases[i] for i in order], eta=1.0)[-1]
         aligned = final.weights[:, np.argsort(np.asarray(final.class_ids))]
         results[order] = aligned
     baseline = results[(0, 1, 2)]
@@ -552,13 +558,13 @@ def test_phase_order_invariance_small():
 @pytest.mark.parametrize("seed", range(3))
 def test_r_consistency_and_spd_preservation(seed):
     eta = 0.5
-    phases = rilm.random_phase_problem(seed=40 + seed, n_phases=4, d_rp=20)
-    states = rilm.recursive_states(phases, eta=eta)
+    phases = random_phase_problem(seed=40 + seed, n_phases=4, d_rp=20)
+    states = recursive_states(phases, eta=eta)
     d = 20
     a_sum = np.zeros((d, d))
     for ph, state in zip(phases, states):
         a_sum += ph.features.T @ ph.features
-        residual = state.r @ (a_sum + eta * identity(d)) - identity(d)
+        residual = state.r @ (a_sum + eta * np.eye(d)) - np.eye(d)
         assert np.linalg.norm(residual) <= 1e-8 * np.sqrt(d)
         assert np.abs(state.r - state.r.T).max() <= 1e-8
         cholesky_lower(state.r)  # factorization success == positive definite
@@ -637,7 +643,7 @@ def test_degenerate_rows_keep_joint_fit(case, eta):
         assert not phases[1].features.any()
     reference = rilm.batch_oracle(phases, eta)
     for path in ("woodbury", "direct"):
-        final = rilm.recursive_states(phases, eta, path)[-1]
+        final = recursive_states(phases, eta, path)[-1]
         assert np.array_equal(final.r, final.r.T)
         err = np.linalg.norm(final.weights - reference)
         assert err <= 1e-8 * np.linalg.norm(reference), (path, err / np.linalg.norm(reference))
@@ -658,7 +664,7 @@ def test_clustered_relu_phases_keep_joint_fit(seed):
         labels = 2 * k + gen.integers(0, 2, size=60)
         phases.append(rilm.PhaseDataset(f, labels, (2 * k, 2 * k + 1)))
     for path in ("woodbury", "direct"):
-        assert rilm.recursive_vs_batch_error(phases, eta, path) <= 1e-8
+        assert recursive_vs_batch_error(phases, eta, path) <= 1e-8
 
 
 @pytest.mark.parametrize("mult", [12, 14])
@@ -671,7 +677,7 @@ def test_woodbury_holds_joint_fit_on_gen_data(mult):
     for seed in range(20):
         ex = gen_experiment(seed, 1e-4, mult)
         phases = [ch.phase_dataset(ex, k) for k in range(3)]
-        errs[seed] = rilm.recursive_vs_batch_error(phases, 1e-4, "woodbury")
+        errs[seed] = recursive_vs_batch_error(phases, 1e-4, "woodbury")
     bad = {seed: f"{err:.2g}" for seed, err in errs.items() if err > 1e-8}
     assert not bad, f"seeds over 1e-8: {bad}"
 
@@ -691,12 +697,12 @@ def test_batch_oracle_single_phase_matches_init():
 
 
 def test_batch_oracle_no_label_mass_gives_zero_weights():
-    phase = rilm.PhaseDataset(zeros(0, 5), [], (0, 1))
+    phase = rilm.PhaseDataset(np.zeros((0, 5)), [], (0, 1))
     assert np.array_equal(rilm.batch_oracle([phase], eta=1.0), np.zeros((5, 2)))
 
 
 def test_batch_oracle_matches_stacked_ridge():
-    phases = rilm.random_phase_problem(seed=13, n_phases=4, d_rp=12, samples_range=(8, 25))
+    phases = random_phase_problem(seed=13, n_phases=4, d_rp=12, samples_range=(8, 25))
     ours = rilm.batch_oracle(phases, eta=0.7)
     theirs = _stacked_ridge(phases, eta=0.7)
     assert np.linalg.norm(ours - theirs) <= 1e-8 * np.linalg.norm(theirs)
@@ -719,13 +725,13 @@ def test_predict_argmax():
 
 
 def test_predict_zero_weights_tie_breaks_low():
-    state = rilm.RilmState(zeros(3, 2), np.eye(3), 1.0, 0, (0, 1))
+    state = rilm.RilmState(np.zeros((3, 2)), np.eye(3), 1.0, 0, (0, 1))
     assert rilm.predict_ids(state, np.ones((4, 3))).tolist() == [0, 0, 0, 0]
 
 
 def test_predict_tie_break_uses_global_ids_not_columns():
     # registration order (4, 5, 0): a three-way tie must yield id 0
-    state = rilm.RilmState(zeros(2, 3), np.eye(2), 1.0, 0, (4, 5, 0))
+    state = rilm.RilmState(np.zeros((2, 3)), np.eye(2), 1.0, 0, (4, 5, 0))
     assert rilm.predict_ids(state, np.ones((1, 2))).tolist() == [0]
 
 
@@ -776,7 +782,7 @@ def test_predict_memory_stays_below_full_scores():
 
 
 def test_predict_empty_rows():
-    state = rilm.RilmState(zeros(3, 2), np.eye(3), 1.0, 0, (0, 1))
+    state = rilm.RilmState(np.zeros((3, 2)), np.eye(3), 1.0, 0, (0, 1))
     assert rilm.predict_ids(state, np.ones((0, 3))).tolist() == []
 
 
@@ -795,7 +801,7 @@ def test_predict_requires_classes():
 
 
 def test_predict_rejects_bad_width():
-    state = rilm.RilmState(zeros(3, 2), np.eye(3), 1.0, 0, (0, 1))
+    state = rilm.RilmState(np.zeros((3, 2)), np.eye(3), 1.0, 0, (0, 1))
     with pytest.raises(ShapeError):
         rilm.predict_ids(state, np.ones((1, 4)))
 
@@ -808,7 +814,7 @@ def test_kn_identity_scalar_exact():
 
 
 def test_kn_identity_empty_is_zero():
-    assert kn_identity_check(np.eye(4), zeros(0, 4)) == 0.0
+    assert kn_identity_check(np.eye(4), np.zeros((0, 4))) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(4))
