@@ -401,10 +401,9 @@ class Experiment:
     of each split, so one phase's training data and the test rows of the
     classes seen after it are slices, not gathers.
 
-    Training rows are kept at input width and projected one phase at a
-    time by ``phase_dataset``, since each is used in exactly one phase, so
-    a run never holds the whole projected training matrix (the README
-    lists what it holds).
+    Training rows are kept at input width, since each is used in exactly
+    one phase, and a run projects them one Woodbury block at a time (see
+    ``phase_dataset``; the README lists what a run holds).
     """
 
     config: ExperimentConfig
@@ -519,21 +518,23 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     )
 
 
-def phase_dataset(ex: Experiment, k: int) -> rilm.PhaseDataset:
+def phase_dataset(ex: Experiment, k: int, lazy: bool = False) -> rilm.PhaseDataset:
     """Projected training rows and class ids of schedule phase ``k``.
 
-    The rows are one slice of the experiment's phase-ordered training rows,
-    in input order, projected here; only this phase's projection is made.
-    Their labels are the same slice of ``ex.train_labels``, a view.
-    The projection acts row by row, so the rows match the same rows of
-    ``ex.train_features`` bit for bit, except that a one-row phase goes
-    through numpy's matrix-vector product, which may differ in the last bit.
+    The rows are a slice, in input order, of the phase-ordered training
+    rows, projected here, or with ``lazy`` by ``rilm_update`` one block at
+    a time (``PhaseDataset.expand``); the labels are a view of the same
+    slice. The projection acts row by row, so projected rows match those of
+    ``ex.train_features`` bit for bit, but for a single row (a one-row phase
+    or block): numpy's matrix-vector product may differ in the last bit.
     """
     rows = slice(ex.train_bounds[k], ex.train_bounds[k + 1])
+    raw, layer = ex.train_raw[rows], ex.layer
     return rilm.PhaseDataset(
-        features=rp_forward(ex.layer, ex.train_raw[rows]),
+        features=raw if lazy else rp_forward(layer, raw),
         labels=ex.train_labels[rows],
         class_ids=ex.schedule.phases[k],
+        expand=(lambda block: rp_forward(layer, block)) if lazy else None,
     )
 
 
@@ -553,15 +554,14 @@ def evaluate_accuracy(state: rilm.RilmState, ex: Experiment, k: int) -> float:
     return 100.0 * float(np.mean(rilm.predict_finite_ids(state, feats) == truth))
 
 
-def run_phases(ex: Experiment, naive: bool = False, path: str = "auto"):
+def run_phases(ex: Experiment, naive: bool = False, path: str = "auto", score: bool = True):
     """Fit the schedule's phases in order, scoring each on the seen classes.
 
-    Every phase, the first included, registers its classes and is one
-    ``rilm_update`` on ``path``, starting from the empty state. ``run``
-    always takes ``auto``; ``verify`` checks each fixed path in turn.
-    With ``naive``, each phase after the first restarts from an empty
-    state that keeps only the seen classes, so it is fitted to its own rows
-    alone. Returns (MetricsReport, final state).
+    Every phase registers its classes and is one ``rilm_update`` on
+    ``path``; ``naive`` restarts as the module docstring says. ``run``
+    always takes ``auto``; ``verify`` checks each fixed path in turn,
+    unscored (``score=False``: the report is None). Returns
+    (MetricsReport, final state).
     """
     d = ex.layer.output_dim
     state = rilm.empty_state(d, ex.config.eta)
@@ -572,11 +572,12 @@ def run_phases(ex: Experiment, naive: bool = False, path: str = "auto"):
             eta, seen, state = state.eta, state.class_ids, None
             state = rilm.empty_state(d, eta, seen)
         state = rilm.expand_classes(state, ids)
-        # The phase's projected rows are not kept past its update, and r is
+        # The update projects the phase's rows block by block, and r is
         # updated in place: the run holds one d x d memory matrix.
-        state = rilm.rilm_update(state, phase_dataset(ex, k), path=path, out=state.r)
-        accs.append(evaluate_accuracy(state, ex, k))
-    return compute_metrics(accs), state
+        state = rilm.rilm_update(state, phase_dataset(ex, k, lazy=True), path=path, out=state.r)
+        if score:
+            accs.append(evaluate_accuracy(state, ex, k))
+    return (compute_metrics(accs) if score else None), state
 
 
 def run_pipeline(config: ExperimentConfig, naive: bool = False) -> MetricsReport:

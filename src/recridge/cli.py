@@ -136,7 +136,7 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     # Each path is checked against the joint fit, so each is the other's check.
     errs = {}
     for p in ("woodbury", "direct"):
-        _, state = harness.run_phases(ex, path=p)
+        _, state = harness.run_phases(ex, path=p, score=False)
         errs[p] = float(np.linalg.norm(state.weights - reference)) / denom
     err = max(errs.values())
     print(f"max_rel_error={err!r} " + " ".join(f"{p}={e!r}" for p, e in errs.items()))

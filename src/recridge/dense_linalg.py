@@ -3,9 +3,9 @@
 A matrix here is a 2-d, C-contiguous (row-major), float64 numpy array; the
 row-major layout is part of the serialization contract in
 :mod:`recridge.fmat`. All public operations validate their inputs (shape
-conformance, finite entries) and never mutate them. ``as_matrix`` returns
-its input itself when that is already a C-order float64 matrix; the
-factor and solve operations return new arrays.
+conformance, finite entries). ``as_matrix`` returns its input itself when
+that is already a C-order float64 matrix; the factor and solve operations
+return new arrays, except that ``spd_half_solve_into`` writes over its b.
 
 Finiteness is checked without an elementwise temporary: a float64 sum is
 finite only when every entry is, so only a non-finite sum (a NaN or Inf
@@ -18,12 +18,11 @@ SYMMETRY_RTOL is copied into (a + aᵀ)/2.
 
 The symmetric positive-definite operations run on LAPACK through numpy:
 ``np.linalg.cholesky`` is the positive-definiteness check, then
-``np.linalg.solve`` does the work. ``spd_half_solve`` applies L⁻¹, L the
-Cholesky factor, by forward substitution over 16-row blocks, every step
-a matrix product (see ``spd_half_solve``): numpy has no triangular
-solve, and ``np.linalg.solve(L, b)``, a pivoted LU and two sweeps, ran
-at under half that speed with hundreds of right-hand sides (timings in
-``CHANGES.md``).
+``np.linalg.solve`` does the work. ``spd_half_solve_into`` applies L⁻¹, L
+the Cholesky factor, in place by forward substitution over 16-row blocks,
+every step a matrix product: numpy has no triangular solve, and
+``np.linalg.solve(L, b)``, a pivoted LU and two sweeps, was slower with
+hundreds of right-hand sides (timings in ``CHANGES.md``).
 
 A hand-written Cholesky loop is kept for one purpose only: when LAPACK
 rejects a matrix, the loop reruns to report the exact failing pivot index,
@@ -177,32 +176,37 @@ def spd_half_solve(a, b) -> Matrix:
 
     For symmetric positive-definite a, Vᵀ V equals bᵀ a⁻¹ b, and because
     it is a product of one matrix with its own transpose it can be formed
-    exactly symmetric. Checks and errors are those of spd_solve.
-
-    V is formed by forward substitution over blocks of 16 rows, with
-    matrix products only: the rows solved so far are subtracted from the
-    block's rows of b, the block's diagonal factor D is inverted, and
-    x = D⁻¹ rhs is refined once, x += D⁻¹ (rhs - D x).
-
-    For a >= I, as at both callers in :mod:`recridge.rilm` (I + f r fᵀ and
-    I + hᵀh), every singular value of L is at least 1, so ‖L⁻¹‖₂ <= 1;
-    each diagonal block factors a Schur complement of a, which is at least
-    I as well, so ‖D⁻¹‖₂ <= 1 too. That bounds the norm of V, not its
-    relative error: V is much smaller than b there, and an explicit
-    inverse loses the digits that cancel. Applying inv(L) to b in one
-    product, or unrefined 16-row blocks, made the Woodbury joint-fit error
-    on ``recridge gen`` data about 5x larger than ``np.linalg.solve(L, b)``;
-    the refined blocks match it (``CHANGES.md``).
+    exactly symmetric. Checks and errors are those of spd_solve; ``b`` is
+    left as it was, V is ``spd_half_solve_into`` on a copy of it.
     """
-    a, b = _solve_operands(a, b, "spd_half_solve")
+    return spd_half_solve_into(a, np.array(b, dtype=np.float64, order="C"))
+
+
+def spd_half_solve_into(a, b: Matrix) -> Matrix:
+    """``spd_half_solve`` written over ``b``, a C-order float64 matrix, and
+    returned; a failing check may leave ``b`` partly overwritten.
+
+    Per block of 16 rows, with matrix products only, the rows solved so
+    far are subtracted from the block's rows of b, the block's diagonal
+    factor D is inverted, and x = D⁻¹ rhs is refined once,
+    x += D⁻¹ (rhs - D x). For a >= I, as at both callers in
+    :mod:`recridge.rilm` (I + f r fᵀ and I + hᵀh), every singular value of
+    L is at least 1, so ‖L⁻¹‖₂ <= 1; each diagonal block factors a Schur
+    complement of a, which is at least I as well, so ‖D⁻¹‖₂ <= 1 too. That
+    bounds the norm of V, not its relative error: V is much smaller than b
+    there, and an explicit inverse loses the digits that cancel, so the
+    blocks are refined (``test_spd_half_solve_matches_cholesky_solve``).
+    """
+    a, checked = _solve_operands(a, b, "spd_half_solve")
+    if checked is not b:
+        raise ValidationError("spd_half_solve_into: b must be a C-order float64 matrix")
     low = cholesky_lower(_symmetric_operand(a, "spd_half_solve"))
-    v = np.empty_like(b)
     for s in range(0, low.shape[0], _HALF_SOLVE_BLOCK):
         e = s + _HALF_SOLVE_BLOCK
         diag = low[s:e, s:e]
         diag_inv = np.linalg.inv(diag)
-        rhs = b[s:e] - low[s:e, :s] @ v[:s]
+        rhs = b[s:e] - low[s:e, :s] @ b[:s]
         x = diag_inv @ rhs
         x += diag_inv @ (rhs - diag @ x)
-        v[s:e] = x
-    return _check_finite_result(v, "spd_half_solve")
+        b[s:e] = x
+    return _check_finite_result(b, "spd_half_solve")

@@ -2,10 +2,11 @@
 
 The learner keeps two fixed-size summaries: the weight matrix of a linear
 classifier over expanded features, and ``r``, the inverse of the
-accumulated feature Gram matrix plus the ridge term. After each phase the
-pair is rewritten in place of any raw data, so memory never grows with the
-number of samples seen. The central guarantee, exercised heavily by the
-test suite, is that updating phase by phase lands on exactly the same
+accumulated feature Gram matrix plus the ridge term. Every phase, the
+first included, rewrites the pair in place of any raw data, starting from
+the empty state (no classes, ``r = I/eta``), so memory never grows with
+the number of samples seen. The central guarantee, exercised heavily by
+the test suite, is that updating phase by phase lands on exactly the same
 weights as solving one joint ridge problem over all phases at once.
 
 A phase, n feature rows and the global class id of each (which picks the
@@ -22,43 +23,36 @@ weight column the row trains), is absorbed one of two ways:
 
 Both must agree to tight tolerance. ``auto`` takes Woodbury, except that a
 phase of n >= d rows goes to the direct path when eta is below 1e-4 (see
-the eta paragraph below). Timed at d = 768, phases of more than about 2.5d
-rows would run faster direct; ``auto`` does not switch there, because no
-benchmark workload has phases that tall. That crossover, the block size
-and the downdate's panel height were measured as ``CHANGES.md`` records.
-
-Each Woodbury block subtracts Vᵀ V, for an m x d V, from r in 128-row
-panels through one 128 x d scratch panel (see ``_downdate``), so an
-update of any height holds no d x d array but r (and a copy if the old r
-is kept).
+below); ``CHANGES.md`` records how the block size, the downdate's panel
+height and the paths' speeds were measured. The Woodbury path expands a
+phase of input rows (``PhaseDataset.expand``) one block at a time and
+solves each block in place, so an update of any height holds one block
+of expanded rows and, downdating through one 128 x d panel, no d x d
+array but r (and a copy if the old r is kept).
 
 States are immutable values; every operation returns a new state, except
 that ``rilm_update`` with ``out=state.r`` overwrites the old memory and
-consumes the state: a run holds one d x d memory matrix.
-
-``r`` is exactly symmetric in every state: the empty state's ``I/eta`` is,
-both update paths return an exactly symmetric matrix from an exactly
-symmetric one, and ``load_state`` symmetrizes the ``r`` it accepts. So no
-phase pays for a d x d re-symmetrize pass, and round-off cannot make ``r``
-drift away from symmetry however many phases run.
-
-Every phase, the first included, is one update of this pair, starting from
-the empty state (no classes, ``r = I/eta``).
+consumes the state: a run holds one d x d memory matrix. ``r`` is exactly
+symmetric in every state: the empty state's ``I/eta`` is, both update
+paths return an exactly symmetric matrix from an exactly symmetric one,
+and ``load_state`` symmetrizes the ``r`` it accepts. So no phase pays for
+a d x d re-symmetrize pass, and round-off cannot make ``r`` drift away
+from symmetry however many phases run.
 
 The ridge strength ``eta`` may be any positive number, but the float64
 error grows roughly as ||F||²/eta. The tests hold the weights within 1e-8
 of the joint fit for eta >= 1e-4: on both paths at the benchmark
 workloads' feature scale, and on the Woodbury path on ``recridge gen``
-data at its separation of 10
-(``test_woodbury_holds_joint_fit_on_gen_data``). On a
-phase of n >= d rows at smaller eta the direct path is the more accurate
-(``test_auto_keeps_tall_phases_direct_below_tested_eta``), so ``auto``
-takes it there.
+data at its separation of 10 (``test_woodbury_holds_joint_fit_on_gen_data``).
+On a phase of n >= d rows at smaller eta the direct path is the more
+accurate (``test_auto_keeps_tall_phases_direct_below_tested_eta``), so
+``auto`` takes it there.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +63,7 @@ from .dense_linalg import (
     _symmetrized,
     as_matrix,
     cholesky_lower,
-    spd_half_solve,
+    spd_half_solve_into,
     spd_solve,
 )
 from .errors import (
@@ -126,12 +120,15 @@ class PhaseDataset:
 
     ``labels[i]``, an entry of a 1-d integer array, is the global class id
     of row i of ``features``; every label lies in ``class_ids`` (global
-    ids, strictly increasing).
+    ids, strictly increasing). With ``expand``, ``features`` are input
+    rows, and ``expand`` maps any block of them, row by row, to the rows
+    the learner trains on, so it expands no more than it is about to use.
     """
 
     features: Matrix
     labels: np.ndarray
     class_ids: tuple[int, ...]
+    expand: Callable[[Matrix], Matrix] | None = None
 
     def __post_init__(self):
         f = as_matrix(self.features, "features")
@@ -151,6 +148,15 @@ class PhaseDataset:
         object.__setattr__(self, "features", f)
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "class_ids", ids)
+
+    def expanded_rows(self, d: int, start: int = 0, stop: int | None = None) -> Matrix:
+        """Rows ``start:stop`` as the learner trains on them, which must be d wide."""
+        f = self.features[start:stop]
+        if self.expand is not None:
+            f = as_matrix(self.expand(f), "expanded features")
+        if f.shape[1] != d:
+            raise ShapeError(f"phase rows have width {f.shape[1]}, expected {d}")
+        return f
 
 
 @dataclass(frozen=True)
@@ -243,23 +249,20 @@ def expand_classes(state: RilmState, new_class_ids) -> RilmState:
     return out
 
 
-def _update(state, f, path, out, w, cols):
+def _update(state, phase, path, out, w, cols):
     """``rilm_update`` on checked inputs: returns the new r, steps ``w``.
 
-    Row i of ``f`` trains column ``cols[i]`` of the d x c ``w``, which is
-    stepped in place. The woodbury path takes the rows in consecutive
-    blocks f_b of at most max(1, d // 4) rows; per block, with g = f_b r
-    and L the Cholesky factor of g f_bᵀ + I, it steps w by the block's gain
-    and subtracts Vᵀ V, V = L⁻¹ g, from r in place and exactly symmetric
-    (see ``_downdate``). A block system that rounding leaves outside
-    spd_half_solve's checks (at small eta, asymmetric beyond SYMMETRY_RTOL)
-    raises NumericalError. The direct path factors r = L Lᵀ, sets h = f L
-    and returns Vᵀ V for V = K⁻¹ Lᵀ, K the Cholesky factor of I + hᵀh: that
-    is (r⁻¹ + fᵀf)⁻¹, exactly symmetric the same way. Neither inverts r:
-    rebuilding the Gram matrix from r that way lost accuracy with every
-    phase at small eta.
+    Row i of the phase trains column ``cols[i]`` of the d x c ``w``, which
+    is stepped in place. Woodbury: per block f_b, expanded just then, with
+    g = f_b r and L the Cholesky factor of g f_bᵀ + I, one [g | e] buffer
+    becomes [V | L⁻¹ e], V = L⁻¹ g, and r loses Vᵀ V (see ``_downdate``);
+    a block system outside spd_half_solve's checks (at small eta) raises
+    NumericalError. Direct: the whole phase f is expanded; with r = L Lᵀ,
+    h = f L and K the Cholesky factor of I + hᵀh, r becomes Vᵀ V for
+    V = K⁻¹ Lᵀ. Both are exactly symmetric. Neither inverts r: rebuilding
+    the Gram matrix from r that way lost accuracy each phase at small eta.
     """
-    n, d = f.shape
+    n, d = phase.features.shape[0], state.d_rp
     if out is not None and (out is not state.r or not out.flags.writeable):
         raise ShapeError("out must be None or a writable state.r")
     if n == 0:
@@ -268,37 +271,40 @@ def _update(state, f, path, out, w, cols):
     if path == "auto":
         path = "direct" if n >= d and state.eta < _WOODBURY_MIN_ETA else "woodbury"
     if path == "direct":
+        f = phase.expanded_rows(d)
         low_t = np.ascontiguousarray(cholesky_lower(state.r).T)
         h = f @ low_t.T
         inner = h.T @ h
         del h
         inner[np.diag_indices(d)] += 1.0
-        # four d x d arrays at most: inner, low_t, K and V
-        v = spd_half_solve(inner, low_t)
-        del inner, low_t
+        # three d x d arrays at most: inner, K and low_t, which becomes V
+        v = spd_half_solve_into(inner, low_t)
+        del inner
         r_new = np.matmul(v.T, v, out=out)
         w += r_new @ (f.T @ _residual(f, w, cols))
         return r_new
     if out is None:
         out = state.r.copy()
     block = max(1, d // 4)
+    buf = np.empty((min(block, n), d + w.shape[1]))
+    panel = np.empty((min(_DOWNDATE_PANEL_ROWS, d), d))
     for start in range(0, n, block):
-        fb = f[start : start + block]
+        fb = phase.expanded_rows(d, start, start + block)
         # the block's g = f_b r and, for the weights, e = y_b − f_b w
-        rhs = np.empty((fb.shape[0], d + w.shape[1]))
+        rhs = buf[: fb.shape[0]]
         g = np.matmul(fb, out, out=rhs[:, :d])
         _residual(fb, w, cols[start : start + block], out=rhs[:, d:])
         a = g @ fb.T
+        del fb  # freed before the next block is expanded
         a.flat[:: a.shape[0] + 1] += 1.0
         try:
-            sol = spd_half_solve(a, rhs)
+            spd_half_solve_into(a, rhs)  # rhs becomes [V | L⁻¹ e]
         except ValidationError as exc:
             raise NumericalError(f"woodbury block: {exc}") from exc
-        del a, g, rhs  # consumed: only sol and the downdate's panel stay
-        v = sol[:, :d]
-        w += v.T @ sol[:, d:]
-        _downdate(out, v)
-        del sol, v  # freed before the next block's are formed
+        del a
+        v = rhs[:, :d]
+        w += v.T @ rhs[:, d:]
+        _downdate(out, v, panel)
     return out
 
 
@@ -310,17 +316,17 @@ def _residual(f, w, cols, out=None):
     return e
 
 
-def _downdate(r, v):
+def _downdate(r, v, panel):
     """Overwrite ``r`` with r − vᵀv, in panels of rows.
 
     Per panel of rows s:e, the block left of the diagonal (a matrix
     product) and the diagonal block (numpy's exactly symmetric ``syrk``)
-    are formed in one scratch panel and subtracted; the former is then
-    copied to its mirror above the diagonal. Each panel reads only its own
-    rows of ``r`` and writes those and rows earlier panels have read.
+    are formed in the min(128, d) x d scratch ``panel`` and subtracted;
+    the former is then copied to its mirror above the diagonal. Each panel
+    reads only its own rows of ``r`` and writes those and rows earlier
+    panels have read.
     """
     d = r.shape[0]
-    panel = np.empty((min(_DOWNDATE_PANEL_ROWS, d), d))
     for s in range(0, d, _DOWNDATE_PANEL_ROWS):
         e = min(s + _DOWNDATE_PANEL_ROWS, d)
         rows = panel[: e - s, :e]
@@ -355,9 +361,8 @@ def rilm_update(
     partway leaves it partly updated).
     """
     path = _check_path(path)
-    f = phase.features
-    if f.shape[1] != state.d_rp:
-        raise ShapeError(f"phase features have width {f.shape[1]}, state expects {state.d_rp}")
+    if phase.expand is None:
+        phase.expanded_rows(state.d_rp, 0, 0)  # the width check
     column = {cid: j for j, cid in enumerate(state.class_ids)}
     missing = [cid for cid in phase.class_ids if cid not in column]
     if missing:
@@ -368,7 +373,7 @@ def rilm_update(
     w = state.weights
     if out is None or not w.flags.writeable:
         w = w.copy()
-    r_new = _update(state, f, path, out, w, cols)
+    r_new = _update(state, phase, path, out, w, cols)
     return RilmState(w, r_new, state.eta, state.phase + 1, state.class_ids)
 
 
@@ -393,14 +398,11 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
         seen.update(ph.class_ids)
         table.extend(ph.class_ids)
     d = phases[0].features.shape[1]
-    for ph in phases:
-        if ph.features.shape[1] != d:
-            raise ShapeError("all phases must share the same feature width")
     column = {cid: j for j, cid in enumerate(table)}
     a_sum = np.zeros((d, d))
     c_sum = np.zeros((d, len(table)))
     for ph in phases:
-        f = ph.features
+        f = ph.expanded_rows(d)
         a_sum += f.T @ f
         cols = [column[cid] for cid in ph.class_ids]
         onehot = np.equal.outer(ph.labels, ph.class_ids).astype(np.float64)

@@ -14,6 +14,9 @@ Core claims:
     - training rows are projected one phase at a time, bit-equal to one
       projection of them all, so a run never holds the projected matrix;
       a phase's labels are a view of the training labels
+    - a run projects each Woodbury block just before its update and lands
+      on the bits of updating on whole projected phases, so its memory
+      does not grow with phase height
     - a run, naive or not, holds one d x d memory matrix, updated in place
     - evaluation scores the projected test rows without checking them again
     - every writer replaces its file atomically
@@ -31,7 +34,7 @@ from recridge import dense_linalg, fmat, rilm
 from recridge.errors import ParseError, ShapeError, ValidationError
 from recridge.random_projection import rp_forward, rp_new
 
-from oracles import recursive_states
+from oracles import gen_experiment, recursive_states
 
 
 def _rng(seed):
@@ -681,6 +684,82 @@ def test_run_phases_holds_one_memory_matrix(tmp_path, monkeypatch, naive):
     assert len(held) == (5 if naive else 1)
     assert max(held) < 0.5 * 512 * 512 * 8
     assert peak < 2.5 * 512 * 512 * 8
+
+
+def _projected_block_rows(monkeypatch):
+    # rows of every rp_forward call through the name the harness uses
+    rows = []
+    project = ch.rp_forward
+
+    def spy(layer, features):
+        rows.append(features.shape[0])
+        return project(layer, features)
+
+    monkeypatch.setattr(ch, "rp_forward", spy)
+    return rows
+
+
+@pytest.mark.parametrize("path", ["woodbury", "direct"])
+@pytest.mark.parametrize(
+    "per_class", [8, 24, 25], ids=["one_block", "full_blocks", "two_row_tail"]
+)
+def test_streamed_run_matches_whole_phase_updates(tmp_path, monkeypatch, path, per_class):
+    # d_rp 64, Woodbury blocks of 16 rows; two classes a phase give phases
+    # of 16, 48 and 50 rows. Projecting each block just before its update
+    # lands on the bits of updating on the phase projected whole.
+    cfg = ch.load_config(
+        _write_config(
+            tmp_path, schedule="4/2", synth_classes=4, synth_per_class=per_class, d_rp=64
+        )
+    )
+    ex = ch.prepare_experiment(cfg)
+    rows = _projected_block_rows(monkeypatch)
+    _, streamed = ch.run_phases(ex, path=path)
+    n = 2 * per_class
+    expected_rows = [n] if path == "direct" else [min(16, n - s) for s in range(0, n, 16)]
+    assert rows == 2 * expected_rows
+    state = rilm.empty_state(64, cfg.eta)
+    for k, ids in enumerate(cfg.schedule.phases):
+        state = rilm.expand_classes(state, ids)
+        state = rilm.rilm_update(state, ch.phase_dataset(ex, k), path=path)
+    assert np.array_equal(streamed.weights, state.weights)
+    assert np.array_equal(streamed.r, state.r)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_one_row_last_block_holds_joint_fit(monkeypatch, seed):
+    # recridge gen data, 80-row phases at d_rp 318 (mult 53): Woodbury
+    # blocks of 79 rows leave a one-row last block, which numpy projects by
+    # a matrix-vector product, so its bits may differ from a whole-phase
+    # projection; the run still holds the joint fit
+    ex = gen_experiment(seed, 1e-2, 53)
+    rows = _projected_block_rows(monkeypatch)
+    _, state = ch.run_phases(ex)
+    assert rows[:6] == [79, 1] * 3
+    reference = rilm.batch_oracle([ch.phase_dataset(ex, k) for k in range(3)], 1e-2)
+    assert np.linalg.norm(state.weights - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
+def test_run_memory_does_not_grow_with_phase_height(tmp_path):
+    # d_rp 256: phases of 128 and of 512 rows. A run that projected whole
+    # phases would peak 384 rows (0.75 MiB) higher on the taller ones; one
+    # projected Woodbury block of 64 rows is all the run holds of them
+    peaks = []
+    for per_class in (64, 256):
+        cfg = ch.load_config(
+            _write_config(
+                tmp_path, schedule="4/2", synth_classes=4, synth_per_class=per_class,
+                synth_test_per_class=16, synth_dim=8, d_rp=256,
+            )
+        )
+        ex = ch.prepare_experiment(cfg)
+        tracemalloc.start()
+        try:
+            ch.run_phases(ex)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 64 * 256 * 8
 
 
 def test_evaluation_does_not_rescan_test_rows(tmp_path, monkeypatch):

@@ -67,6 +67,29 @@ def test_verify_over_tolerance_exits_2(tmp_path, capsys):
     assert captured.err == f"equivalence check failed: {err!r} > 1e-08\n"
 
 
+@pytest.mark.parametrize("eta, code", [(1.0, 0), (1e-8, 2)])
+def test_verify_scores_no_phase(tmp_path, monkeypatch, capsys, eta, code):
+    # verify throws accuracies away, so its runs never evaluate; it prints
+    # the line and exits with the code of the scored runs' final weights
+    cfg = _write_synth_config(tmp_path, eta=eta, d_rp_multiplier=12)
+    ex = ch.prepare_experiment(ch.load_config(cfg))
+    reference = rilm.batch_oracle([ch.phase_dataset(ex, k) for k in range(3)], eta)
+    errs = {}
+    for p in ("woodbury", "direct"):
+        _, state = ch.run_phases(ex, path=p)
+        errs[p] = float(np.linalg.norm(state.weights - reference) / np.linalg.norm(reference))
+    expected = " ".join(
+        [f"max_rel_error={max(errs.values())!r}"] + [f"{p}={e!r}" for p, e in errs.items()]
+    )
+
+    def refuse(*args):
+        raise AssertionError("verify scored a phase")
+
+    monkeypatch.setattr(ch, "evaluate_accuracy", refuse)
+    assert cli.main(["verify", "--config", str(cfg)]) == code
+    assert capsys.readouterr().out == expected + "\n"
+
+
 def test_verify_writes_no_file(tmp_path, capsys):
     cfg = _write_synth_config(tmp_path, out="res.txt")
     assert cli.main(["verify", "--config", str(cfg)]) == 0
@@ -76,7 +99,7 @@ def test_verify_writes_no_file(tmp_path, capsys):
 def test_verify_checks_the_run_phase_loop(tmp_path, monkeypatch, capsys):
     # with the Woodbury downdate gone, r stays I/eta on that path; verify
     # runs the program's own loop, so it sees the broken path
-    monkeypatch.setattr(rilm, "_downdate", lambda r, v: None)
+    monkeypatch.setattr(rilm, "_downdate", lambda r, v, panel: None)
     cfg = _write_synth_config(tmp_path)
     assert cli.main(["verify", "--config", str(cfg)]) == 2
     fields = _verify_fields(capsys.readouterr().out)

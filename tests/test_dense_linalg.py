@@ -2,7 +2,8 @@
 
 Core claims:
     - spd_solve achieves residual <= 1e-10 relative for condition <= 1e6
-    - spd_half_solve solves against the Cholesky factor with spd_solve's checks
+    - spd_half_solve solves against the Cholesky factor with spd_solve's checks;
+      spd_half_solve_into writes the same bits over its right-hand side
     - cholesky_lower reports the exact failing pivot on non-PD input
     - the SPD operations copy their matrix only when it is not exactly
       symmetric
@@ -113,6 +114,28 @@ def test_spd_half_solve_matches_cholesky_solve(seed):
     gram = v.T @ v
     assert np.array_equal(gram, gram.T)
     assert np.allclose(gram, b.T @ np.linalg.solve(a, b), rtol=1e-10, atol=1e-12)
+
+
+def test_spd_half_solve_into_writes_over_b():
+    # 37 rows span three substitution blocks; the Woodbury loop passes a
+    # row block of a wider buffer, so b may be one
+    gen = _rng(9)
+    g = gen.standard_normal((40, 37))
+    a = g.T @ g + np.eye(37)
+    b = gen.standard_normal((37, 5))
+    before = b.copy()
+    expected = dl.spd_half_solve(a, b)
+    assert np.array_equal(b, before)
+    buf = b.copy()
+    assert dl.spd_half_solve_into(a, buf) is buf
+    assert np.array_equal(buf, expected)
+    wide = np.zeros((40, 5))
+    wide[:37] = b
+    dl.spd_half_solve_into(a, wide[:37])
+    assert np.array_equal(wide[:37], expected) and not wide[37:].any()
+    for other in (np.asfortranarray(b), b.astype(np.float32), b.tolist()):
+        with pytest.raises(ValidationError, match="C-order float64"):
+            dl.spd_half_solve_into(a, other)
 
 
 def test_spd_half_solve_checks_like_spd_solve():

@@ -17,6 +17,8 @@ Core claims:
       edge and, updating ``r`` in place, holds no d x d temporary
     - an update into ``out=state.r`` equals the out-of-place one bit for
       bit; any other ``out``, or a read-only ``state.r``, is rejected
+    - a phase expanded on demand is expanded one Woodbury block at a time
+      and updates as the phase of its expanded rows does
     - the state constructor rejects an asymmetric r without a d x d
       temporary, and states derived from a validated one skip its scans
     - prediction uses the global id table with lowest-id tie-breaking and
@@ -473,6 +475,41 @@ def test_update_r_in_place_matches_out_of_place(path, d, n):
     assert result.r is state.r and result.weights is state.weights
     assert np.array_equal(state.r, expected.r)
     assert np.array_equal(state.weights, expected.weights)
+
+
+@pytest.mark.parametrize("path", rilm.UPDATE_PATHS)
+def test_expanded_phase_matches_phase_of_its_rows(path):
+    # d 40, Woodbury blocks of 10 rows: the 35 rows are expanded as
+    # 10, 10, 10 and 5 rows, each block just before its update, or whole on
+    # the direct path; the expansion acts on each entry, so bits match
+    gen = _rng(31)
+    x = gen.standard_normal((35, 20))
+    labels = gen.integers(0, 2, size=35)
+    sizes = []
+
+    def expand(rows):
+        sizes.append(rows.shape[0])
+        return np.hstack([np.tanh(rows), rows])
+
+    lazy = rilm.PhaseDataset(x, labels, (0, 1), expand=expand)
+    whole = rilm.PhaseDataset(np.hstack([np.tanh(x), x]), labels, (0, 1))
+    state = rilm.empty_state(40, 0.5, (0, 1))
+    got = rilm.rilm_update(state, lazy, path=path)
+    expected = rilm.rilm_update(state, whole, path=path)
+    assert sizes == ([35] if path == "direct" else [10, 10, 10, 5])
+    assert np.array_equal(got.weights, expected.weights)
+    assert np.array_equal(got.r, expected.r)
+
+
+def test_expanded_phase_checks_its_width():
+    # rows of width 2 expand to width 4, which neither a state of width 3
+    # nor the joint fit over phases of width 2 takes
+    lazy = rilm.PhaseDataset(np.ones((3, 2)), [0, 0, 0], (0,), expand=lambda x: np.hstack([x, x]))
+    for path in rilm.UPDATE_PATHS:
+        with pytest.raises(ShapeError):
+            rilm.rilm_update(rilm.empty_state(3, class_ids=(0,)), lazy, path=path)
+    with pytest.raises(ShapeError):
+        rilm.batch_oracle([lazy])
 
 
 def test_update_r_rejects_bad_width_and_path():
