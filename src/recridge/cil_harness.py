@@ -518,23 +518,21 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     )
 
 
-def phase_dataset(ex: Experiment, k: int, lazy: bool = False) -> rilm.PhaseDataset:
-    """Projected training rows and class ids of schedule phase ``k``.
+def phase_dataset(ex: Experiment, k: int) -> rilm.PhaseDataset:
+    """Training rows and class ids of schedule phase ``k``, unprojected.
 
     The rows are a slice, in input order, of the phase-ordered training
-    rows, projected here, or with ``lazy`` by ``rilm_update`` one block at
-    a time (``PhaseDataset.expand``); the labels are a view of the same
-    slice. The projection acts row by row, so projected rows match those of
-    ``ex.train_features`` bit for bit, but for a single row (a one-row phase
-    or block): numpy's matrix-vector product may differ in the last bit.
+    rows, the labels a view of it. ``expand`` projects any block of them
+    row by row, so projected rows match ``ex.train_features`` bit for bit
+    but for a single row (a one-row phase or block), which numpy projects
+    by a matrix-vector product that may differ in the last bit.
     """
     rows = slice(ex.train_bounds[k], ex.train_bounds[k + 1])
-    raw, layer = ex.train_raw[rows], ex.layer
     return rilm.PhaseDataset(
-        features=raw if lazy else rp_forward(layer, raw),
+        features=ex.train_raw[rows],
         labels=ex.train_labels[rows],
         class_ids=ex.schedule.phases[k],
-        expand=(lambda block: rp_forward(layer, block)) if lazy else None,
+        expand=lambda block: rp_forward(ex.layer, block),
     )
 
 
@@ -574,7 +572,7 @@ def run_phases(ex: Experiment, naive: bool = False, path: str = "auto", score: b
         state = rilm.expand_classes(state, ids)
         # The update projects the phase's rows block by block, and r is
         # updated in place: the run holds one d x d memory matrix.
-        state = rilm.rilm_update(state, phase_dataset(ex, k, lazy=True), path=path, out=state.r)
+        state = rilm.rilm_update(state, phase_dataset(ex, k), path=path, out=state.r)
         if score:
             accs.append(evaluate_accuracy(state, ex, k))
     return (compute_metrics(accs) if score else None), state

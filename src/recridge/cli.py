@@ -131,7 +131,6 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     ex = harness.prepare_experiment(harness.load_config(ns.config))
     phases = [harness.phase_dataset(ex, k) for k in range(ex.schedule.num_phases)]
     reference = rilm.batch_oracle(phases, ex.config.eta)
-    del phases
     denom = max(float(np.linalg.norm(reference)), 1e-300)
     # Each path is checked against the joint fit, so each is the other's check.
     errs = {}

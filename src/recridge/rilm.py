@@ -149,12 +149,12 @@ class PhaseDataset:
         object.__setattr__(self, "labels", y)
         object.__setattr__(self, "class_ids", ids)
 
-    def expanded_rows(self, d: int, start: int = 0, stop: int | None = None) -> Matrix:
-        """Rows ``start:stop`` as the learner trains on them, which must be d wide."""
+    def expanded_rows(self, d: int | None, start: int = 0, stop: int | None = None) -> Matrix:
+        """Rows ``start:stop`` as the learner trains on them, d wide unless d is None."""
         f = self.features[start:stop]
         if self.expand is not None:
             f = as_matrix(self.expand(f), "expanded features")
-        if f.shape[1] != d:
+        if d is not None and f.shape[1] != d:
             raise ShapeError(f"phase rows have width {f.shape[1]}, expected {d}")
         return f
 
@@ -380,10 +380,10 @@ def rilm_update(
 def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
     """Joint closed-form ridge fit over every phase at once.
 
-    Stacks all features and lays the per-phase label blocks into a shared
-    label matrix (classes ordered by first appearance, matching the
-    registration order of the recursive updates). This is the reference the
-    recursion is checked against.
+    Sums every phase's Gram matrix and its label block in a shared label
+    matrix (classes ordered by first appearance, matching the registration
+    order of the recursive updates), expanding one phase at a time. This is
+    the reference the recursion is checked against.
     """
     eta = _check_eta(eta)
     phases = list(all_phases)
@@ -397,12 +397,13 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
             raise ProtocolError(f"class ids appear in more than one phase: {sorted(overlap)}")
         seen.update(ph.class_ids)
         table.extend(ph.class_ids)
-    d = phases[0].features.shape[1]
     column = {cid: j for j, cid in enumerate(table)}
-    a_sum = np.zeros((d, d))
-    c_sum = np.zeros((d, len(table)))
+    d = None  # the first phase's expanded width; every phase must match it
     for ph in phases:
         f = ph.expanded_rows(d)
+        if d is None:
+            d = f.shape[1]
+            a_sum, c_sum = np.zeros((d, d)), np.zeros((d, len(table)))
         a_sum += f.T @ f
         cols = [column[cid] for cid in ph.class_ids]
         onehot = np.equal.outer(ph.labels, ph.class_ids).astype(np.float64)

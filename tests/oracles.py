@@ -105,7 +105,8 @@ def recursive_states(phases, eta: float = DEFAULT_ETA, path: str = "auto") -> li
     phases = list(phases)
     if not phases:
         raise ValidationError("recursive_states needs at least one phase")
-    state = empty_state(phases[0].features.shape[1], eta)
+    # the width the first phase expands to, read off zero of its rows
+    state = empty_state(phases[0].expanded_rows(None, 0, 0).shape[1], eta)
     out = []
     for ph in phases:
         state = expand_classes(state, ph.class_ids)

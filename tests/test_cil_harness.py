@@ -527,7 +527,7 @@ def test_naive_final_state_is_ridge_fit_of_last_phase(tmp_path):
     _, state = ch.run_phases(ex, naive=True)
     last = ch.phase_dataset(ex, ex.schedule.num_phases - 1)
     column = {cid: j for j, cid in enumerate(state.class_ids)}
-    f = last.features
+    f = last.expanded_rows(ex.layer.output_dim)
     y = np.zeros((f.shape[0], len(column)))
     y[np.arange(f.shape[0]), [column[int(c)] for c in last.labels]] = 1.0
     expected = dense_linalg.spd_solve(f.T @ f + cfg.eta * np.eye(f.shape[1]), f.T @ y)
@@ -603,7 +603,7 @@ def test_phase_ordered_rows_match_mask_gather_oracle(tmp_path, case):
     # a phase keeps its rows' input order
     for k, ids in enumerate(cfg.schedule.phases):
         ours, theirs = ch.phase_dataset(ex, k), _gathered_phase(ftr, ltr, ids)
-        assert np.array_equal(ours.features, theirs.features)
+        assert np.array_equal(ours.expanded_rows(ex.layer.output_dim), theirs.features)
         assert np.array_equal(ours.labels, theirs.labels)
 
 
@@ -626,7 +626,7 @@ def test_phase_projection_matches_one_full_projection(tmp_path, overrides):
         rows = slice(ex.train_bounds[k], ex.train_bounds[k + 1])
         assert rows.stop - rows.start >= 2
         phase = ch.phase_dataset(ex, k)
-        assert np.array_equal(phase.features, full[rows])
+        assert np.array_equal(phase.expanded_rows(ex.layer.output_dim), full[rows])
         # the labels are the phase's slice of the training labels, not a copy
         assert np.shares_memory(phase.labels, ex.train_labels)
         assert np.array_equal(phase.labels, ex.train_labels[rows])
@@ -721,7 +721,9 @@ def test_streamed_run_matches_whole_phase_updates(tmp_path, monkeypatch, path, p
     state = rilm.empty_state(64, cfg.eta)
     for k, ids in enumerate(cfg.schedule.phases):
         state = rilm.expand_classes(state, ids)
-        state = rilm.rilm_update(state, ch.phase_dataset(ex, k), path=path)
+        ph = ch.phase_dataset(ex, k)
+        whole = rilm.PhaseDataset(ph.expanded_rows(64), ph.labels, ph.class_ids)
+        state = rilm.rilm_update(state, whole, path=path)
     assert np.array_equal(streamed.weights, state.weights)
     assert np.array_equal(streamed.r, state.r)
 

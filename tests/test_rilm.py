@@ -502,14 +502,32 @@ def test_expanded_phase_matches_phase_of_its_rows(path):
 
 
 def test_expanded_phase_checks_its_width():
-    # rows of width 2 expand to width 4, which neither a state of width 3
-    # nor the joint fit over phases of width 2 takes
+    # rows of width 2 expand to width 4, which a state of width 3 does not take
     lazy = rilm.PhaseDataset(np.ones((3, 2)), [0, 0, 0], (0,), expand=lambda x: np.hstack([x, x]))
     for path in rilm.UPDATE_PATHS:
         with pytest.raises(ShapeError):
             rilm.rilm_update(rilm.empty_state(3, class_ids=(0,)), lazy, path=path)
-    with pytest.raises(ShapeError):
-        rilm.batch_oracle([lazy])
+
+
+def test_batch_oracle_fits_expanded_phases_of_one_width():
+    # the joint fit takes its width from the first phase's expanded rows and
+    # fits an expanded phase as the phase of its rows; a phase expanding to
+    # another width is rejected
+    gen = _rng(33)
+    x = gen.standard_normal((12, 3))
+
+    def expand(rows):
+        return np.hstack([rows, rows**2])
+
+    lazy = rilm.PhaseDataset(x, [0] * 6 + [1] * 6, (0, 1), expand=expand)
+    whole = rilm.PhaseDataset(expand(x), lazy.labels, (0, 1))
+    assert np.array_equal(rilm.batch_oracle([lazy], 0.5), rilm.batch_oracle([whole], 0.5))
+    other = rilm.PhaseDataset(np.ones((2, 6)), [2, 2], (2,))
+    assert rilm.batch_oracle([lazy, other], 0.5).shape == (6, 3)
+    narrow = rilm.PhaseDataset(np.ones((2, 3)), [2, 2], (2,))
+    for phases in ([lazy, narrow], [narrow, lazy]):
+        with pytest.raises(ShapeError):
+            rilm.batch_oracle(phases, 0.5)
 
 
 def test_update_r_rejects_bad_width_and_path():
