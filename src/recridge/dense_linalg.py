@@ -43,7 +43,7 @@ Matrix = np.ndarray
 # Relative asymmetry tolerated by the SPD operations before rejecting input.
 SYMMETRY_RTOL = 1e-9
 
-# Rows per diagonal block of spd_half_solve's forward substitution.
+# Rows per diagonal block of spd_half_solve_into's forward substitution.
 _HALF_SOLVE_BLOCK = 16
 
 # Rows per panel of the symmetry check.
@@ -171,20 +171,13 @@ def spd_solve(a, b) -> Matrix:
     return _check_finite_result(x, "spd_solve")
 
 
-def spd_half_solve(a, b) -> Matrix:
-    """V = L⁻¹ b, where L is the lower Cholesky factor of (a + aᵀ)/2.
-
-    For symmetric positive-definite a, Vᵀ V equals bᵀ a⁻¹ b, and because
-    it is a product of one matrix with its own transpose it can be formed
-    exactly symmetric. Checks and errors are those of spd_solve; ``b`` is
-    left as it was, V is ``spd_half_solve_into`` on a copy of it.
-    """
-    return spd_half_solve_into(a, np.array(b, dtype=np.float64, order="C"))
-
-
 def spd_half_solve_into(a, b: Matrix) -> Matrix:
-    """``spd_half_solve`` written over ``b``, a C-order float64 matrix, and
-    returned; a failing check may leave ``b`` partly overwritten.
+    """V = L⁻¹ b, L the lower Cholesky factor of (a + aᵀ)/2, written over
+    ``b``, a C-order float64 matrix, and returned. For symmetric
+    positive-definite a, Vᵀ V equals bᵀ a⁻¹ b and, a product of one matrix
+    with its own transpose, can be formed exactly symmetric. Checks and
+    errors are those of spd_solve; a failing check may leave ``b`` partly
+    overwritten.
 
     Per block of 16 rows, with matrix products only, the rows solved so
     far are subtracted from the block's rows of b, the block's diagonal
@@ -197,10 +190,10 @@ def spd_half_solve_into(a, b: Matrix) -> Matrix:
     there, and an explicit inverse loses the digits that cancel, so the
     blocks are refined (``test_spd_half_solve_matches_cholesky_solve``).
     """
-    a, checked = _solve_operands(a, b, "spd_half_solve")
+    a, checked = _solve_operands(a, b, "spd_half_solve_into")
     if checked is not b:
         raise ValidationError("spd_half_solve_into: b must be a C-order float64 matrix")
-    low = cholesky_lower(_symmetric_operand(a, "spd_half_solve"))
+    low = cholesky_lower(_symmetric_operand(a, "spd_half_solve_into"))
     for s in range(0, low.shape[0], _HALF_SOLVE_BLOCK):
         e = s + _HALF_SOLVE_BLOCK
         diag = low[s:e, s:e]
@@ -209,4 +202,4 @@ def spd_half_solve_into(a, b: Matrix) -> Matrix:
         x = diag_inv @ rhs
         x += diag_inv @ (rhs - diag @ x)
         b[s:e] = x
-    return _check_finite_result(b, "spd_half_solve")
+    return _check_finite_result(b, "spd_half_solve_into")

@@ -14,14 +14,13 @@ weight column the row trains), is absorbed one of two ways:
 
 * ``direct``: with r = L Lᵀ and h = f L, the new memory is
   L (I + hᵀh)⁻¹ Lᵀ, formed from d x d Cholesky factors and products
-  without inverting r, about 2.7d³ + 3nd² flops; then the weights step
-  by r_new fᵀ (y − f w),
+  without inverting r, about 2.7d³ + 3nd² flops,
 * ``woodbury``: block recursive least squares. Each block of at most
   m = max(1, d // 4) rows downdates r through the matrix inversion lemma,
-  factoring only an m x m system, and steps the weights by the block's
-  gain, formed before the downdate; about 3nd²(1 + m/d) flops.
+  factoring only an m x m system; about 3nd²(1 + m/d) flops.
 
-Both must agree to tight tolerance. ``auto`` takes Woodbury, except that a
+Both step the weights by one formula, the factored gain (``rilm_update``),
+and must agree to tight tolerance. ``auto`` takes Woodbury, except that a
 phase of n >= d rows goes to the direct path when eta is below 1e-4 (see
 below); ``CHANGES.md`` records how the block size, the downdate's panel
 height and the paths' speeds were measured. The Woodbury path expands a
@@ -45,8 +44,9 @@ of the joint fit for eta >= 1e-4: on both paths at the benchmark
 workloads' feature scale, and on the Woodbury path on ``recridge gen``
 data at its separation of 10 (``test_woodbury_holds_joint_fit_on_gen_data``).
 On a phase of n >= d rows at smaller eta the direct path is the more
-accurate (``test_auto_keeps_tall_phases_direct_below_tested_eta``), so
-``auto`` takes it there.
+accurate (``test_auto_keeps_tall_phases_direct_below_tested_eta``, and
+on gen data ``test_direct_holds_joint_fit_on_gen_data``), so ``auto``
+takes it there.
 """
 
 from __future__ import annotations
@@ -253,36 +253,35 @@ def _update(state, phase, path, out, w, cols):
     """``rilm_update`` on checked inputs: returns the new r, steps ``w``.
 
     Row i of the phase trains column ``cols[i]`` of the d x c ``w``, which
-    is stepped in place. Woodbury: per block f_b, expanded just then, with
-    g = f_b r and L the Cholesky factor of g f_bᵀ + I, one [g | e] buffer
-    becomes [V | L⁻¹ e], V = L⁻¹ g, and r loses Vᵀ V (see ``_downdate``);
-    a block system outside spd_half_solve's checks (at small eta) raises
-    NumericalError. Direct: the whole phase f is expanded; with r = L Lᵀ,
-    h = f L and K the Cholesky factor of I + hᵀh, r becomes Vᵀ V for
-    V = K⁻¹ Lᵀ. Both are exactly symmetric. Neither inverts r: rebuilding
-    the Gram matrix from r that way lost accuracy each phase at small eta.
+    ``_solve_and_step`` steps in place. Woodbury: per block f_b, expanded
+    just then, K factors I + g f_bᵀ for g = f_b r, [g | y_b − f_b w]
+    becomes [V | K⁻¹ e] and r loses Vᵀ V (see ``_downdate``). Direct: the
+    whole phase f is expanded; with r = L Lᵀ and h = f L, K factors
+    I + hᵀh, [Lᵀ | hᵀe] becomes [V | K⁻¹ hᵀe] and r becomes Vᵀ V. Both
+    are exactly symmetric. Neither inverts r: rebuilding the Gram matrix
+    from r that way lost accuracy each phase at small eta.
     """
     n, d = phase.features.shape[0], state.d_rp
     if out is not None and (out is not state.r or not out.flags.writeable):
         raise ShapeError("out must be None or a writable state.r")
     if n == 0:
+        phase.expanded_rows(d, 0, 0)  # the width check; rows are checked as expanded
         # no data means no Gram contribution; keep the memory bit-identical
         return state.r.copy() if out is None else out
     if path == "auto":
         path = "direct" if n >= d and state.eta < _WOODBURY_MIN_ETA else "woodbury"
     if path == "direct":
         f = phase.expanded_rows(d)
-        low_t = np.ascontiguousarray(cholesky_lower(state.r).T)
-        h = f @ low_t.T
-        inner = h.T @ h
+        rhs = np.empty((d, d + w.shape[1]))
+        rhs[:, :d] = cholesky_lower(state.r).T
+        h = f @ rhs[:, :d].T
+        np.matmul(h.T, _residual(f, w, cols), out=rhs[:, d:])
+        a = h.T @ h
         del h
-        inner[np.diag_indices(d)] += 1.0
-        # three d x d arrays at most: inner, K and low_t, which becomes V
-        v = spd_half_solve_into(inner, low_t)
-        del inner
-        r_new = np.matmul(v.T, v, out=out)
-        w += r_new @ (f.T @ _residual(f, w, cols))
-        return r_new
+        a[np.diag_indices(d)] += 1.0
+        v = _solve_and_step(a, rhs, w, "direct update")
+        del a
+        return np.matmul(v.T, v, out=out)
     if out is None:
         out = state.r.copy()
     block = max(1, d // 4)
@@ -297,15 +296,22 @@ def _update(state, phase, path, out, w, cols):
         a = g @ fb.T
         del fb  # freed before the next block is expanded
         a.flat[:: a.shape[0] + 1] += 1.0
-        try:
-            spd_half_solve_into(a, rhs)  # rhs becomes [V | L⁻¹ e]
-        except ValidationError as exc:
-            raise NumericalError(f"woodbury block: {exc}") from exc
+        v = _solve_and_step(a, rhs, w, "woodbury block")
         del a
-        v = rhs[:, :d]
-        w += v.T @ rhs[:, d:]
         _downdate(out, v, panel)
     return out
+
+
+def _solve_and_step(a, rhs, w, what):
+    """Turn ``rhs`` = [B | E] into [V | K⁻¹ E], K the Cholesky factor of
+    ``a``, step ``w`` += Vᵀ K⁻¹ E and return V, a view of ``rhs``."""
+    try:
+        spd_half_solve_into(a, rhs)
+    except ValidationError as exc:
+        raise NumericalError(f"{what}: {exc}") from exc
+    v, e = rhs[:, : w.shape[0]], rhs[:, w.shape[0] :]
+    w += v.T @ e
+    return v
 
 
 def _residual(f, w, cols, out=None):
@@ -345,24 +351,23 @@ def rilm_update(
     beforehand; each row's class id selects the weight column it trains.
     ``r`` absorbs the rows' Gram matrix and the weights move by the
     recursive least-squares correction, which reproduces the joint ridge
-    solution over everything seen so far. On the Woodbury path the weights
-    step inside the block loop, before each block's downdate: with
-    g = f_b r, L the Cholesky factor of g f_bᵀ + I and V = L⁻¹ g,
+    solution over everything seen so far. Both paths solve a buffer
+    [B | E] in place into [V | K⁻¹ E], K a Cholesky factor, and step
 
-        w  <-  w + Vᵀ L⁻¹ (y_b − f_b w)
+        w  <-  w + Vᵀ K⁻¹ E
 
-    The direct path steps once, after the update: w + r_new fᵀ (y − f w).
-    ``path`` is one of ``UPDATE_PATHS``, ``auto`` as in the module
-    docstring. Nothing from the phase is retained beyond the refreshed
-    summaries, and an empty phase is an exact no-op. With ``out=None`` the
-    passed state is left as it was. The only other ``out`` accepted is
-    ``state.r`` itself, writable: then ``r`` is updated in place and the
-    weights stepped in place, so the passed state is consumed (a failure
-    partway leaves it partly updated).
+    per Woodbury block, before its downdate, or once on the direct path
+    (B, E and K as in ``_update``); a system that fails the solve's checks
+    (at small eta) raises NumericalError. ``path`` is one of
+    ``UPDATE_PATHS``, ``auto`` as in the module docstring. Nothing from
+    the phase is retained beyond the refreshed summaries, and an empty
+    phase is an exact no-op. With ``out=None`` the passed state is left
+    as it was. The only other ``out`` accepted is ``state.r`` itself,
+    writable: then ``r`` is updated in place and the weights stepped in
+    place, so the passed state is consumed (a failure partway leaves it
+    partly updated).
     """
     path = _check_path(path)
-    if phase.expand is None:
-        phase.expanded_rows(state.d_rp, 0, 0)  # the width check
     column = {cid: j for j, cid in enumerate(state.class_ids)}
     missing = [cid for cid in phase.class_ids if cid not in column]
     if missing:

@@ -58,13 +58,26 @@ def test_verify_passes_and_prints_error(tmp_path, capsys):
 
 
 def test_verify_over_tolerance_exits_2(tmp_path, capsys):
-    # at eta = 1e-8 both paths are 2e-5 to 6e-5 off the joint fit here
+    # at eta = 1e-8 Woodbury is about 2e-5 and direct about 2e-7 off the
+    # joint fit here
     cfg = _write_synth_config(tmp_path, eta=1e-8, d_rp_multiplier=12)
     assert cli.main(["verify", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     err = _verify_fields(captured.out)["max_rel_error"]
     assert err > 1e-8
     assert captured.err == f"equivalence check failed: {err!r} > 1e-08\n"
+
+
+def test_verify_passes_on_gen_data_at_small_eta(tmp_path, capsys):
+    # ``recridge gen --dim 6 --seed 9`` data at eta 1e-4, mult 12: stepping
+    # the direct path's weights by r_new fᵀ(y − f w) put them 2.3e-8 off
+    # and verify exited 2; both paths now hold 1e-8
+    cfg = _write_synth_config(
+        tmp_path, synth_dim=6, synth_seed=9, eta=1e-4, d_rp_multiplier=12
+    )
+    assert cli.main(["verify", "--config", str(cfg)]) == 0
+    fields = _verify_fields(capsys.readouterr().out)
+    assert fields["woodbury"] <= 1e-8 and fields["direct"] <= 1e-8
 
 
 @pytest.mark.parametrize("eta, code", [(1.0, 0), (1e-8, 2)])

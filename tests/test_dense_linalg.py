@@ -2,8 +2,9 @@
 
 Core claims:
     - spd_solve achieves residual <= 1e-10 relative for condition <= 1e6
-    - spd_half_solve solves against the Cholesky factor with spd_solve's checks;
-      spd_half_solve_into writes the same bits over its right-hand side
+    - spd_half_solve_into solves against the Cholesky factor with
+      spd_solve's checks, writing over its right-hand side, which may be a
+      row block of a wider buffer
     - cholesky_lower reports the exact failing pivot on non-PD input
     - the SPD operations copy their matrix only when it is not exactly
       symmetric
@@ -21,6 +22,11 @@ from recridge.errors import NotPositiveDefiniteError, ShapeError, ValidationErro
 
 def _rng(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _half_solve(a, b):
+    # spd_half_solve_into on a copy of b
+    return dl.spd_half_solve_into(a, np.array(b, dtype=np.float64, order="C"))
 
 
 # -- spd solve / inverse ------------------------------------------------------
@@ -84,7 +90,7 @@ def test_symmetry_check_covers_every_panel(entry):
         dl.spd_solve(large + 400.0 * np.eye(200), np.eye(200))
 
 
-@pytest.mark.parametrize("op", [dl.spd_solve, dl.spd_half_solve])
+@pytest.mark.parametrize("op", [dl.spd_solve, dl.spd_half_solve_into])
 def test_exactly_symmetric_operand_is_not_copied(op):
     # the symmetry check runs over row panels and an exactly symmetric a is
     # factored as it is, so the only n x n array made is the factor
@@ -108,7 +114,7 @@ def test_spd_half_solve_matches_cholesky_solve(seed):
     g = gen.standard_normal((n + 5, n))
     a = g.T @ g + np.eye(n)
     b = gen.standard_normal((n, 7))
-    v = dl.spd_half_solve(a, b)
+    v = _half_solve(a, b)
     expected = np.linalg.solve(np.linalg.cholesky(a), b)
     assert np.linalg.norm(v - expected) <= 1e-12 * np.linalg.norm(expected)
     gram = v.T @ v
@@ -123,9 +129,7 @@ def test_spd_half_solve_into_writes_over_b():
     g = gen.standard_normal((40, 37))
     a = g.T @ g + np.eye(37)
     b = gen.standard_normal((37, 5))
-    before = b.copy()
-    expected = dl.spd_half_solve(a, b)
-    assert np.array_equal(b, before)
+    expected = _half_solve(a, b)
     buf = b.copy()
     assert dl.spd_half_solve_into(a, buf) is buf
     assert np.array_equal(buf, expected)
@@ -140,13 +144,13 @@ def test_spd_half_solve_into_writes_over_b():
 
 def test_spd_half_solve_checks_like_spd_solve():
     with pytest.raises(ShapeError):
-        dl.spd_half_solve(np.ones((2, 3)), np.ones((2, 1)))
+        _half_solve(np.ones((2, 3)), np.ones((2, 1)))
     with pytest.raises(ShapeError):
-        dl.spd_half_solve(np.eye(3), np.ones((2, 1)))
+        _half_solve(np.eye(3), np.ones((2, 1)))
     with pytest.raises(ValidationError):
-        dl.spd_half_solve([[1.0, 5.0], [0.0, 1.0]], np.eye(2))
+        _half_solve([[1.0, 5.0], [0.0, 1.0]], np.eye(2))
     with pytest.raises(NotPositiveDefiniteError) as info:
-        dl.spd_half_solve(np.diag([1.0, 2.0, -1.0]), np.eye(3))
+        _half_solve(np.diag([1.0, 2.0, -1.0]), np.eye(3))
     assert info.value.pivot == 2
 
 
@@ -173,7 +177,7 @@ def test_non_pd_pivot_index_at_blocked_size():
     for op in (
         lambda: dl.cholesky_lower(a),
         lambda: dl.spd_solve(a, np.eye(n)),
-        lambda: dl.spd_half_solve(a, np.eye(n)),
+        lambda: _half_solve(a, np.eye(n)),
     ):
         with pytest.raises(NotPositiveDefiniteError) as info:
             op()
@@ -191,7 +195,7 @@ def test_cholesky_reconstructs():
 
 def test_zero_size_matrices_supported():
     assert dl.spd_solve(np.eye(0), np.zeros((0, 3))).shape == (0, 3)
-    assert dl.spd_half_solve(np.eye(0), np.zeros((0, 3))).shape == (0, 3)
+    assert _half_solve(np.eye(0), np.zeros((0, 3))).shape == (0, 3)
 
 
 # -- input validation ---------------------------------------------------------
@@ -203,7 +207,7 @@ def test_ops_reject_non_finite(bad):
     clean = np.eye(2)
     for op in (
         lambda: dl.spd_solve(clean, poisoned),
-        lambda: dl.spd_half_solve(clean, poisoned),
+        lambda: _half_solve(clean, poisoned),
     ):
         with pytest.raises(ValidationError):
             op()
@@ -213,5 +217,5 @@ def test_ops_do_not_mutate_inputs():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     before = a.copy()
     dl.spd_solve(a, np.eye(2))
-    dl.spd_half_solve(a, np.eye(2))
+    _half_solve(a, np.eye(2))
     assert np.array_equal(a, before)
