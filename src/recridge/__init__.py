@@ -55,7 +55,6 @@ from .rilm import (
     RilmState,
     batch_oracle,
     empty_state,
-    expand_classes,
     predict_ids,
     rilm_update,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "compute_metrics",
     "empty_state",
     "even_schedule",
-    "expand_classes",
     "fused_features",
     "fusion_backward",
     "fusion_forward",

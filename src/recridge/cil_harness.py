@@ -308,7 +308,8 @@ def build_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     """Typed, validated config from a raw key->string mapping.
 
     Every key is parsed in table order; then come the rules between keys:
-    eta's sign, one data source and what it needs, the class count.
+    eta's sign, an ``out`` that is not named like its own ``.csv`` or
+    ``.cfg`` sibling, one data source and what it needs, the class count.
     """
     unknown = set(raw) - _KEYS
     if unknown:
@@ -317,6 +318,9 @@ def build_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     eta = values["eta"]
     if not np.isfinite(eta) or eta <= 0.0:
         raise ValidationError(f"eta must be positive, got {eta}")
+    out = values["out"]
+    if out is not None and os.path.splitext(out)[1].lower() in (".csv", ".cfg"):
+        raise ValidationError(f"out must not end in .csv or .cfg, its siblings' names: {out}")
     # Folded into the schedule, so the echo does not shuffle it again.
     shuffle_seed = values.pop("schedule_shuffle_seed")
     if shuffle_seed is not None:
@@ -555,8 +559,8 @@ def evaluate_accuracy(state: rilm.RilmState, ex: Experiment, k: int) -> float:
 def run_phases(ex: Experiment, naive: bool = False, path: str = "auto", score: bool = True):
     """Fit the schedule's phases in order, scoring each on the seen classes.
 
-    Every phase registers its classes and is one ``rilm_update`` on
-    ``path``; ``naive`` restarts as the module docstring says. ``run``
+    Every phase is one ``rilm_update`` on ``path``, which registers its
+    classes; ``naive`` restarts as the module docstring says. ``run``
     always takes ``auto``; ``verify`` checks each fixed path in turn,
     unscored (``score=False``: the report is None). Returns
     (MetricsReport, final state).
@@ -564,12 +568,11 @@ def run_phases(ex: Experiment, naive: bool = False, path: str = "auto", score: b
     d = ex.layer.output_dim
     state = rilm.empty_state(d, ex.config.eta)
     accs = []
-    for k, ids in enumerate(ex.schedule.phases):
+    for k in range(ex.schedule.num_phases):
         if naive and k:
             # the old r is released before the new one is made
             eta, seen, state = state.eta, state.class_ids, None
             state = rilm.empty_state(d, eta, seen)
-        state = rilm.expand_classes(state, ids)
         # The update projects the phase's rows block by block, and r is
         # updated in place: the run holds one d x d memory matrix.
         state = rilm.rilm_update(state, phase_dataset(ex, k), path=path, out=state.r)

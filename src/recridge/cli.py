@@ -69,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="recursion vs joint fit equivalence check on a config's data",
         description="Run the config's phase loop on the woodbury and on the direct path and "
         "compare the final weights with the joint ridge fit over every phase. The joint fit "
-        "holds every projected training row, so this is a check, not a production run; it "
-        "writes no file.",
+        "projects a whole phase at a time and keeps its own d x d Gram matrix, so this is a "
+        "check, not a production run; it writes no file.",
     )
     verify.add_argument("--config", required=True)
 

@@ -18,7 +18,7 @@ class ShapeError(RecridgeError, ValueError):
 
 
 class ProtocolError(RecridgeError):
-    """Class-incremental bookkeeping violated (duplicate or unregistered class ids)."""
+    """Class-incremental bookkeeping violated (duplicate or unsorted class ids, no class yet)."""
 
 
 class ParseError(RecridgeError, ValueError):

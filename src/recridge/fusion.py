@@ -196,9 +196,15 @@ def gradient_check(params: FusionParams, f_p, f_m, labels, step: float = 1e-5) -
     """Largest relative gap between analytic and central-difference gradients.
 
     The denominator is floored at 1e-3 so that entries where both gradients
-    are essentially zero do not divide rounding noise by itself.
+    are essentially zero do not divide rounding noise by itself. A batch
+    without rows or a step that is not positive and finite is rejected:
+    either would read as a pass.
     """
     f_p, f_m = _check_modalities(params, f_p, f_m)
+    if not f_p.shape[0]:
+        raise ValidationError("gradient check needs at least one row")
+    if not (np.isfinite(step) and step > 0.0):
+        raise ValidationError(f"step must be positive and finite, got {step}")
     batch = fusion_forward(params, f_p, f_m)
     analytic = fusion_backward(params, batch, labels)
 

@@ -10,7 +10,10 @@ the test suite, is that updating phase by phase lands on exactly the same
 weights as solving one joint ridge problem over all phases at once.
 
 A phase, n feature rows and the global class id of each (which picks the
-weight column the row trains), is absorbed one of two ways:
+weight column the row trains), is one ``rilm_update``. It registers the
+phase's class ids the state does not hold, in phase order, each with a
+zero weight column (the joint fit's before any of the class's rows), and
+absorbs the rows one of two ways:
 
 * ``direct``: with r = L Lᵀ and h = f L, the new memory is
   L (I + hᵀh)⁻¹ Lᵀ, formed from d x d Cholesky factors and products
@@ -101,19 +104,6 @@ def _check_eta(eta: float) -> float:
     return eta
 
 
-def _check_path(path: str) -> str:
-    if path not in UPDATE_PATHS:
-        raise ValidationError(f"unknown update path {path!r}, expected one of {UPDATE_PATHS}")
-    return path
-
-
-def _check_class_ids(ids, what: str) -> tuple[int, ...]:
-    ids = tuple(int(i) for i in ids)
-    if any(b <= a for a, b in zip(ids, ids[1:])):
-        raise ProtocolError(f"{what} must be strictly increasing, got {ids}")
-    return ids
-
-
 @dataclass(frozen=True)
 class PhaseDataset:
     """Training data for one incremental phase.
@@ -133,7 +123,9 @@ class PhaseDataset:
     def __post_init__(self):
         f = as_matrix(self.features, "features")
         y = np.asarray(self.labels)
-        ids = _check_class_ids(self.class_ids, "class_ids")
+        ids = tuple(int(i) for i in self.class_ids)
+        if any(b <= a for a, b in zip(ids, ids[1:])):
+            raise ProtocolError(f"class_ids must be strictly increasing, got {ids}")
         if y.shape != (f.shape[0],):
             raise ShapeError(
                 f"labels must hold one id per feature row, shape ({f.shape[0]},), "
@@ -164,8 +156,8 @@ class RilmState:
     """Classifier weights plus the regularized inverse Gram memory.
 
     ``class_ids[j]`` is the global id of the class scored by column j of
-    ``weights``; ids are listed in registration order. ``phase`` counts the
-    updates applied so far.
+    ``weights``; ids are listed in the order updates registered them.
+    ``phase`` counts the updates applied so far.
 
     The constructor validates its inputs. Symmetry of ``r`` is checked
     exactly, but only on the sub-grid ``r[::s, ::s]`` with s = ceil(d / 64),
@@ -226,27 +218,6 @@ def empty_state(d_rp: int, eta: float = DEFAULT_ETA, class_ids=()) -> RilmState:
         phase=0,
         class_ids=class_ids,
     )
-
-
-def expand_classes(state: RilmState, new_class_ids) -> RilmState:
-    """Register classes arriving in a new phase.
-
-    Columns for the new classes start at zero, which is exactly where the
-    joint solution has them before any of their data is seen; ``r`` does
-    not depend on the label width and is unchanged.
-    """
-    new_ids = _check_class_ids(new_class_ids, "new_class_ids")
-    if not new_ids:
-        return state
-    clash = set(new_ids) & set(state.class_ids)
-    if clash:
-        raise ProtocolError(f"class ids already registered: {sorted(clash)}")
-    padded = np.hstack([state.weights, np.zeros((state.d_rp, len(new_ids)))])
-    # Zero columns for new, checked ids keep a validated state valid, so the
-    # constructor's scans are skipped and the d x d ``r`` is not read again.
-    out = object.__new__(RilmState)
-    vars(out).update(vars(state), weights=padded, class_ids=state.class_ids + new_ids)
-    return out
 
 
 def _update(state, phase, path, out, w, cols):
@@ -347,12 +318,13 @@ def rilm_update(
 ) -> RilmState:
     """Absorb one phase of data into the state.
 
-    The phase's classes must have been registered through expand_classes
-    beforehand; each row's class id selects the weight column it trains.
-    ``r`` absorbs the rows' Gram matrix and the weights move by the
-    recursive least-squares correction, which reproduces the joint ridge
-    solution over everything seen so far. Both paths solve a buffer
-    [B | E] in place into [V | K⁻¹ E], K a Cholesky factor, and step
+    First the phase's class ids the state does not hold are registered as
+    the module docstring says; each row's class id, new or held, selects
+    the weight column it trains. ``r`` absorbs the rows' Gram matrix and
+    the weights move by the recursive least-squares correction, which
+    reproduces the joint ridge solution over everything seen so far. Both
+    paths solve a buffer [B | E] in place into [V | K⁻¹ E], K a Cholesky
+    factor, and step
 
         w  <-  w + Vᵀ K⁻¹ E
 
@@ -361,25 +333,28 @@ def rilm_update(
     (at small eta) raises NumericalError. ``path`` is one of
     ``UPDATE_PATHS``, ``auto`` as in the module docstring. Nothing from
     the phase is retained beyond the refreshed summaries, and an empty
-    phase is an exact no-op. With ``out=None`` the passed state is left
-    as it was. The only other ``out`` accepted is ``state.r`` itself,
-    writable: then ``r`` is updated in place and the weights stepped in
-    place, so the passed state is consumed (a failure partway leaves it
-    partly updated).
+    phase only registers its new classes: ``r`` and the old weight columns
+    stay bit-identical. With ``out=None`` the passed state is left as it
+    was. The only other ``out`` accepted is ``state.r`` itself, writable:
+    then ``r`` is updated in place, and so are the weights unless new
+    classes widen them, so the passed state is consumed (a failure partway
+    leaves it partly updated).
     """
-    path = _check_path(path)
+    if path not in UPDATE_PATHS:
+        raise ValidationError(f"unknown update path {path!r}, expected one of {UPDATE_PATHS}")
     column = {cid: j for j, cid in enumerate(state.class_ids)}
-    missing = [cid for cid in phase.class_ids if cid not in column]
-    if missing:
-        raise ProtocolError(f"class ids not registered before update: {missing}")
+    new = tuple(cid for cid in phase.class_ids if cid not in column)
+    column.update((cid, j) for j, cid in enumerate(new, len(column)))
     # each label's index in the sorted phase.class_ids, then its weight column
     cols = np.array([column[cid] for cid in phase.class_ids], dtype=np.intp)
     cols = cols[np.searchsorted(phase.class_ids, phase.labels)]
     w = state.weights
-    if out is None or not w.flags.writeable:
+    if new:
+        w = np.hstack([w, np.zeros((state.d_rp, len(new)))])
+    elif out is None or not w.flags.writeable:
         w = w.copy()
     r_new = _update(state, phase, path, out, w, cols)
-    return RilmState(w, r_new, state.eta, state.phase + 1, state.class_ids)
+    return RilmState(w, r_new, state.eta, state.phase + 1, state.class_ids + new)
 
 
 def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
@@ -388,7 +363,10 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
     Sums every phase's Gram matrix and its label block in a shared label
     matrix (classes ordered by first appearance, matching the registration
     order of the recursive updates), expanding one phase at a time. This is
-    the reference the recursion is checked against.
+    the reference the recursion is checked against. It solves the normal
+    equations (FᵀF + eta I) W = Fᵀ Y, so where d exceeds the rows seen it
+    can be less accurate than the recursion (``CHANGES.md``); hence eta
+    1e-2 in ``test_one_row_last_block_holds_joint_fit`` (d 318, 240 rows).
     """
     eta = _check_eta(eta)
     phases = list(all_phases)

@@ -19,7 +19,6 @@ from recridge.rilm import (
     RilmState,
     batch_oracle,
     empty_state,
-    expand_classes,
     rilm_update,
 )
 
@@ -99,8 +98,8 @@ def random_phase_problem(
 def recursive_states(phases, eta: float = DEFAULT_ETA, path: str = "auto") -> list[RilmState]:
     """Run the recursion from a fresh state, returning the state after each phase.
 
-    Every phase, including the first, goes through expand_classes and
-    rilm_update, so ``path`` applies to all transitions.
+    Every phase, including the first, is one rilm_update, which registers
+    its classes, so ``path`` applies to all transitions.
     """
     phases = list(phases)
     if not phases:
@@ -109,7 +108,6 @@ def recursive_states(phases, eta: float = DEFAULT_ETA, path: str = "auto") -> li
     state = empty_state(phases[0].expanded_rows(None, 0, 0).shape[1], eta)
     out = []
     for ph in phases:
-        state = expand_classes(state, ph.class_ids)
         state = rilm_update(state, ph, path=path)
         out.append(state)
     return out

@@ -553,7 +553,7 @@ def _mask_gather_run(cfg, train, test):
     seen, accs = [], []
     for ids in cfg.schedule.phases:
         phase = _gathered_phase(ftr, ltr, ids)
-        state = rilm.rilm_update(rilm.expand_classes(state, ids), phase)
+        state = rilm.rilm_update(state, phase)
         seen.extend(ids)
         rows = np.isin(lte, seen)
         preds = rilm.predict_ids(state, fte[rows])
@@ -719,8 +719,7 @@ def test_streamed_run_matches_whole_phase_updates(tmp_path, monkeypatch, path, p
     expected_rows = [n] if path == "direct" else [min(16, n - s) for s in range(0, n, 16)]
     assert rows == 2 * expected_rows
     state = rilm.empty_state(64, cfg.eta)
-    for k, ids in enumerate(cfg.schedule.phases):
-        state = rilm.expand_classes(state, ids)
+    for k in range(cfg.schedule.num_phases):
         ph = ch.phase_dataset(ex, k)
         whole = rilm.PhaseDataset(ph.expanded_rows(64), ph.labels, ph.class_ids)
         state = rilm.rilm_update(state, whole, path=path)

@@ -3,10 +3,12 @@
 Core claims:
     - exit codes follow the contract: 0 ok, 1 input problems, 2 numerical
     - verify/gradcheck print their measured error and gate on tolerance;
-      verify checks the run's own phase loop and writes no file
+      verify checks the run's own phase loop and writes no file; gradcheck
+      refuses a batch without rows and a zero step
     - gen/run/metrics wire files end to end, with override echo; --phases
       re-splits the classes under the config's schedule shuffle
-    - a failed run or echo leaves no partial or replaced output behind
+    - a failed run or echo leaves no partial or replaced output behind, and
+      an ``out`` named like its own .csv or .cfg sibling is refused
     - a phase whose classes have no training rows runs to the joint fit
     - unknown flags or verbs fail before any work happens
 """
@@ -143,6 +145,14 @@ def test_gradcheck_passes(capsys):
     assert cli.main(["gradcheck", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert float(out.split("=", 1)[1]) <= 1e-4
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--step"], ids=["no_rows", "no_step"])
+def test_gradcheck_rejects_degenerate_input(capsys, flag):
+    # no rows make the loss NaN, which max() passes over; a zero step divides by zero
+    assert cli.main(["gradcheck", flag, "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 # -- argument handling --------------------------------------------------------
@@ -476,6 +486,18 @@ def test_failed_config_echo_keeps_previous_file(tmp_path, monkeypatch, capsys):
     assert "disk full" in capsys.readouterr().err
     assert (tmp_path / "res.cfg").read_bytes() == before
     assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "res.cfg", "res.csv", "res.txt"]
+
+
+@pytest.mark.parametrize("name", ["res.csv", "exp.cfg"])
+def test_run_out_named_like_its_sibling_writes_nothing(tmp_path, capsys, name):
+    # res.csv would be its own .csv sibling and exp.cfg its own echo, here
+    # also the input config: refused before any data is read
+    cfg = _write_synth_config(tmp_path)
+    before = cfg.read_bytes()
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / name)]) == 1
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+    assert cfg.read_bytes() == before
+    assert "must not end in .csv or .cfg" in capsys.readouterr().err
 
 
 def test_run_with_a_directory_in_place_of_an_output_replaces_nothing(tmp_path, capsys):

@@ -5,10 +5,13 @@ Core claims:
     - the README's library example runs as written
     - every command in the README's CLI block parses, flags included
     - every module is named in the package docstring and the README layout
+    - the package imports only the standard library and numpy
 """
 
+import ast
 import pathlib
 import shlex
+import sys
 
 import recridge
 from recridge import cli
@@ -52,3 +55,17 @@ def test_every_module_is_documented():
     for module in sorted(p.stem for p in src.glob("*.py") if not p.stem.startswith("_")):
         assert f"``{module}``" in recridge.__doc__, module
         assert f"{module}.py" in layout, module
+
+
+def test_only_runtime_dependency_is_numpy():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "recridge"}
+    for path in sorted(pathlib.Path(recridge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue  # relative imports are recridge's own modules
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)

@@ -9,7 +9,9 @@ Core claims:
     - r stays symmetric positive definite and consistent with the
       separately accumulated Gram matrix; it is exactly symmetric after
       every update, even over hundreds of ReLU-projected phases
-    - empty phases are exact no-ops; states never grow with sample count
+    - an update registers the phase's new class ids in phase order with
+      zero weight columns, next to classes the state holds; an empty phase
+      changes nothing else; states never grow with sample count
     - duplicated, rank-1 and all-zero ReLU rows keep both paths on the
       joint fit; on ``recridge gen`` data, stepping the weights by the
       factored gain, Woodbury holds 1e-8 at eta 1e-4 and direct at eta 1e-6
@@ -22,7 +24,7 @@ Core claims:
       and updates as the phase of its expanded rows does; its width is
       checked even when it has no rows
     - the state constructor rejects an asymmetric r without a d x d
-      temporary, and states derived from a validated one skip its scans
+      temporary, and an update, registering or not, scans its new r once
     - prediction uses the global id table with lowest-id tie-breaking and
       scores rows in blocks, never holding the full score matrix
     - checkpoints round-trip exactly
@@ -112,8 +114,9 @@ def test_phase_dataset_rejects_misshapen_labels():
 
 
 def test_phase_dataset_rejects_unsorted_ids():
-    with pytest.raises(ProtocolError):
-        rilm.PhaseDataset(np.ones((1, 2)), np.array([2]), (3, 2))
+    for ids in ((3, 2), (2, 2)):
+        with pytest.raises(ProtocolError):
+            rilm.PhaseDataset(np.ones((1, 2)), np.array([2]), ids)
 
 
 def test_phase_dataset_rejects_rows_without_labels():
@@ -180,7 +183,7 @@ def test_auto_keeps_tall_phases_direct_below_tested_eta(n, routed):
     d, eta = 192, 1e-6
     phase = _random_phase(_rng(1), n, range(3), d=d)
     phase = rilm.PhaseDataset(np.maximum(phase.features, 0.0), phase.labels, (0, 1, 2))
-    fresh = rilm.expand_classes(rilm.empty_state(d, eta), phase.class_ids)
+    fresh = rilm.empty_state(d, eta)
     auto, forced = rilm.rilm_update(fresh, phase), rilm.rilm_update(fresh, phase, path=routed)
     assert np.array_equal(auto.weights, forced.weights)
     assert np.array_equal(auto.r, forced.r)
@@ -206,30 +209,18 @@ def test_init_empty_phase_gives_fresh_state():
     assert np.allclose(fresh.r, state.r)
 
 
-# -- class expansion ----------------------------------------------------------
+# -- class registration -------------------------------------------------------
 
 
-def test_expand_by_zero_is_identity():
-    state = _first_fit(rilm.PhaseDataset(np.eye(2), [0, 1], (0, 1)), 1.0)
-    assert rilm.expand_classes(state, ()) is state
-
-
-def test_expand_pads_zero_columns():
-    state = _first_fit(rilm.PhaseDataset(np.eye(2), [0, 1], (0, 1)), 1.0)
-    grown = rilm.expand_classes(state, (2, 3))
-    assert grown.weights.shape == (2, 4)
-    assert np.array_equal(grown.weights[:, 2:], np.zeros((2, 2)))
-    assert np.array_equal(grown.weights[:, :2], state.weights)
-    assert np.array_equal(grown.r, state.r)
-    assert grown.class_ids == (0, 1, 2, 3)
-
-
-def test_expand_rejects_duplicates():
-    state = _first_fit(rilm.PhaseDataset(np.eye(2), [0, 1], (0, 1)), 1.0)
-    with pytest.raises(ProtocolError):
-        rilm.expand_classes(state, (1, 2))
-    with pytest.raises(ProtocolError):
-        rilm.expand_classes(state, (2, 2))
+def test_empty_phase_registers_new_ids_in_phase_order():
+    # ids 1 and 3 are new, 2 is held: the new ones follow the held ones
+    state = _first_fit(rilm.PhaseDataset(np.eye(2), [2, 4], (2, 4)), 1.0)
+    empty = rilm.PhaseDataset(np.zeros((0, 2)), [], (1, 2, 3))
+    for path in rilm.UPDATE_PATHS:
+        grown = rilm.rilm_update(state, empty, path=path)
+        assert grown.class_ids == (2, 4, 1, 3)
+        assert np.array_equal(grown.weights, np.hstack([state.weights, np.zeros((2, 2))]))
+        assert np.array_equal(grown.r, state.r)
 
 
 # -- state construction -------------------------------------------------------
@@ -339,9 +330,10 @@ def test_derived_states_do_not_rescan_r(monkeypatch):
     # empty_state's I/eta and rilm_update's new r
     assert shapes.count((d, d)) == 2
     shapes.clear()
-    grown = rilm.expand_classes(state, (2, 3))
-    assert shapes == []
-    assert grown.r is state.r and grown.phase == state.phase
+    # an update that registers classes scans its new r once, and no more
+    grown = rilm.rilm_update(state, _random_phase(_rng(17), 10, (1, 2, 3), d=d))
+    assert shapes.count((d, d)) == 1
+    assert grown.class_ids == (0, 1, 2, 3)
 
 
 # -- memory update ------------------------------------------------------------
@@ -398,7 +390,7 @@ def test_blocked_woodbury_at_block_boundaries(n, eta):
         return rilm.PhaseDataset(f, np.asarray(ids)[picks], ids)
 
     first, second = relu_phase(30, (0, 1)), relu_phase(n, (2, 3, 4))
-    state = rilm.expand_classes(_first_fit(first, eta=eta), second.class_ids)
+    state = _first_fit(first, eta=eta)
     r_before = state.r.copy()
     reference = rilm.batch_oracle([first, second], eta)
     out = {}
@@ -554,17 +546,29 @@ def test_update_empty_phase_is_identity_map():
     state = _first_fit(_random_phase(gen, 20, range(2), d=8), eta=1.0)
     empty = rilm.PhaseDataset(np.zeros((0, 8)), [], (0, 1))
     out = rilm.rilm_update(state, empty)
+    assert out.class_ids == state.class_ids  # held ids are not registered again
     assert np.array_equal(out.weights, state.weights)
     assert np.array_equal(out.r, state.r)
     assert out.phase == state.phase + 1
 
 
-def test_update_rejects_unregistered_classes():
+def test_update_registers_new_class_next_to_known():
+    # the second phase trains class 1, which the first registered, and
+    # class 2, which it registers: the fit of one phase of all the rows
     gen = _rng(3)
-    state = _first_fit(_random_phase(gen, 10, range(2), d=6), eta=1.0)
-    phase = _random_phase(gen, 5, (4, 5), d=6)
-    with pytest.raises(ProtocolError):
-        rilm.rilm_update(state, phase)
+    first = _random_phase(gen, 20, range(2), d=8)
+    second = _random_phase(gen, 12, (1, 2), d=8)
+    union = rilm.PhaseDataset(
+        np.vstack([first.features, second.features]),
+        np.concatenate([first.labels, second.labels]),
+        (0, 1, 2),
+    )
+    reference = _first_fit(union, 1.0)
+    for path in ("woodbury", "direct"):
+        state = rilm.rilm_update(_first_fit(first, 1.0, path), second, path=path)
+        assert state.class_ids == reference.class_ids == (0, 1, 2)
+        err = np.linalg.norm(state.weights - reference.weights)
+        assert err <= 1e-8 * np.linalg.norm(reference.weights)
 
 
 def test_two_phase_split_matches_batch_oracle():
@@ -595,7 +599,6 @@ def test_sub_batched_phase_matches_single_update():
     first = _random_phase(gen, 25, range(2), d=8)
     second = _random_phase(gen, 40, (2, 3), d=8)
     state = _first_fit(first, eta=1.0)
-    state = rilm.expand_classes(state, (2, 3))
     sub_a = rilm.PhaseDataset(second.features[:18], second.labels[:18], (2, 3))
     sub_b = rilm.PhaseDataset(second.features[18:], second.labels[18:], (2, 3))
     state = rilm.rilm_update(state, sub_a)
@@ -647,7 +650,7 @@ def test_many_relu_phases_keep_r_exactly_symmetric(tmp_path, eta):
         phases.append(rilm.PhaseDataset(f, np.full(10, k), (k,)))
     state = rilm.empty_state(d, eta)
     for ph in phases:
-        state = rilm.rilm_update(rilm.expand_classes(state, ph.class_ids), ph, path="woodbury")
+        state = rilm.rilm_update(state, ph, path="woodbury")
         assert np.array_equal(state.r, state.r.T)
     reference = rilm.batch_oracle(phases, eta)
     assert np.linalg.norm(state.weights - reference) <= 1e-8 * np.linalg.norm(reference)
@@ -921,9 +924,7 @@ def _train_state(per_phase, seed):
     gen = _rng(seed)
     first = _random_phase(gen, per_phase, range(2), d=10)
     second = _random_phase(gen, per_phase, (2, 3), d=10)
-    state = _first_fit(first, eta=1.0)
-    state = rilm.expand_classes(state, (2, 3))
-    return rilm.rilm_update(state, second)
+    return rilm.rilm_update(_first_fit(first, eta=1.0), second)
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):
