@@ -223,6 +223,16 @@ def test_empty_phase_registers_new_ids_in_phase_order():
         assert np.array_equal(grown.r, state.r)
 
 
+def test_empty_phase_of_held_ids_registers_none():
+    state = _first_fit(rilm.PhaseDataset(np.eye(2), [2, 4], (2, 4)), 1.0)
+    empty = rilm.PhaseDataset(np.zeros((0, 2)), [], (4,))
+    for path in rilm.UPDATE_PATHS:
+        out = rilm.rilm_update(state, empty, path=path)
+        assert out.class_ids == state.class_ids
+        assert np.array_equal(out.weights, state.weights)
+        assert np.array_equal(out.r, state.r)
+
+
 # -- state construction -------------------------------------------------------
 
 
@@ -546,7 +556,6 @@ def test_update_empty_phase_is_identity_map():
     state = _first_fit(_random_phase(gen, 20, range(2), d=8), eta=1.0)
     empty = rilm.PhaseDataset(np.zeros((0, 8)), [], (0, 1))
     out = rilm.rilm_update(state, empty)
-    assert out.class_ids == state.class_ids  # held ids are not registered again
     assert np.array_equal(out.weights, state.weights)
     assert np.array_equal(out.r, state.r)
     assert out.phase == state.phase + 1
