@@ -38,7 +38,7 @@ import numpy as np
 from . import fmat, fusion, rilm
 from .dense_linalg import Matrix, as_matrix
 from .errors import ParseError, ShapeError, ValidationError
-from .random_projection import ACTIVATIONS, RpLayer, rp_forward, rp_new
+from .random_projection import ACTIVATIONS, RpLayer, rp_forward, rp_new, seeded_generator
 
 # File ingestion stands in for frozen feature extractors.
 load_features = fmat.load_matrix
@@ -111,7 +111,7 @@ def even_schedule(total_classes: int, n_phases: int) -> PhaseSchedule:
 def shuffled_schedule(schedule: PhaseSchedule, seed: int) -> PhaseSchedule:
     """A seeded permutation of the class ids, cut at ``schedule``'s phase
     sizes (ids sorted per phase)."""
-    perm = np.random.Generator(np.random.PCG64(seed)).permutation(schedule.total_classes)
+    perm = seeded_generator(seed).permutation(schedule.total_classes)
     cuts = np.cumsum([len(ph) for ph in schedule.phases[:-1]])
     phases = tuple(tuple(sorted(int(c) for c in chunk)) for chunk in np.split(perm, cuts))
     return PhaseSchedule(total_classes=schedule.total_classes, phases=phases)
@@ -200,16 +200,12 @@ def synth_dataset(
     separation = float(separation)
     if not np.isfinite(separation) or separation < 0.0:
         raise ValidationError(f"separation must be finite and >= 0, got {separation}")
-    mean_gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed), 0])))
-    dirs = mean_gen.standard_normal((classes, dim))
+    dirs = seeded_generator(seed, 0).standard_normal((classes, dim))
     norms = np.linalg.norm(dirs, axis=1, keepdims=True)
     if not (norms > 0.0).all():
         raise ValidationError("degenerate class direction draw")
     means = separation * dirs / norms
-    noise_gen = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([int(seed), 1 + int(stream)]))
-    )
-    features = noise_gen.standard_normal((classes * per_class, dim))
+    features = seeded_generator(seed, 1 + int(stream)).standard_normal((classes * per_class, dim))
     by_class = features.reshape(classes, per_class, dim)
     by_class += means[:, None, :]
     return features, np.repeat(np.arange(classes), per_class).tolist()
@@ -455,20 +451,19 @@ def _order_by_phase(schedule: PhaseSchedule, features, labels):
     return features, labels, tuple(int(b) for b in bounds)
 
 
-def _raw_modality(config: ExperimentConfig, modality: str, split: str):
-    """Features and labels for one modality ('repoint' or 'remesh') and split."""
+def _raw_split(config: ExperimentConfig, split: str):
+    """One split's feature blocks, one per modality the pipeline reads
+    (point, then mesh), and the labels the modalities share."""
     c = config
     if c.synth_classes is not None:
+        modalities = ("repoint", "remesh") if c.pipeline == "refu" else (c.pipeline,)
         per = c.synth_per_class if split == "train" else c.synth_test_per_class
-        stream = _STREAMS[(modality, split)]
-        return synth_dataset(
-            c.synth_classes, per, c.synth_dim, c.synth_separation, c.synth_seed, stream=stream
-        )
-    if c.pipeline == "refu":
-        key = ("point" if modality == "repoint" else "mesh") + f"_features_{split}"
-    else:
-        key = f"features_{split}"
-    return load_features(getattr(c, key)), load_labels(getattr(c, f"labels_{split}"))
+        args = (c.synth_classes, per, c.synth_dim, c.synth_separation, c.synth_seed)
+        draws = [synth_dataset(*args, stream=_STREAMS[(m, split)]) for m in modalities]
+        return [features for features, _ in draws], draws[0][1]
+    prefixes = ("point_", "mesh_") if c.pipeline == "refu" else ("",)
+    blocks = [load_features(getattr(c, f"{p}features_{split}")) for p in prefixes]
+    return blocks, load_labels(getattr(c, f"labels_{split}"))
 
 
 def prepare_experiment(config: ExperimentConfig) -> Experiment:
@@ -477,11 +472,10 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
     Test rows are projected here; training rows stay raw until their phase.
     """
     schedule = config.schedule
+    train_blocks, labels_train = _raw_split(config, "train")
+    test_blocks, labels_test = _raw_split(config, "test")
     if config.pipeline == "refu":
-        fp_train, labels_train = _raw_modality(config, "repoint", "train")
-        fp_test, labels_test = _raw_modality(config, "repoint", "test")
-        fm_train, _ = _raw_modality(config, "remesh", "train")
-        fm_test, _ = _raw_modality(config, "remesh", "test")
+        (fp_train, fm_train), (fp_test, fm_test) = train_blocks, test_blocks
         if fp_train.shape != fm_train.shape or fp_test.shape != fm_test.shape:
             raise ShapeError("point and mesh feature blocks must have matching shapes")
         params = fusion.fusion_init(
@@ -490,8 +484,7 @@ def prepare_experiment(config: ExperimentConfig) -> Experiment:
         train_raw = fusion.fused_features(params, fp_train, fm_train)
         test_raw = fusion.fused_features(params, fp_test, fm_test)
     else:
-        train_raw, labels_train = _raw_modality(config, config.pipeline, "train")
-        test_raw, labels_test = _raw_modality(config, config.pipeline, "test")
+        (train_raw,), (test_raw,) = train_blocks, test_blocks
 
     train_raw = as_matrix(train_raw, "train features")
     test_raw = as_matrix(test_raw, "test features")
@@ -619,11 +612,9 @@ def result_lines(report: MetricsReport, seen_counts) -> list[str]:
     return lines
 
 
-def save_result(path, report: MetricsReport, seen_counts) -> None:
-    """Write ``result_lines``, each ended by a newline."""
-    lines = result_lines(report, seen_counts)
-    with fmat.atomic_writer(path) as fh:
-        fh.write("".join(line + "\n" for line in lines))
+def save_result(fh, report: MetricsReport, seen_counts) -> None:
+    """Write ``result_lines`` to the text handle ``fh``, each ended by a newline."""
+    fh.write("".join(line + "\n" for line in result_lines(report, seen_counts)))
 
 
 def load_result(path):
@@ -667,40 +658,35 @@ def load_result(path):
     return report, seen
 
 
-def save_result_csv(path, report: MetricsReport, seen_counts) -> None:
-    """Plot-ready CSV mirror of the result file."""
-    with fmat.atomic_writer(path) as fh:
-        fh.write("phase,seen_classes,accuracy\n")
-        for i, (k, acc) in enumerate(zip(seen_counts, report.per_phase_acc)):
-            fh.write(f"{i},{k},{acc!r}\n")
+def save_result_csv(fh, report: MetricsReport, seen_counts) -> None:
+    """Write the plot-ready CSV mirror of the result file to the text handle ``fh``."""
+    fh.write("phase,seen_classes,accuracy\n")
+    for i, (k, acc) in enumerate(zip(seen_counts, report.per_phase_acc)):
+        fh.write(f"{i},{k},{acc!r}\n")
 
 
 def _persist(config: ExperimentConfig, ex: Experiment, report: MetricsReport, naive=False) -> None:
     """Write the result file ``out``, ``<root>.csv`` and ``<root>.cfg``; a
     naive run tags all three ``.naive`` before the extension, and its echo
-    opens with how to rerun it. All three go to temporaries first: no
-    target is replaced unless every one is written and none is a
-    directory, and the result file is replaced last."""
+    opens with how to rerun it. Each is an ``fmat.atomic_writer`` block
+    nested in the next: no target is replaced unless every one is written
+    and none is a directory, and the result file is replaced last."""
     if config.out is None:
         return
     root, ext = os.path.splitext(config.out)
     if naive:
         root += ".naive"
     counts = seen_class_counts(ex.schedule)
+    comment = "# naive baseline: rerun with --naive\n" if naive else ""
     targets = (root + ".csv", root + ".cfg", root + ext)
-    tag = f".{os.getpid()}.{os.urandom(4).hex()}.tmp"
-    csv, cfg, result = (target + tag for target in targets)
-    try:
+    with (
+        fmat.atomic_writer(root + ext) as result,
+        fmat.atomic_writer(root + ".cfg") as cfg,
+        fmat.atomic_writer(root + ".csv") as csv,
+    ):
         save_result_csv(csv, report, counts)
-        comment = "# naive baseline: rerun with --naive\n" if naive else ""
-        with fmat.atomic_writer(cfg) as fh:
-            fh.write(comment + config_to_text(config))
+        cfg.write(comment + config_to_text(config))
         save_result(result, report, counts)
         for target in targets:
             if os.path.isdir(target):
                 raise ValidationError(f"output path is a directory: {target}")
-        for tmp, target in zip((csv, cfg, result), targets):
-            os.replace(tmp, target)
-    finally:
-        for tmp in filter(os.path.exists, (csv, cfg, result)):
-            os.remove(tmp)

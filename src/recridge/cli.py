@@ -24,7 +24,8 @@ import numpy as np
 
 from . import cil_harness as harness
 from . import fusion, rilm
-from .errors import NumericalError, RecridgeError
+from .errors import NumericalError, RecridgeError, ValidationError
+from .random_projection import seeded_generator
 
 VERIFY_TOL = 1e-8
 GRADCHECK_TOL = 1e-4
@@ -146,8 +147,10 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_gradcheck(ns: argparse.Namespace) -> int:
-    gen = np.random.Generator(np.random.PCG64(ns.seed))
     d, classes, k = ns.dim, ns.classes, ns.samples
+    if k < 1:
+        raise ValidationError(f"--samples must be >= 1, got {k}")
+    gen = seeded_generator(ns.seed)
     params = fusion.fusion_init(d, classes, seed=ns.seed)
     f_p = gen.standard_normal((k, d))
     f_m = gen.standard_normal((k, d))

@@ -324,8 +324,10 @@ def atomic_writer(path):
     ``os.replace`` moves over ``path`` when the block exits normally and
     which is deleted when it raises, so ``path`` holds either its previous
     content or the full new one, also when the writer is killed (its
-    temporary file then stays behind). Nothing is fsynced, so this does not
-    guard against power loss.
+    temporary file then stays behind). Nested writers replace a set of files
+    all or none, innermost first: a raise inside the innermost block deletes
+    every temporary file and replaces no target. Nothing is fsynced, so this
+    does not guard against power loss.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline="\n")

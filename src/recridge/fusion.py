@@ -21,6 +21,7 @@ import numpy as np
 
 from .dense_linalg import Matrix, as_matrix
 from .errors import ShapeError, ValidationError
+from .random_projection import seeded_generator
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def fusion_init(d: int, classes: int, seed: int = 0) -> FusionParams:
     """Seeded Gaussian initialization, fan-in scaled."""
     if d < 1 or classes < 1:
         raise ValidationError(f"dims must be >= 1, got d={d}, classes={classes}")
-    gen = np.random.Generator(np.random.PCG64(seed))
+    gen = seeded_generator(seed)
     return FusionParams(
         w_p=gen.standard_normal((d, d)) / np.sqrt(d),
         w_m=gen.standard_normal((d, d)) / np.sqrt(d),

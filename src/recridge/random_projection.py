@@ -19,14 +19,14 @@ from .errors import ShapeError, ValidationError
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
-_UINT64_MAX = 2**64 - 1
 
-
-def _check_seed(seed: int) -> int:
+def seeded_generator(seed: int, *stream: int) -> np.random.Generator:
+    """PCG64 generator of ``seed`` and optional ``stream`` words, for every seeded
+    draw; without ``stream`` it draws what ``PCG64(seed)`` draws."""
     seed = int(seed)
-    if not 0 <= seed <= _UINT64_MAX:
+    if not 0 <= seed < 2**64:
         raise ValidationError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
-    return seed
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *stream])))
 
 
 def _check_activation(activation: str) -> str:
@@ -50,11 +50,9 @@ def rp_new(d: int, d_rp: int, seed: int, activation: str = "relu") -> RpLayer:
     """Create a frozen projection layer with seeded Gaussian weights."""
     if d < 1 or d_rp < 1:
         raise ValidationError(f"projection dims must be >= 1, got d={d}, d_rp={d_rp}")
-    seed = _check_seed(seed)
     activation = _check_activation(activation)
-    gen = np.random.Generator(np.random.PCG64(seed))
-    w = gen.standard_normal((d, d_rp)) / np.sqrt(float(d))
-    return RpLayer(w_rp=w, activation=activation, seed=seed, input_dim=d, output_dim=d_rp)
+    w = seeded_generator(seed).standard_normal((d, d_rp)) / np.sqrt(float(d))
+    return RpLayer(w_rp=w, activation=activation, seed=int(seed), input_dim=d, output_dim=d_rp)
 
 
 def rp_forward(layer: RpLayer, features) -> Matrix:

@@ -362,7 +362,8 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
 
     Sums every phase's Gram matrix and its label block in a shared label
     matrix (classes ordered by first appearance, matching the registration
-    order of the recursive updates), expanding one phase at a time. This is
+    order of the recursive updates; a class may train in several phases),
+    expanding one phase at a time. This is
     the reference the recursion is checked against. It solves the normal
     equations (FᵀF + eta I) W = Fᵀ Y, so where d exceeds the rows seen it
     can be less accurate than the recursion (``CHANGES.md``); hence eta
@@ -372,21 +373,16 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
     phases = list(all_phases)
     if not phases:
         raise ValidationError("batch_oracle needs at least one phase")
-    table: list[int] = []
-    seen: set[int] = set()
+    column: dict[int, int] = {}
     for ph in phases:
-        overlap = set(ph.class_ids) & seen
-        if overlap:
-            raise ProtocolError(f"class ids appear in more than one phase: {sorted(overlap)}")
-        seen.update(ph.class_ids)
-        table.extend(ph.class_ids)
-    column = {cid: j for j, cid in enumerate(table)}
+        for cid in ph.class_ids:
+            column.setdefault(cid, len(column))
     d = None  # the first phase's expanded width; every phase must match it
     for ph in phases:
         f = ph.expanded_rows(d)
         if d is None:
             d = f.shape[1]
-            a_sum, c_sum = np.zeros((d, d)), np.zeros((d, len(table)))
+            a_sum, c_sum = np.zeros((d, d)), np.zeros((d, len(column)))
         a_sum += f.T @ f
         cols = [column[cid] for cid in ph.class_ids]
         onehot = np.equal.outer(ph.labels, ph.class_ids).astype(np.float64)

@@ -19,10 +19,13 @@ Core claims:
       does not grow with phase height
     - a run, naive or not, holds one d x d memory matrix, updated in place
     - evaluation scores the projected test rows without checking them again
-    - every writer replaces its file atomically
+    - a run's three output files are replaced all or none, each renamed
+      once and the result file last, through the module's writers; each
+      labels file is read once
 """
 
 import dataclasses
+import io
 import os
 import tracemalloc
 
@@ -844,8 +847,7 @@ def test_file_mode_pipeline(tmp_path):
     assert report.per_phase_acc[-1] >= 99.0
 
 
-def test_refu_file_mode_pipeline(tmp_path):
-    dim, classes = 6, 4
+def _write_refu_files(tmp_path, dim, classes):
     for modality, streams in (("point", (0, 1)), ("mesh", (2, 3))):
         for split, stream in zip(("train", "test"), streams):
             per = 20 if split == "train" else 10
@@ -860,12 +862,31 @@ def test_refu_file_mode_pipeline(tmp_path):
         "mesh_features_train = mesh_train.fmat\nmesh_features_test = mesh_test.fmat\n"
         "labels_train = train.labl\nlabels_test = test.labl\n"
     )
-    cfg = ch.load_config(path)
+    return ch.load_config(path)
+
+
+def test_refu_file_mode_pipeline(tmp_path):
+    dim, classes = 6, 4
+    cfg = _write_refu_files(tmp_path, dim, classes)
     ex = ch.prepare_experiment(cfg)
     # fused width is 2*dim, expanded by the default multiplier
     assert ex.train_features.shape[1] == 12 * 2 * dim
     report = ch.run_pipeline(cfg)
     assert report.per_phase_acc[-1] >= 99.0
+
+
+def test_refu_file_mode_reads_each_labels_file_once(tmp_path, monkeypatch):
+    # the point and mesh blocks of a split share one labels file
+    cfg = _write_refu_files(tmp_path, dim=6, classes=4)
+    loaded = []
+
+    def load_labels(path):
+        loaded.append(path)
+        return fmat.load_labels(path)
+
+    monkeypatch.setattr(ch, "load_labels", load_labels)
+    ch.prepare_experiment(cfg)
+    assert [os.path.basename(path) for path in loaded] == ["train.labl", "test.labl"]
 
 
 def test_exemplar_free_state_size(tmp_path):
@@ -910,25 +931,61 @@ def test_result_file_rejects_malformed(tmp_path):
         ch.load_result(path)
 
 
-def test_save_result_mismatched_counts(tmp_path):
+def test_save_result_mismatched_counts():
     report = ch.compute_metrics([10.0, 20.0])
+    fh = io.StringIO()
     with pytest.raises(ShapeError):
-        ch.save_result(tmp_path / "x.txt", report, [1])
+        ch.save_result(fh, report, [1])
+    assert fh.getvalue() == ""
 
 
-class _FailingRepr(float):
-    # a value whose formatting fails, to stop a writer part-way through
-    def __repr__(self):
+def test_run_renames_each_output_once_result_last(tmp_path, monkeypatch):
+    # a reader that finds the new result file finds its new siblings too
+    renamed = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        renamed.append(os.path.basename(dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    ch.run_pipeline(ch.load_config(_write_config(tmp_path, out="res.txt")))
+    assert renamed == ["res.csv", "res.cfg", "res.txt"]
+
+
+@pytest.mark.parametrize("name", ["res.cfg", "res.txt"])
+def test_directory_at_a_later_output_replaces_nothing(tmp_path, name):
+    # os.replace would refuse the directory only after the files renamed
+    # before it, so the targets are checked before any rename
+    config = ch.load_config(_write_config(tmp_path, out="res.txt"))
+    ch.run_pipeline(config)
+    (tmp_path / name).unlink()
+    (tmp_path / name).mkdir()
+    names = sorted(os.listdir(tmp_path))
+    others = [n for n in ("res.txt", "res.csv", "res.cfg") if n != name]
+    before = {n: (tmp_path / n).read_bytes() for n in others}
+    with pytest.raises(ValidationError, match="directory"):
+        ch.run_pipeline(dataclasses.replace(config, eta=2.0))
+    assert {n: (tmp_path / n).read_bytes() for n in before} == before
+    assert sorted(os.listdir(tmp_path)) == names
+    assert not os.listdir(tmp_path / name)
+
+
+@pytest.mark.parametrize("writer", ["save_result", "save_result_csv"], ids=["result", "csv"])
+def test_failed_result_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    # a writer stopped part-way replaces none of a run's three files, and
+    # its call goes through the module, where a trace would wrap it
+    config = ch.load_config(_write_config(tmp_path, out="res.txt"))
+    ch.run_pipeline(config)
+    names = ("res.txt", "res.csv", "res.cfg")
+    before = [(tmp_path / name).read_bytes() for name in names]
+
+    def fail(fh, report, seen_counts):
+        fh.write("phase=0")
         raise OSError("disk full")
 
-
-@pytest.mark.parametrize("writer", [ch.save_result, ch.save_result_csv], ids=["result", "csv"])
-def test_failed_result_write_keeps_previous_file(tmp_path, writer):
-    path = tmp_path / "res.txt"
-    writer(path, ch.compute_metrics([10.0, 20.0]), [2, 4])
-    before = path.read_bytes()
-    bad = ch.MetricsReport((30.0, _FailingRepr(40.0)), 35.0, -10.0)
+    monkeypatch.setattr(ch, writer, fail)
     with pytest.raises(OSError, match="disk full"):
-        writer(path, bad, [2, 4])
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["res.txt"]
+        ch.run_pipeline(dataclasses.replace(config, eta=2.0))
+    assert [(tmp_path / name).read_bytes() for name in names] == before
+    assert sorted(os.listdir(tmp_path)) == ["exp.cfg", "res.cfg", "res.csv", "res.txt"]

@@ -4,7 +4,9 @@ Core claims:
     - exit codes follow the contract: 0 ok, 1 input problems, 2 numerical
     - verify/gradcheck print their measured error and gate on tolerance;
       verify checks the run's own phase loop and writes no file; gradcheck
-      refuses a batch without rows and a zero step
+      refuses a batch without rows, a negative row count and a zero step
+    - every seed, config key or flag, outside 0..2**64-1 exits 1 with an
+      ``error:`` line, not a traceback
     - gen/run/metrics wire files end to end, with override echo; --phases
       re-splits the classes under the config's schedule shuffle
     - a failed run or echo leaves no partial or replaced output behind, and
@@ -147,12 +149,48 @@ def test_gradcheck_passes(capsys):
     assert float(out.split("=", 1)[1]) <= 1e-4
 
 
-@pytest.mark.parametrize("flag", ["--samples", "--step"], ids=["no_rows", "no_step"])
-def test_gradcheck_rejects_degenerate_input(capsys, flag):
-    # no rows make the loss NaN, which max() passes over; a zero step divides by zero
-    assert cli.main(["gradcheck", flag, "0"]) == 1
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [("--samples", "0"), ("--step", "0"), ("--samples", "-1")],
+    ids=["no_rows", "no_step", "negative_rows"],
+)
+def test_gradcheck_rejects_degenerate_input(capsys, flag, value):
+    # no rows make the loss NaN, which max() passes over; a zero step divides
+    # by zero; a negative row count is refused before anything is drawn
+    assert cli.main(["gradcheck", flag, value]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+# -- seeds ------------------------------------------------------------------------
+
+
+def _assert_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed must fit") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", [-1, 2**64], ids=["negative", "too_large"])
+@pytest.mark.parametrize("key", ["synth_seed", "fusion_seed", "schedule_shuffle_seed"])
+def test_run_refuses_a_seed_key_out_of_range(tmp_path, capsys, key, value):
+    cfg = _write_synth_config(tmp_path, pipeline="refu", **{key: value})
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "res.txt")]) == 1
+    _assert_error_line(capsys)
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+@pytest.mark.parametrize("verb", ["run", "gen", "gradcheck"])
+def test_negative_seed_flag_exits_1(tmp_path, capsys, verb):
+    # on synthetic data run's flag reaches synth_seed, drawn before rp_seed
+    args = {
+        "run": ["--config", str(_write_synth_config(tmp_path))],
+        "gen": ["--out", str(tmp_path / "data")],
+        "gradcheck": [],
+    }[verb]
+    assert cli.main([verb, "--seed", "-1", *args]) == 1
+    _assert_error_line(capsys)
+    assert not [name for name in os.listdir(tmp_path) if name != "exp.cfg"]
 
 
 # -- argument handling --------------------------------------------------------

@@ -3,7 +3,8 @@
 Core claims:
     - forward pass matches a loop-based independent reimplementation
     - attention rows are a softmax (sum to 1, strictly positive)
-    - analytic gradients agree with central finite differences entrywise
+    - analytic gradients agree with central finite differences entrywise;
+      the check refuses a batch without rows and a zero step
 """
 
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from recridge import fusion
-from recridge.errors import ShapeError
+from recridge.errors import ShapeError, ValidationError
 
 
 def _rng(seed):
@@ -149,6 +150,15 @@ def test_gradients_match_finite_differences(seed):
 
 
 # -- frozen feature extraction --------------------------------------------------
+
+
+def test_gradient_check_rejects_degenerate_input():
+    # either would read as a pass
+    params, f_p, f_m, labels = _random_setup(0)
+    with pytest.raises(ValidationError, match="at least one row"):
+        fusion.gradient_check(params, f_p[:0], f_m[:0], labels[:0])
+    with pytest.raises(ValidationError, match="step"):
+        fusion.gradient_check(params, f_p, f_m, labels, step=0.0)
 
 
 def test_fused_features_equals_concat():

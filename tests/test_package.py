@@ -6,6 +6,7 @@ Core claims:
     - every command in the README's CLI block parses, flags included
     - every module is named in the package docstring and the README layout
     - the package imports only the standard library and numpy
+    - only ``fmat.atomic_writer`` replaces, removes or opens a file to write
 """
 
 import ast
@@ -69,3 +70,38 @@ def test_only_runtime_dependency_is_numpy():
                 continue  # relative imports are recridge's own modules
             for name in names:
                 assert name.split(".")[0] in allowed, (path.name, name)
+
+
+def _writes_files(call: ast.Call) -> bool:
+    # os.replace / os.remove, or open() in a mode that writes, appends or
+    # creates; a mode that is not a literal counts as writing
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return func.value.id == "os" and func.attr in ("replace", "remove")
+    if not (isinstance(func, ast.Name) and func.id == "open"):
+        return False
+    modes = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+        or set(mode.value) & set("wax+")
+        for mode in modes
+    )
+
+
+def test_only_atomic_writer_writes_files():
+    # every output file is renamed once, by one mechanism
+    src = pathlib.Path(recridge.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "fmat.py":
+            writer = next(
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "atomic_writer"
+            )
+            allowed = {id(node) for node in ast.walk(writer)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed and _writes_files(node):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found

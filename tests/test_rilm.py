@@ -11,7 +11,8 @@ Core claims:
       every update, even over hundreds of ReLU-projected phases
     - an update registers the phase's new class ids in phase order with
       zero weight columns, next to classes the state holds; an empty phase
-      changes nothing else; states never grow with sample count
+      changes nothing else; states never grow with sample count; the
+      joint-fit reference fits a class that trains in several phases
     - duplicated, rank-1 and all-zero ReLU rows keep both paths on the
       joint fit; on ``recridge gen`` data, stepping the weights by the
       factored gain, Woodbury holds 1e-8 at eta 1e-4 and direct at eta 1e-6
@@ -79,7 +80,8 @@ def _stacked_ridge(phases, eta):
     # third implementation path: one augmented least-squares problem solved
     # by SVD, fully independent of the package's factorizations; expanded
     # phases take part as the phases of their expanded rows
-    table = [c for ph in phases for c in ph.class_ids]
+    # classes in order of first appearance; a class may train in several phases
+    table = list(dict.fromkeys(c for ph in phases for c in ph.class_ids))
     col = {c: j for j, c in enumerate(table)}
     f = np.vstack([ph.expanded_rows(None) for ph in phases])
     d = f.shape[1]
@@ -563,21 +565,16 @@ def test_update_empty_phase_is_identity_map():
 
 def test_update_registers_new_class_next_to_known():
     # the second phase trains class 1, which the first registered, and
-    # class 2, which it registers: the fit of one phase of all the rows
+    # class 2, which it registers: the joint fit of both phases
     gen = _rng(3)
     first = _random_phase(gen, 20, range(2), d=8)
     second = _random_phase(gen, 12, (1, 2), d=8)
-    union = rilm.PhaseDataset(
-        np.vstack([first.features, second.features]),
-        np.concatenate([first.labels, second.labels]),
-        (0, 1, 2),
-    )
-    reference = _first_fit(union, 1.0)
+    reference = rilm.batch_oracle([first, second], 1.0)
     for path in ("woodbury", "direct"):
         state = rilm.rilm_update(_first_fit(first, 1.0, path), second, path=path)
-        assert state.class_ids == reference.class_ids == (0, 1, 2)
-        err = np.linalg.norm(state.weights - reference.weights)
-        assert err <= 1e-8 * np.linalg.norm(reference.weights)
+        assert state.class_ids == (0, 1, 2)
+        err = np.linalg.norm(state.weights - reference)
+        assert err <= 1e-8 * np.linalg.norm(reference)
 
 
 def test_two_phase_split_matches_batch_oracle():
@@ -808,12 +805,15 @@ def test_batch_oracle_matches_stacked_ridge():
     assert np.linalg.norm(ours - theirs) <= 1e-8 * np.linalg.norm(theirs)
 
 
-def test_batch_oracle_rejects_overlapping_ids():
+def test_batch_oracle_fits_a_class_split_over_two_phases():
+    # class 1 trains in both phases: one column, ids by first appearance
     gen = _rng(8)
-    a = _random_phase(gen, 5, (0, 1), d=4)
-    b = _random_phase(gen, 5, (1, 2), d=4)
-    with pytest.raises(ProtocolError):
-        rilm.batch_oracle([a, b], eta=1.0)
+    a = _random_phase(gen, 9, (0, 1), d=4)
+    b = _random_phase(gen, 7, (1, 2), d=4)
+    ours = rilm.batch_oracle([b, a], eta=1.0)
+    theirs = _stacked_ridge([b, a], eta=1.0)
+    assert ours.shape == (4, 3)
+    assert np.linalg.norm(ours - theirs) <= 1e-8 * np.linalg.norm(theirs)
 
 
 # -- prediction ---------------------------------------------------------------
