@@ -290,6 +290,8 @@ def _parse_key(key, raw: dict, base_dir: str):
             raise ValidationError(f"{key.name} must be one of {kind}, got {text!r}")
         return text
     if kind == "path":
+        if "\0" in text:
+            raise ValidationError(f"config key {key.name} must not contain a NUL character")
         return os.path.join(base_dir, text)
     if kind is parse_schedule:
         return parse_schedule(text)
@@ -303,14 +305,18 @@ def _parse_key(key, raw: dict, base_dir: str):
 def build_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     """Typed, validated config from a raw key->string mapping.
 
-    Every key is parsed in table order; then come the rules between keys:
-    eta's sign, an ``out`` that is not named like its own ``.csv`` or
-    ``.cfg`` sibling, one data source and what it needs, the class count.
+    Every key is parsed in table order, a path refused if it holds a NUL;
+    then come the rules between keys: each seed in 0..2**64-1, eta's sign,
+    an ``out`` that is not named like its own ``.csv`` or ``.cfg`` sibling,
+    one data source and what it needs, the class count. No data is read.
     """
     unknown = set(raw) - _KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     values = {key.name: _parse_key(key, raw, base_dir) for key in fields(ExperimentConfig)}
+    for key, seed in values.items():
+        if key.endswith("_seed") and seed is not None and not 0 <= seed < 2**64:
+            raise ValidationError(f"seed must fit in an unsigned 64-bit integer, got {key} = {seed}")
     eta = values["eta"]
     if not np.isfinite(eta) or eta <= 0.0:
         raise ValidationError(f"eta must be positive, got {eta}")
@@ -363,10 +369,15 @@ def build_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
 def load_config(path, overrides=None) -> ExperimentConfig:
     """Read a config file, apply key=value overrides (last wins), validate."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            # text mode's newlines; no UTF-8 sequence holds a CR or LF byte
+            data = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        text = data.decode("utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(path, lineno, f"not UTF-8: byte {data[exc.start]:#04x}") from None
     raw = _parse_kv_lines(path, text)
     for key, value in (overrides or {}).items():
         if key not in _KEYS:

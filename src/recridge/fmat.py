@@ -211,7 +211,7 @@ def _format_tokens(chunk: Matrix) -> tuple[str, np.ndarray]:
 def _read_tokens(cursor: LineCursor, rows: int, cols: int) -> Matrix | None:
     # The block if each chunk has the writer's layout and passes the
     # bound; None otherwise, the cursor then moved by an unknown amount.
-    if not (rows and cols):
+    if not (rows and cols) or rows * cols * _TOKEN.itemsize > len(cursor.rest()):
         return None
     data = np.empty((rows, cols), dtype=np.float64)
     step = max(1, _READ_CHUNK // cols)
@@ -255,8 +255,12 @@ def read_matrix_block(cursor: LineCursor) -> Matrix:
 
 
 def _read_rows(cursor: LineCursor, rows: int, cols: int) -> Matrix:
-    # One float() per value; slow, but it names the line that fails.
-    data = np.empty((rows, cols), dtype=np.float64)
+    # One float() per value; slow, but it names the line that fails. Each
+    # value takes a byte and a space or LF after it, bar the file's last,
+    # so a block whose values cannot fit in the bytes left fails at some
+    # row: its rows go to one scratch row, not to an array its header's size.
+    fits = 2 * rows * cols - 1 <= len(cursor.rest())
+    data = np.empty((rows if fits else 1, cols), dtype=np.float64)
     for i in range(rows):
         line = cursor.next_line(f"matrix row {i}")
         parts = line.split()
@@ -266,7 +270,7 @@ def _read_rows(cursor: LineCursor, rows: int, cols: int) -> Matrix:
             values = [float(p) for p in parts]
         except ValueError:
             raise cursor.error(f"row {i} contains a non-numeric value") from None
-        data[i] = values
+        data[i if fits else 0] = values
     if rows and cols and not np.isfinite(data).all():
         raise cursor.error("matrix contains non-finite values")
     return data

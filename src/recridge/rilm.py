@@ -13,24 +13,22 @@ A phase, n feature rows and the global class id of each (which picks the
 weight column the row trains), is one ``rilm_update``. It registers the
 phase's class ids the state does not hold, in phase order, each with a
 zero weight column (the joint fit's before any of the class's rows), and
-absorbs the rows one of two ways:
+absorbs the rows in blocks of m = max(1, d // 4), one of two ways:
 
-* ``direct``: with r = L Lᵀ and h = f L, the new memory is
-  L (I + hᵀh)⁻¹ Lᵀ, formed from d x d Cholesky factors and products
-  without inverting r, about 2.7d³ + 3nd² flops,
-* ``woodbury``: block recursive least squares. Each block of at most
-  m = max(1, d // 4) rows downdates r through the matrix inversion lemma,
-  factoring only an m x m system; about 3nd²(1 + m/d) flops.
+* ``direct``: with r = L Lᵀ and h = f L, the new memory is L (I + hᵀh)⁻¹ Lᵀ,
+  formed from d x d Cholesky factors and products, about 2.7d³ + 3nd² flops,
+* ``woodbury``: block recursive least squares. Each block downdates r
+  through the matrix inversion lemma, factoring only an m x m system;
+  about 3nd²(1 + m/d) flops.
 
 Both step the weights by one formula, the factored gain (``rilm_update``),
 and must agree to tight tolerance. ``auto`` takes Woodbury, except that a
 phase of n >= d rows goes to the direct path when eta is below 1e-4 (see
 below); ``CHANGES.md`` records how the block size, the downdate's panel
-height and the paths' speeds were measured. The Woodbury path expands a
-phase of input rows (``PhaseDataset.expand``) one block at a time and
-solves each block in place, so an update of any height holds one block
-of expanded rows and, downdating through one 128 x d panel, no d x d
-array but r (and a copy if the old r is kept).
+height and the paths' speeds were measured. Each block is expanded
+(``PhaseDataset.expand``) just before its use: an update of any height holds
+one block of expanded rows, r (and a copy if the old r is kept) and, on the
+direct path, at most four more d x d arrays.
 
 States are immutable values; every operation returns a new state, except
 that ``rilm_update`` with ``out=state.r`` overwrites the old memory and
@@ -224,13 +222,13 @@ def _update(state, phase, path, out, w, cols):
     """``rilm_update`` on checked inputs: returns the new r, steps ``w``.
 
     Row i of the phase trains column ``cols[i]`` of the d x c ``w``, which
-    ``_solve_and_step`` steps in place. Woodbury: per block f_b, expanded
-    just then, K factors I + g f_bᵀ for g = f_b r, [g | y_b − f_b w]
-    becomes [V | K⁻¹ e] and r loses Vᵀ V (see ``_downdate``). Direct: the
-    whole phase f is expanded; with r = L Lᵀ and h = f L, K factors
-    I + hᵀh, [Lᵀ | hᵀe] becomes [V | K⁻¹ hᵀe] and r becomes Vᵀ V. Both
-    are exactly symmetric. Neither inverts r: rebuilding the Gram matrix
-    from r that way lost accuracy each phase at small eta.
+    ``_solve_and_step`` steps in place; each block f_b is expanded just
+    then. Woodbury: K factors I + g f_bᵀ for g = f_b r, [g | y_b − f_b w]
+    becomes [V | K⁻¹ e] and r loses Vᵀ V (see ``_downdate``). Direct, with
+    r = L Lᵀ and h_b = f_b L: e sums h_bᵀ(y_b − f_b w), w as before the
+    phase, and a = I + hᵀh the Gram matrices of four h_b at a time; K factors
+    a, [Lᵀ | e] becomes [V | K⁻¹ e] and r becomes Vᵀ V. Both are exactly
+    symmetric. Neither inverts r, which lost accuracy at small eta.
     """
     n, d = phase.features.shape[0], state.d_rp
     if out is not None and (out is not state.r or not out.flags.writeable):
@@ -241,21 +239,23 @@ def _update(state, phase, path, out, w, cols):
         return state.r.copy() if out is None else out
     if path == "auto":
         path = "direct" if n >= d and state.eta < _WOODBURY_MIN_ETA else "woodbury"
+    block = max(1, d // 4)
     if path == "direct":
-        f = phase.expanded_rows(d)
-        rhs = np.empty((d, d + w.shape[1]))
-        rhs[:, :d] = cholesky_lower(state.r).T
-        h = f @ rhs[:, :d].T
-        np.matmul(h.T, _residual(f, w, cols), out=rhs[:, d:])
-        a = h.T @ h
-        del h
-        a[np.diag_indices(d)] += 1.0
+        rhs = np.hstack([cholesky_lower(state.r).T, np.zeros((d, w.shape[1]))])
+        a = np.eye(d)
+        h = np.empty((min(n, 4 * block), d))  # one Gram product per block is slower
+        for start in range(0, n, block):
+            fb = phase.expanded_rows(d, start, start + block)
+            end = start % len(h) + len(fb)
+            hb = np.matmul(fb, rhs[:, :d].T, out=h[end - len(fb) : end])
+            rhs[:, d:] += hb.T @ _residual(fb, w, cols[start : start + block])
+            del fb
+            if end == len(h) or start + block >= n:
+                a += h[:end].T @ h[:end]
         v = _solve_and_step(a, rhs, w, "direct update")
-        del a
         return np.matmul(v.T, v, out=out)
     if out is None:
         out = state.r.copy()
-    block = max(1, d // 4)
     buf = np.empty((min(block, n), d + w.shape[1]))
     panel = np.empty((min(_DOWNDATE_PANEL_ROWS, d), d))
     for start in range(0, n, block):

@@ -707,9 +707,9 @@ def _projected_block_rows(monkeypatch):
     "per_class", [8, 24, 25], ids=["one_block", "full_blocks", "two_row_tail"]
 )
 def test_streamed_run_matches_whole_phase_updates(tmp_path, monkeypatch, path, per_class):
-    # d_rp 64, Woodbury blocks of 16 rows; two classes a phase give phases
-    # of 16, 48 and 50 rows. Projecting each block just before its update
-    # lands on the bits of updating on the phase projected whole.
+    # d_rp 64, blocks of 16 rows on both paths; two classes a phase give
+    # phases of 16, 48 and 50 rows. Projecting each block just before its
+    # update lands on the bits of updating on the phase projected whole.
     cfg = ch.load_config(
         _write_config(
             tmp_path, schedule="4/2", synth_classes=4, synth_per_class=per_class, d_rp=64
@@ -719,8 +719,7 @@ def test_streamed_run_matches_whole_phase_updates(tmp_path, monkeypatch, path, p
     rows = _projected_block_rows(monkeypatch)
     _, streamed = ch.run_phases(ex, path=path)
     n = 2 * per_class
-    expected_rows = [n] if path == "direct" else [min(16, n - s) for s in range(0, n, 16)]
-    assert rows == 2 * expected_rows
+    assert rows == 2 * [min(16, n - s) for s in range(0, n, 16)]
     state = rilm.empty_state(64, cfg.eta)
     for k in range(cfg.schedule.num_phases):
         ph = ch.phase_dataset(ex, k)
@@ -744,22 +743,30 @@ def test_one_row_last_block_holds_joint_fit(monkeypatch, seed):
     assert np.linalg.norm(state.weights - reference) <= 1e-8 * np.linalg.norm(reference)
 
 
-def test_run_memory_does_not_grow_with_phase_height(tmp_path):
-    # d_rp 256: phases of 128 and of 512 rows. A run that projected whole
-    # phases would peak 384 rows (0.75 MiB) higher on the taller ones; one
-    # projected Woodbury block of 64 rows is all the run holds of them
+@pytest.mark.parametrize(
+    ("path", "eta", "heights"),
+    [("auto", None, (64, 256)), ("direct", 1e-5, (128, 512))],
+    ids=["woodbury", "direct"],
+)
+def test_run_memory_does_not_grow_with_phase_height(tmp_path, path, eta, heights):
+    # d_rp 256, two classes a phase. Woodbury, phases of 128 and of 512
+    # rows: a run that projected whole phases would peak 384 rows
+    # (0.75 MiB) higher on the taller ones. Direct, phases of 256 and of
+    # 1024 rows: projecting the whole phase and holding f L beside it would
+    # peak 2 x 768 rows (3 MiB) higher. One projected block of 64 rows is
+    # all a run holds of them, and the direct path at most 256 rows of f L
     peaks = []
-    for per_class in (64, 256):
+    for per_class in heights:
         cfg = ch.load_config(
             _write_config(
                 tmp_path, schedule="4/2", synth_classes=4, synth_per_class=per_class,
-                synth_test_per_class=16, synth_dim=8, d_rp=256,
+                synth_test_per_class=16, synth_dim=8, d_rp=256, eta=eta,
             )
         )
         ex = ch.prepare_experiment(cfg)
         tracemalloc.start()
         try:
-            ch.run_phases(ex)
+            ch.run_phases(ex, path=path)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -169,6 +169,7 @@ def _assert_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: seed must fit") and "Traceback" not in captured.err
+    return captured.err
 
 
 @pytest.mark.parametrize("value", [-1, 2**64], ids=["negative", "too_large"])
@@ -191,6 +192,20 @@ def test_negative_seed_flag_exits_1(tmp_path, capsys, verb):
     assert cli.main([verb, "--seed", "-1", *args]) == 1
     _assert_error_line(capsys)
     assert not [name for name in os.listdir(tmp_path) if name != "exp.cfg"]
+
+
+def test_run_refuses_rp_seed_before_reading_data(tmp_path, monkeypatch, capsys):
+    # file mode draws rp_seed only once every file is loaded; the config
+    # check refuses it first, and names the key
+    assert cli.main(["gen", "--out", str(tmp_path / "data"), "--classes", "4"]) == 0
+    cfg = _file_mode_config(tmp_path)
+    cfg.write_text(cfg.read_text() + "rp_seed = -1\n")
+    loaded = []
+    monkeypatch.setattr(ch, "load_features", loaded.append)
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "res.txt")]) == 1
+    assert "rp_seed = -1" in _assert_error_line(capsys)
+    assert loaded == []
 
 
 # -- argument handling --------------------------------------------------------
@@ -419,6 +434,45 @@ def test_run_bad_data_file_exits_1_naming_it(tmp_path, capsys, corrupt, expected
     assert expected.format(data) in capsys.readouterr().err
     assert not out.exists() and not (tmp_path / "res.csv").exists()
     assert not (tmp_path / "res.cfg").exists()
+
+
+def test_run_header_larger_than_its_file_exits_1(tmp_path, capsys):
+    # 10**16 values (71 PiB) promised by a file of a few kilobytes: read
+    # without an array of the header's size, it fails at its first row
+    assert cli.main(["gen", "--out", str(tmp_path / "data"), "--classes", "4", "--dim", "6"]) == 0
+    data = tmp_path / "data_train.fmat"
+    data.write_text(data.read_text().replace("FMAT 160 6", "FMAT 1000000000000000 10", 1))
+    out = tmp_path / "res.txt"
+    capsys.readouterr()
+    cfg = _file_mode_config(tmp_path)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}:2: row 0 has 6 values") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_run_config_not_utf8_exits_1_naming_its_line(tmp_path, capsys, newline):
+    # the config's eight lines, in any text-mode newline, then a line whose
+    # last byte is not UTF-8
+    cfg = _write_synth_config(tmp_path)
+    cfg.write_bytes(cfg.read_bytes().replace(b"\n", newline) + b"d_rp = 8 \xff" + newline)
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err == f"error: {cfg}:9: not UTF-8: byte 0xff\n"
+
+
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_run_refuses_a_nul_in_out(tmp_path, capsys, where):
+    # refused with the config, before any data is read: the open of the
+    # first output file, after every phase, would raise a ValueError
+    cfg = _write_synth_config(tmp_path, **({"out": "res\0.txt"} if where == "config" else {}))
+    flag = ["--out", str(tmp_path / "res\0.txt")] if where == "flag" else []
+    assert cli.main(["run", "--config", str(cfg), *flag]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config key out must not contain a NUL character\n"
+    assert os.listdir(tmp_path) == ["exp.cfg"]
 
 
 def test_run_projection_overflow_in_last_phase_exits_1(tmp_path, capsys, monkeypatch):

@@ -481,6 +481,16 @@ def _check_same_error(monkeypatch, path, load, text, line=None):
         assert reference[1] == line
 
 
+def test_header_larger_than_its_file_allocates_nothing(tmp_path):
+    # 10**16 values (71 PiB) over two bytes: neither reader allocates the
+    # block, and the loop names the row it cannot read
+    path = tmp_path / "m.fmat"
+    path.write_text("FMAT 1000000000000000 10\n1\n")
+    with pytest.raises(ParseError) as info:
+        fmat.load_matrix(path)
+    assert (info.value.lineno, str(info.value)) == (2, f"{path}:2: row 0 has 1 values, expected 10")
+
+
 @pytest.mark.parametrize("kind", FILES)
 def test_truncated_file_names_the_loops_line(tmp_path, monkeypatch, kind):
     path, load = FILES[kind](tmp_path)

@@ -487,9 +487,9 @@ def test_update_r_in_place_matches_out_of_place(path, d, n):
 
 @pytest.mark.parametrize("path", rilm.UPDATE_PATHS)
 def test_expanded_phase_matches_phase_of_its_rows(path):
-    # d 40, Woodbury blocks of 10 rows: the 35 rows are expanded as
-    # 10, 10, 10 and 5 rows, each block just before its update, or whole on
-    # the direct path; the expansion acts on each entry, so bits match
+    # d 40, blocks of 10 rows on both paths: the 35 rows are expanded as
+    # 10, 10, 10 and 5 rows, each block just before its update; the
+    # expansion acts on each entry, so bits match
     gen = _rng(31)
     x = gen.standard_normal((35, 20))
     labels = gen.integers(0, 2, size=35)
@@ -504,7 +504,7 @@ def test_expanded_phase_matches_phase_of_its_rows(path):
     state = rilm.empty_state(40, 0.5, (0, 1))
     got = rilm.rilm_update(state, lazy, path=path)
     expected = rilm.rilm_update(state, whole, path=path)
-    assert sizes == ([35] if path == "direct" else [10, 10, 10, 5])
+    assert sizes == [10, 10, 10, 5]
     assert np.array_equal(got.weights, expected.weights)
     assert np.array_equal(got.r, expected.r)
 
