@@ -306,9 +306,10 @@ def build_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     """Typed, validated config from a raw key->string mapping.
 
     Every key is parsed in table order, a path refused if it holds a NUL;
-    then come the rules between keys: each seed in 0..2**64-1, eta's sign,
-    an ``out`` that is not named like its own ``.csv`` or ``.cfg`` sibling,
-    one data source and what it needs, the class count. No data is read.
+    then come the rules between keys: each seed in 0..2**64-1, eta by
+    ``rilm``'s own rule, an ``out`` that is not named like its own ``.csv``
+    or ``.cfg`` sibling, one data source and what it needs, the class
+    count. No data is read.
     """
     unknown = set(raw) - _KEYS
     if unknown:
@@ -317,9 +318,7 @@ def build_config(raw: dict, base_dir: str = ".") -> ExperimentConfig:
     for key, seed in values.items():
         if key.endswith("_seed") and seed is not None and not 0 <= seed < 2**64:
             raise ValidationError(f"seed must fit in an unsigned 64-bit integer, got {key} = {seed}")
-    eta = values["eta"]
-    if not np.isfinite(eta) or eta <= 0.0:
-        raise ValidationError(f"eta must be positive, got {eta}")
+    rilm._check_eta(values["eta"])
     out = values["out"]
     if out is not None and os.path.splitext(out)[1].lower() in (".csv", ".cfg"):
         raise ValidationError(f"out must not end in .csv or .cfg, its siblings' names: {out}")

@@ -41,6 +41,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _path(text: str) -> str:
+    # A NUL cannot reach the file system; refused as a usage error, exit 1.
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("a path must not contain a NUL character")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="recridge", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
@@ -53,10 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--separation", type=float, default=10.0)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--modality", choices=("point", "mesh"), default="point")
-    gen.add_argument("--out", required=True, help="path prefix for the four files")
+    gen.add_argument("--out", type=_path, required=True, help="path prefix for the four files")
 
     run = sub.add_parser("run", help="run an experiment config")
-    run.add_argument("--config", required=True)
+    run.add_argument("--config", type=_path, required=True)
     run.add_argument("--eta", type=float)
     run.add_argument("--d-rp-mult", type=int)
     run.add_argument("--seed", type=int, help="override rp_seed (and synth_seed in synthetic mode)")
@@ -73,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         "projects a whole phase at a time and keeps its own d x d Gram matrix, so this is a "
         "check, not a production run; it writes no file.",
     )
-    verify.add_argument("--config", required=True)
+    verify.add_argument("--config", type=_path, required=True)
 
     grad = sub.add_parser("gradcheck", help="fusion finite-difference gradient check")
     grad.add_argument("--seed", type=int, default=0)
@@ -83,17 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
     grad.add_argument("--step", type=float, default=1e-5)
 
     metrics = sub.add_parser("metrics", help="print aggregates from a result file")
-    metrics.add_argument("result_file")
+    metrics.add_argument("result_file", type=_path)
 
     return parser
 
 
 def _cmd_gen(ns: argparse.Namespace) -> int:
-    streams = (0, 1) if ns.modality == "point" else (2, 3)
-    for split, stream in zip(("train", "test"), streams):
+    # the rows synthetic mode draws for the pipeline of this modality
+    pipeline = "repoint" if ns.modality == "point" else "remesh"
+    for split in ("train", "test"):
         per = ns.per_class if split == "train" else ns.test_per_class
         features, labels = harness.synth_dataset(
-            ns.classes, per, ns.dim, ns.separation, ns.seed, stream=stream
+            ns.classes, per, ns.dim, ns.separation, ns.seed,
+            stream=harness._STREAMS[(pipeline, split)],
         )
         fpath = f"{ns.out}_{split}.fmat"
         lpath = f"{ns.out}_{split}.labl"

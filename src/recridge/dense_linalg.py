@@ -1,28 +1,27 @@
-"""Dense real-matrix kernel used by every other module.
+"""Dense real-matrix kernel used by every other module: validation, one
+Cholesky factorization and one blocked forward substitution.
 
 A matrix here is a 2-d, C-contiguous (row-major), float64 numpy array; the
 row-major layout is part of the serialization contract in
 :mod:`recridge.fmat`. All public operations validate their inputs (shape
 conformance, finite entries). ``as_matrix`` returns its input itself when
-that is already a C-order float64 matrix; the factor and solve operations
-return new arrays, except that ``spd_half_solve_into`` writes over its b.
+that is already a C-order float64 matrix; ``cholesky_lower`` returns a new
+array, and ``spd_half_solve_into`` writes over its b.
 
 Finiteness is checked without an elementwise temporary: a float64 sum is
 finite only when every entry is, so only a non-finite sum (a NaN or Inf
 entry, or finite entries whose sum overflows) pays for the exact
 elementwise check. Validating a d x d matrix therefore allocates nothing
-of its size. Nor does checking symmetry: the SPD operations compare a
-with its transpose over panels of 64 rows below the diagonal and factor an
-exactly symmetric a as it is; only an a that is symmetric merely within
+of its size. Nor does checking symmetry: ``spd_half_solve_into`` compares
+a with its transpose over panels of 64 rows below the diagonal and factors
+an exactly symmetric a as it is; only an a that is symmetric merely within
 SYMMETRY_RTOL is copied into (a + aᵀ)/2.
 
-The symmetric positive-definite operations run on LAPACK through numpy:
-``np.linalg.cholesky`` is the positive-definiteness check, then
-``np.linalg.solve`` does the work. ``spd_half_solve_into`` applies L⁻¹, L
-the Cholesky factor, in place by forward substitution over 16-row blocks,
-every step a matrix product: numpy has no triangular solve, and
-``np.linalg.solve(L, b)``, a pivoted LU and two sweeps, was slower with
-hundreds of right-hand sides (timings in ``CHANGES.md``).
+The Cholesky factor comes from LAPACK through ``np.linalg.cholesky``.
+``spd_half_solve_into`` applies L⁻¹ in place by forward substitution over
+16-row blocks, every step a matrix product: numpy has no triangular
+solve, and ``np.linalg.solve(L, b)``, a pivoted LU and two sweeps, was
+slower with hundreds of right-hand sides (timings in ``CHANGES.md``).
 
 A hand-written Cholesky loop is kept for one purpose only: when LAPACK
 rejects a matrix, the loop reruns to report the exact failing pivot index,
@@ -70,13 +69,6 @@ def as_matrix(a, name: str = "matrix") -> Matrix:
     if not _all_finite(m):
         raise ValidationError(f"{name} contains NaN or Inf entries")
     return np.ascontiguousarray(m)
-
-
-def _check_finite_result(m: Matrix, op: str) -> Matrix:
-    # Finite inputs can still overflow; surface that instead of propagating Inf.
-    if not _all_finite(m):
-        raise ValidationError(f"{op} produced non-finite entries (overflow?)")
-    return m
 
 
 def _require_square(a: Matrix, op: str) -> None:
@@ -138,46 +130,17 @@ def cholesky_lower(a) -> Matrix:
     return np.ascontiguousarray(low)
 
 
-def _symmetric_operand(a: Matrix, op: str) -> Matrix:
-    # Symmetric part of a validated square a.
-    sym = _symmetrized(a)
-    if sym is None:
-        raise ValidationError(f"{op}: matrix is not symmetric within tolerance")
-    return sym
-
-
-def _solve_operands(a, b, op: str) -> tuple[Matrix, Matrix]:
-    # Validated square a and conforming b for a solve of a X = b.
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    _require_square(a, op)
-    if a.shape[0] != b.shape[0]:
-        raise ShapeError(f"{op}: a is {a.shape} but b has {b.shape[0]} rows")
-    return a, b
-
-
-def spd_solve(a, b) -> Matrix:
-    """Solve a X = b for symmetric positive-definite a.
-
-    An input that is not exactly symmetric is symmetrized as (a + aᵀ)/2
-    before factorization so that accumulated floating-point drift in
-    nominally symmetric matrices does not leak into the solution. No
-    explicit inverse is formed.
-    """
-    a, b = _solve_operands(a, b, "spd_solve")
-    sym = _symmetric_operand(a, "spd_solve")
-    cholesky_lower(sym)  # the positive-definiteness check
-    x = np.linalg.solve(sym, b)
-    return _check_finite_result(x, "spd_solve")
-
-
 def spd_half_solve_into(a, b: Matrix) -> Matrix:
     """V = L⁻¹ b, L the lower Cholesky factor of (a + aᵀ)/2, written over
     ``b``, a C-order float64 matrix, and returned. For symmetric
     positive-definite a, Vᵀ V equals bᵀ a⁻¹ b and, a product of one matrix
-    with its own transpose, can be formed exactly symmetric. Checks and
-    errors are those of spd_solve; a failing check may leave ``b`` partly
-    overwritten.
+    with its own transpose, can be formed exactly symmetric.
+
+    Both operands must be finite (ValidationError otherwise) and conform
+    (ShapeError); a must be symmetric within SYMMETRY_RTOL (ValidationError)
+    and positive definite (NotPositiveDefiniteError, from
+    ``cholesky_lower``). A result that overflows raises ValidationError; a
+    failing check may leave ``b`` partly overwritten.
 
     Per block of 16 rows, with matrix products only, the rows solved so
     far are subtracted from the block's rows of b, the block's diagonal
@@ -190,10 +153,17 @@ def spd_half_solve_into(a, b: Matrix) -> Matrix:
     there, and an explicit inverse loses the digits that cancel, so the
     blocks are refined (``test_spd_half_solve_matches_cholesky_solve``).
     """
-    a, checked = _solve_operands(a, b, "spd_half_solve_into")
+    a = as_matrix(a, "a")
+    checked = as_matrix(b, "b")
+    _require_square(a, "spd_half_solve_into")
+    if a.shape[0] != checked.shape[0]:
+        raise ShapeError(f"spd_half_solve_into: a is {a.shape} but b has {checked.shape[0]} rows")
     if checked is not b:
         raise ValidationError("spd_half_solve_into: b must be a C-order float64 matrix")
-    low = cholesky_lower(_symmetric_operand(a, "spd_half_solve_into"))
+    sym = _symmetrized(a)
+    if sym is None:
+        raise ValidationError("spd_half_solve_into: matrix is not symmetric within tolerance")
+    low = cholesky_lower(sym)
     for s in range(0, low.shape[0], _HALF_SOLVE_BLOCK):
         e = s + _HALF_SOLVE_BLOCK
         diag = low[s:e, s:e]
@@ -202,4 +172,7 @@ def spd_half_solve_into(a, b: Matrix) -> Matrix:
         x = diag_inv @ rhs
         x += diag_inv @ (rhs - diag @ x)
         b[s:e] = x
-    return _check_finite_result(b, "spd_half_solve_into")
+    # Finite operands can still overflow; surface that instead of propagating Inf.
+    if not _all_finite(b):
+        raise ValidationError("spd_half_solve_into produced non-finite entries (overflow?)")
+    return b

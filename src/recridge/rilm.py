@@ -65,7 +65,6 @@ from .dense_linalg import (
     as_matrix,
     cholesky_lower,
     spd_half_solve_into,
-    spd_solve,
 )
 from .errors import (
     NotPositiveDefiniteError,
@@ -97,8 +96,9 @@ _CHECKPOINT_TAG = "RILM v1"
 
 def _check_eta(eta: float) -> float:
     eta = float(eta)
-    if not np.isfinite(eta) or eta <= 0.0:
-        raise ValidationError(f"eta must be a positive finite number, got {eta}")
+    # the empty state's memory is I/eta, so 1/eta must be finite too
+    if not (eta > 0.0 and math.isfinite(eta) and math.isfinite(1.0 / eta)):
+        raise ValidationError(f"eta must be positive and finite, and so must 1/eta, got {eta}")
     return eta
 
 
@@ -247,11 +247,12 @@ def _update(state, phase, path, out, w, cols):
         for start in range(0, n, block):
             fb = phase.expanded_rows(d, start, start + block)
             end = start % len(h) + len(fb)
-            hb = np.matmul(fb, rhs[:, :d].T, out=h[end - len(fb) : end])
-            rhs[:, d:] += hb.T @ _residual(fb, w, cols[start : start + block])
-            del fb
-            if end == len(h) or start + block >= n:
-                a += h[:end].T @ h[:end]
+            with np.errstate(over="ignore", invalid="ignore"):  # the solve refuses Inf and NaN
+                hb = np.matmul(fb, rhs[:, :d].T, out=h[end - len(fb) : end])
+                rhs[:, d:] += hb.T @ _residual(fb, w, cols[start : start + block])
+                del fb
+                if end == len(h) or start + block >= n:
+                    a += h[:end].T @ h[:end]
         v = _solve_and_step(a, rhs, w, "direct update")
         return np.matmul(v.T, v, out=out)
     if out is None:
@@ -262,9 +263,10 @@ def _update(state, phase, path, out, w, cols):
         fb = phase.expanded_rows(d, start, start + block)
         # the block's g = f_b r and, for the weights, e = y_b − f_b w
         rhs = buf[: fb.shape[0]]
-        g = np.matmul(fb, out, out=rhs[:, :d])
-        _residual(fb, w, cols[start : start + block], out=rhs[:, d:])
-        a = g @ fb.T
+        with np.errstate(over="ignore", invalid="ignore"):  # the solve refuses Inf and NaN
+            g = np.matmul(fb, out, out=rhs[:, :d])
+            _residual(fb, w, cols[start : start + block], out=rhs[:, d:])
+            a = g @ fb.T
         del fb  # freed before the next block is expanded
         a.flat[:: a.shape[0] + 1] += 1.0
         v = _solve_and_step(a, rhs, w, "woodbury block")
@@ -365,7 +367,10 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
     order of the recursive updates; a class may train in several phases),
     expanding one phase at a time. This is
     the reference the recursion is checked against. It solves the normal
-    equations (FᵀF + eta I) W = Fᵀ Y, so where d exceeds the rows seen it
+    equations (FᵀF + eta I) W = Fᵀ Y with LAPACK (``np.linalg.solve``),
+    after ``cholesky_lower`` has checked that FᵀF + eta I is positive
+    definite (NotPositiveDefiniteError names the pivot, as when eta is lost
+    to rounding on a singular FᵀF). Where d exceeds the rows seen it
     can be less accurate than the recursion (``CHANGES.md``); hence eta
     1e-2 in ``test_one_row_last_block_holds_joint_fit`` (d 318, 240 rows).
     """
@@ -387,7 +392,12 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
         cols = [column[cid] for cid in ph.class_ids]
         onehot = np.equal.outer(ph.labels, ph.class_ids).astype(np.float64)
         c_sum[:, cols] += f.T @ onehot
-    return spd_solve(a_sum + eta * np.eye(d), c_sum)
+    a_sum.flat[:: d + 1] += eta  # f.T @ f is exactly symmetric, and so is the sum
+    cholesky_lower(a_sum)  # the positive-definiteness check, naming the pivot
+    weights = np.linalg.solve(a_sum, c_sum)
+    if not np.isfinite(weights).all():
+        raise ValidationError("batch_oracle produced non-finite weights (overflow?)")
+    return weights
 
 
 def predict_ids(state: RilmState, f_rp) -> np.ndarray:
@@ -464,8 +474,10 @@ def load_state(path) -> RilmState:
         raise cursor.error(f"malformed checkpoint header: {header!r}") from None
     if phase < 0:
         raise cursor.error(f"negative phase in checkpoint header: {header!r}")
-    if not (np.isfinite(eta) and eta > 0.0):
-        raise cursor.error(f"eta must be positive and finite in checkpoint header: {header!r}")
+    try:
+        _check_eta(eta)
+    except ValidationError as exc:
+        raise cursor.error(f"{exc} in checkpoint header: {header!r}") from None
     weights = fmat.read_matrix_block(cursor)
     r_line = cursor.lineno + 1
     r = fmat.read_matrix_block(cursor)

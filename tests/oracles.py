@@ -11,7 +11,7 @@ list of phases, outside the schedule-driven loop of ``run_phases``.
 import numpy as np
 
 from recridge import cil_harness
-from recridge.dense_linalg import as_matrix, spd_solve
+from recridge.dense_linalg import as_matrix
 from recridge.errors import ShapeError, ValidationError
 from recridge.rilm import (
     DEFAULT_ETA,
@@ -59,7 +59,7 @@ def kn_identity_check(r_prev, f_rp) -> float:
     k = np.linalg.inv(inner)
     k = 0.5 * (k + k.T)
     res1 = np.linalg.norm(k - (np.eye(n) - k @ g @ f.T)) / max(np.linalg.norm(k), 1e-300)
-    r_next = r - g.T @ spd_solve(inner, g)
+    r_next = r - g.T @ np.linalg.solve(inner, g)
     lhs = r @ f.T @ k
     rhs = r_next @ f.T
     res2 = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-300)

@@ -533,7 +533,7 @@ def test_naive_final_state_is_ridge_fit_of_last_phase(tmp_path):
     f = last.expanded_rows(ex.layer.output_dim)
     y = np.zeros((f.shape[0], len(column)))
     y[np.arange(f.shape[0]), [column[int(c)] for c in last.labels]] = 1.0
-    expected = dense_linalg.spd_solve(f.T @ f + cfg.eta * np.eye(f.shape[1]), f.T @ y)
+    expected = np.linalg.solve(f.T @ f + cfg.eta * np.eye(f.shape[1]), f.T @ y)
     assert state.class_ids == tuple(range(6))
     assert np.linalg.norm(state.weights - expected) <= 1e-8 * np.linalg.norm(expected)
     assert state.phase == 1

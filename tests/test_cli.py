@@ -6,9 +6,12 @@ Core claims:
       verify checks the run's own phase loop and writes no file; gradcheck
       refuses a batch without rows, a negative row count and a zero step
     - every seed, config key or flag, outside 0..2**64-1 exits 1 with an
-      ``error:`` line, not a traceback
+      ``error:`` line, not a traceback; so do a NUL in a path argument and
+      an eta whose reciprocal overflows
     - gen/run/metrics wire files end to end, with override echo; --phases
-      re-splits the classes under the config's schedule shuffle
+      re-splits the classes under the config's schedule shuffle; gen writes
+      the rows synthetic mode draws
+    - an update whose block products overflow exits 2 without a warning
     - a failed run or echo leaves no partial or replaced output behind, and
       an ``out`` named like its own .csv or .cfg sibling is refused
     - a phase whose classes have no training rows runs to the joint fit
@@ -227,6 +230,29 @@ def test_unknown_verb_exits_1():
     assert cli.main(["frobnicate"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "--config"], ["verify", "--config"], ["metrics"], ["gen", "--out"]],
+    ids=["run_config", "verify_config", "metrics_file", "gen_out"],
+)
+def test_path_argument_with_a_nul_exits_1(tmp_path, capsys, argv):
+    # no file name holds a NUL; the open would raise ValueError
+    assert cli.main([*argv, str(tmp_path / "a\0b")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: argument ")
+    assert captured.err.endswith(": a path must not contain a NUL character\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_run_refuses_an_eta_whose_reciprocal_overflows(tmp_path, capsys):
+    # the memory starts as I/eta, which overflows below about 5.6e-309
+    cfg = _write_synth_config(tmp_path)
+    assert cli.main(["run", "--config", str(cfg), "--eta", "1e-320"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eta must be positive and finite, and so must 1/eta, got 1e-320\n"
+
+
 def test_help_exits_0_and_lists_verbs(capsys):
     assert cli.main(["--help"]) == 0
     out = capsys.readouterr().out
@@ -282,6 +308,25 @@ def test_gen_modalities_share_labels(tmp_path):
     a = ch.load_features(tmp_path / "point_train.fmat")
     b = ch.load_features(tmp_path / "mesh_train.fmat")
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("table", ["as_set", "reversed"])
+def test_gen_draws_the_rows_of_synthetic_refu_mode(tmp_path, monkeypatch, table):
+    # gen and synthetic mode read one table of noise streams, whatever it holds
+    if table == "reversed":
+        monkeypatch.setattr(ch, "_STREAMS", {key: 3 - s for key, s in ch._STREAMS.items()})
+    sizes = {"classes": 3, "per_class": 4, "test_per_class": 2, "dim": 5, "seed": 2}
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in sizes.items()]
+    for modality in ("point", "mesh"):
+        prefix = str(tmp_path / modality)
+        assert cli.main(["gen", "--out", prefix, "--modality", modality, *flags]) == 0
+    raw = {f"synth_{k}": str(v) for k, v in sizes.items()}
+    config = ch.build_config({"pipeline": "refu", "schedule": "3/1", **raw})
+    for split in ("train", "test"):
+        (point, mesh), labels = ch._raw_split(config, split)
+        assert np.array_equal(ch.load_features(tmp_path / f"point_{split}.fmat"), point)
+        assert np.array_equal(ch.load_features(tmp_path / f"mesh_{split}.fmat"), mesh)
+        assert ch.load_labels(tmp_path / f"mesh_{split}.labl") == list(labels)
 
 
 # -- run --------------------------------------------------------------------------
@@ -514,6 +559,27 @@ def test_run_woodbury_block_asymmetry_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(cfg), "--d-rp-mult", "14"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("numerical failure: ") and not captured.out
+    assert sorted(os.listdir(tmp_path)) == inputs
+
+
+@pytest.mark.parametrize(
+    "eta, path", [(1.0, "woodbury block"), (1e-5, "direct update")], ids=["woodbury", "direct"]
+)
+def test_run_update_overflow_exits_2_without_a_warning(tmp_path, capsys, eta, path):
+    # a row's projection is finite but its block products overflow; the
+    # solve refuses them, and no numpy warning (an error in this suite) escapes
+    assert cli.main(["gen", "--out", str(tmp_path / "data"), "--classes", "4", "--dim", "6"]) == 0
+    feats = ch.load_features(tmp_path / "data_train.fmat")
+    feats[0, 0] = 1e301
+    ch.save_features(tmp_path / "data_train.fmat", feats)
+    cfg = _file_mode_config(tmp_path)
+    inputs = sorted(os.listdir(tmp_path))
+    capsys.readouterr()
+    argv = ["run", "--config", str(cfg), "--eta", repr(eta), "--out", str(tmp_path / "res.txt")]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"numerical failure: {path}: a contains NaN or Inf entries\n"
     assert sorted(os.listdir(tmp_path)) == inputs
 
 

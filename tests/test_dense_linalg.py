@@ -1,12 +1,11 @@
 """Matrix kernel tests.
 
 Core claims:
-    - spd_solve achieves residual <= 1e-10 relative for condition <= 1e6
-    - spd_half_solve_into solves against the Cholesky factor with
-      spd_solve's checks, writing over its right-hand side, which may be a
-      row block of a wider buffer
+    - spd_half_solve_into solves against the Cholesky factor, checking
+      shapes, symmetry and positive definiteness, writing over its
+      right-hand side, which may be a row block of a wider buffer
     - cholesky_lower reports the exact failing pivot on non-PD input
-    - the SPD operations copy their matrix only when it is not exactly
+    - spd_half_solve_into copies its matrix only when it is not exactly
       symmetric
     - every public operation rejects NaN/Inf inputs
 """
@@ -29,49 +28,7 @@ def _half_solve(a, b):
     return dl.spd_half_solve_into(a, np.array(b, dtype=np.float64, order="C"))
 
 
-# -- spd solve / inverse ------------------------------------------------------
-
-
-def test_spd_solve_scalar_matrix():
-    assert np.allclose(dl.spd_solve(2.0 * np.eye(3), np.eye(3)), 0.5 * np.eye(3))
-
-
-def test_spd_solve_diagonal():
-    out = dl.spd_solve(np.diag([1.0, 4.0]), [[1.0], [2.0]])
-    assert np.allclose(out, [[1.0], [0.5]])
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_spd_solve_residual_random(seed):
-    gen = _rng(seed)
-    g = gen.standard_normal((7, 5))
-    a = g.T @ g + np.eye(5)
-    b = gen.standard_normal((5, 2))
-    x = dl.spd_solve(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_spd_solve_residual_conditioned(seed):
-    # spectrum spanning condition number 1e6
-    gen = _rng(100 + seed)
-    n = int(gen.integers(8, 64))
-    q, _ = np.linalg.qr(gen.standard_normal((n, n)))
-    eigs = np.exp(np.linspace(0.0, -np.log(1e6), n))
-    a = (q * eigs) @ q.T
-    b = gen.standard_normal((n, 3))
-    x = dl.spd_solve(a, b)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_spd_solve_rejects_non_square():
-    with pytest.raises(ShapeError):
-        dl.spd_solve(np.ones((2, 3)), np.ones((2, 1)))
-
-
-def test_spd_solve_rejects_asymmetric():
-    with pytest.raises(ValidationError):
-        dl.spd_solve([[1.0, 5.0], [0.0, 1.0]], np.eye(2))
+# -- Cholesky and half solve --------------------------------------------------
 
 
 @pytest.mark.parametrize("entry", [(0, 1), (130, 3), (3, 130), (199, 198)])
@@ -87,10 +44,10 @@ def test_symmetry_check_covers_every_panel(entry):
     large[entry] += 1e-3
     assert dl._symmetrized(large) is None
     with pytest.raises(ValidationError, match="not symmetric"):
-        dl.spd_solve(large + 400.0 * np.eye(200), np.eye(200))
+        _half_solve(large + 400.0 * np.eye(200), np.eye(200))
 
 
-@pytest.mark.parametrize("op", [dl.spd_solve, dl.spd_half_solve_into])
+@pytest.mark.parametrize("op", [dl.spd_half_solve_into])
 def test_exactly_symmetric_operand_is_not_copied(op):
     # the symmetry check runs over row panels and an exactly symmetric a is
     # factored as it is, so the only n x n array made is the factor
@@ -159,7 +116,7 @@ def test_non_pd_reports_pivot_index():
         dl.cholesky_lower(np.diag([1.0, 2.0, -1.0]))
     assert info.value.pivot == 2
     with pytest.raises(NotPositiveDefiniteError) as info:
-        dl.spd_solve(np.diag([-1.0, 1.0]), np.eye(2))
+        _half_solve(np.diag([-1.0, 1.0]), np.eye(2))
     assert info.value.pivot == 0
 
 
@@ -176,7 +133,6 @@ def test_non_pd_pivot_index_at_blocked_size():
     np.linalg.cholesky(lead)  # leading block stays positive definite
     for op in (
         lambda: dl.cholesky_lower(a),
-        lambda: dl.spd_solve(a, np.eye(n)),
         lambda: _half_solve(a, np.eye(n)),
     ):
         with pytest.raises(NotPositiveDefiniteError) as info:
@@ -194,7 +150,6 @@ def test_cholesky_reconstructs():
 
 
 def test_zero_size_matrices_supported():
-    assert dl.spd_solve(np.eye(0), np.zeros((0, 3))).shape == (0, 3)
     assert _half_solve(np.eye(0), np.zeros((0, 3))).shape == (0, 3)
 
 
@@ -205,17 +160,14 @@ def test_zero_size_matrices_supported():
 def test_ops_reject_non_finite(bad):
     poisoned = np.array([[1.0, bad], [0.0, 1.0]])
     clean = np.eye(2)
-    for op in (
-        lambda: dl.spd_solve(clean, poisoned),
-        lambda: _half_solve(clean, poisoned),
-    ):
-        with pytest.raises(ValidationError):
-            op()
+    with pytest.raises(ValidationError):
+        _half_solve(clean, poisoned)
+    with pytest.raises(ValidationError):
+        _half_solve(poisoned, clean)
 
 
 def test_ops_do_not_mutate_inputs():
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
     before = a.copy()
-    dl.spd_solve(a, np.eye(2))
     _half_solve(a, np.eye(2))
     assert np.array_equal(a, before)

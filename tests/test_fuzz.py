@@ -1,11 +1,17 @@
-"""Seeded mutation test of the CLI's exit-code contract.
+"""Seeded mutation tests of the CLI's exit-code contract.
 
-Each case makes one one-byte edit (a replacement, an insertion or a
-deletion) to one of the config, FMAT and LABL files of a tiny file-mode
-run, then runs it in process. Whatever the edit, ``cli.main`` returns 0, 1
-or 2, raises nothing and prints no traceback; a run that fails leaves no
-output file, and one that exits 0 writes all three. A one-byte edit can raise a header at most
-tenfold, so no case asks for a large allocation.
+File edits: each case makes one one-byte edit (a replacement, an insertion
+or a deletion) to one of the config, FMAT and LABL files of a tiny
+file-mode run, then runs it in process. Whatever the edit, ``cli.main``
+returns 0, 1 or 2, raises nothing and prints no traceback; a run that fails
+leaves no output file, and one that exits 0 writes all three. A one-byte
+edit can raise a header at most tenfold, so no case asks for a large
+allocation.
+
+Argv edits: each case takes a small valid command line of one verb and
+sets, adds or deletes one or two of its arguments, with values drawn only
+from a fixed list, then runs it in process: again 0, 1 or 2, nothing raised
+and no traceback. No listed value sizes an array beyond a few rows.
 """
 
 import random
@@ -17,7 +23,32 @@ from recridge import cil_harness as ch
 from recridge import cli
 
 CASES = 500
+ARGV_CASES = 300
 OUTPUTS = ["res.cfg", "res.csv", "res.txt"]
+
+# A valid command line per verb, run in a copy of the files of _run_files
+# plus the result file res0.txt, and the options each verb takes (None:
+# metrics' positional result file).
+BASE_ARGV = {
+    "gen": ["--classes", "2", "--per-class", "2", "--test-per-class", "1", "--dim", "2",
+            "--out", "g"],
+    "run": ["--config", "run.cfg", "--out", "res.txt"],
+    "verify": ["--config", "run.cfg"],
+    "gradcheck": ["--dim", "2", "--classes", "2", "--samples", "2"],
+    "metrics": ["res0.txt"],
+}
+OPTIONS = {
+    "gen": ["--classes", "--per-class", "--test-per-class", "--dim", "--separation", "--seed",
+            "--modality", "--out"],
+    "run": ["--config", "--eta", "--d-rp-mult", "--seed", "--phases", "--pipeline", "--out",
+            "--naive"],
+    "verify": ["--config"],
+    "gradcheck": ["--seed", "--dim", "--classes", "--samples", "--step"],
+    "metrics": [None],
+}
+# the only values an argv edit writes: "sub" is a directory, "a\0b" a path
+# holding a NUL
+VALUES = ["-1", "0", "1", "2", "1e-320", "nan", "inf", "", "a\0b", "sub"]
 
 
 def _run_files(directory):
@@ -63,4 +94,45 @@ def test_one_byte_edits_keep_the_exit_code_contract(tmp_path, capsys):
             pytest.fail(f"{what}: {exc!r} escaped cli.main")
         written = sorted(path.name for path in case.iterdir() if path.name.startswith("res."))
         assert (code, written) in [(0, OUTPUTS), (1, []), (2, [])], what
+        assert "Traceback" not in capsys.readouterr().err, what
+
+
+def _edit_argv(argv: list[str], options: list, rng: random.Random) -> list[str]:
+    argv = list(argv)
+    op = rng.choice(["set", "delete"] if argv else ["set"])
+    if op == "delete":
+        del argv[rng.randrange(len(argv))]
+        return argv
+    option, value = rng.choice(options), rng.choice(VALUES)
+    if option is None:
+        return [value]
+    if option in argv and argv.index(option) + 1 < len(argv):
+        argv[argv.index(option) + 1] = value
+    else:
+        argv += [option, value]
+    return argv
+
+
+def test_argv_edits_keep_the_exit_code_contract(tmp_path, monkeypatch, capsys):
+    files = _run_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "--config", "run.cfg", "--out", "res0.txt"]) == 0
+    files["res0.txt"] = (tmp_path / "res0.txt").read_bytes()
+    for k in range(ARGV_CASES):
+        rng = random.Random(k)
+        verb = rng.choice(sorted(BASE_ARGV))
+        argv = BASE_ARGV[verb]
+        for _ in range(rng.choice([1, 2])):
+            argv = _edit_argv(argv, OPTIONS[verb], rng)
+        case = tmp_path / f"argv{k}"
+        (case / "sub").mkdir(parents=True)
+        for name, data in files.items():
+            (case / name).write_bytes(data)
+        monkeypatch.chdir(case)
+        what = f"case {k}: {[verb, *argv]}"
+        try:
+            code = cli.main([verb, *argv])
+        except Exception as exc:
+            pytest.fail(f"{what}: {exc!r} escaped cli.main")
+        assert code in (0, 1, 2), what
         assert "Traceback" not in capsys.readouterr().err, what

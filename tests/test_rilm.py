@@ -12,7 +12,9 @@ Core claims:
     - an update registers the phase's new class ids in phase order with
       zero weight columns, next to classes the state holds; an empty phase
       changes nothing else; states never grow with sample count; the
-      joint-fit reference fits a class that trains in several phases
+      joint-fit reference fits a class that trains in several phases and
+      names the pivot of a Gram sum that eta, lost to rounding, leaves
+      singular
     - duplicated, rank-1 and all-zero ReLU rows keep both paths on the
       joint fit; on ``recridge gen`` data, stepping the weights by the
       factored gain, Woodbury holds 1e-8 at eta 1e-4 and direct at eta 1e-6
@@ -42,7 +44,13 @@ import pytest
 from recridge import cil_harness as ch
 from recridge import dense_linalg, fmat, random_projection, rilm
 from recridge.dense_linalg import cholesky_lower
-from recridge.errors import ParseError, ProtocolError, ShapeError, ValidationError
+from recridge.errors import (
+    NotPositiveDefiniteError,
+    ParseError,
+    ProtocolError,
+    ShapeError,
+    ValidationError,
+)
 
 from oracles import (
     gen_experiment,
@@ -197,7 +205,7 @@ def test_auto_keeps_tall_phases_direct_below_tested_eta(n, routed):
 
 def test_init_rejects_bad_eta():
     phase = rilm.PhaseDataset(np.eye(2), [0, 1], (0, 1))
-    for eta in (0.0, -1.0, np.nan):
+    for eta in (0.0, -1.0, np.nan, 1e-320):
         with pytest.raises(ValidationError):
             _first_fit(phase, eta)
 
@@ -816,6 +824,15 @@ def test_batch_oracle_fits_a_class_split_over_two_phases():
     assert np.linalg.norm(ours - theirs) <= 1e-8 * np.linalg.norm(theirs)
 
 
+def test_batch_oracle_reports_the_pivot_eta_is_lost_at():
+    # FᵀF = [[3, 3], [3, 3]] is singular and 3 + 1e-300 rounds to 3, so the
+    # second pivot is exactly 0
+    phase = rilm.PhaseDataset(np.ones((3, 2)), [0, 0, 0], (0,))
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        rilm.batch_oracle([phase], eta=1e-300)
+    assert info.value.pivot == 1
+
+
 # -- prediction ---------------------------------------------------------------
 
 
@@ -1021,7 +1038,7 @@ def test_checkpoint_rejects_negative_phase(tmp_path):
     assert info.value.lineno == 1
 
 
-@pytest.mark.parametrize("eta", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("eta", ["nan", "inf", "0", "-1", "1e-320"])
 def test_checkpoint_rejects_bad_eta(tmp_path, eta):
     path = tmp_path / "state.rilm"
     state = _train_state(10, seed=28)
