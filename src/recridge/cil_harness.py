@@ -588,7 +588,12 @@ def run_pipeline(config: ExperimentConfig, naive: bool = False) -> MetricsReport
     """End-to-end run of one learner; persists results when configured.
 
     ``naive`` runs the sequential baseline and tags its result files so.
+    An ``out`` whose directory does not exist is refused before any work.
     """
+    if config.out is not None:
+        folder = os.path.dirname(config.out) or "."
+        if not os.path.isdir(folder):
+            raise ValidationError(f"out {config.out}: directory {folder} does not exist")
     ex = prepare_experiment(config)
     report, _ = run_phases(ex, naive=naive)
     _persist(config, ex, report, naive)

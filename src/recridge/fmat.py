@@ -133,12 +133,6 @@ class LineCursor:
         self._start += size
         self._pos += lines
 
-    def mark(self) -> tuple[int, int]:
-        return self._start, self._pos
-
-    def reset(self, mark: tuple[int, int]) -> None:
-        self._start, self._pos = mark
-
     def at_end(self) -> bool:
         # Trailing blank lines (from the final LF) do not count as content.
         return not self._data[self._start :].decode("utf-8").strip()
@@ -209,18 +203,16 @@ def _format_tokens(chunk: Matrix) -> tuple[str, np.ndarray]:
 
 
 def _read_tokens(cursor: LineCursor, rows: int, cols: int) -> Matrix | None:
-    # The block if each chunk has the writer's layout and passes the
-    # bound; None otherwise, the cursor then moved by an unknown amount.
-    if not (rows and cols) or rows * cols * _TOKEN.itemsize > len(cursor.rest()):
+    # The block if all of it has the writer's layout and passes the bound,
+    # the cursor then past it; None otherwise, the cursor left where it was.
+    size = rows * cols * _TOKEN.itemsize
+    if not (rows and cols) or size > len(cursor.rest()):
         return None
     data = np.empty((rows, cols), dtype=np.float64)
+    tokens = np.frombuffer(cursor.rest(), np.uint8, size).reshape(rows, cols, -1)
     step = max(1, _READ_CHUNK // cols)
-    for out in (data[i : i + step] for i in range(0, rows, step)):
-        size = out.size * _TOKEN.itemsize
-        if size > len(cursor.rest()):
-            return None
-        tok = np.frombuffer(cursor.rest(), np.uint8, size).reshape(*out.shape, -1)
-        cursor.skip(size, len(out))
+    for i in range(0, rows, step):
+        out, tok = data[i : i + step], tokens[i : i + step]
         u = tok.reshape(out.size, -1)[:, :-1] - _ZERO  # digit values at digits
         seps = (tok[:, :-1, -1] == 32).all() and (tok[:, -1, -1] == 10).all()
         if not (seps and (u <= _SPAN).all() and (u[:, [0, 21]] != 1).all()):  # 1 is ','
@@ -241,17 +233,14 @@ def _read_tokens(cursor: LineCursor, rows: int, cols: int) -> Matrix | None:
         if not (np.abs(q - (r - p)) <= (a - np.nextafter(a, 0)) * 0.5 - a * 2.0**-100).all():
             return None
         out[...] = np.where(u[:, 0], -r, r).reshape(out.shape)
+    cursor.skip(size, rows)
     return data
 
 
 def read_matrix_block(cursor: LineCursor) -> Matrix:
     rows, cols = _parse_header(cursor, "FMAT", 2)
-    start = cursor.mark()
     data = _read_tokens(cursor, rows, cols)
-    if data is None:
-        cursor.reset(start)
-        data = _read_rows(cursor, rows, cols)
-    return data
+    return _read_rows(cursor, rows, cols) if data is None else data
 
 
 def _read_rows(cursor: LineCursor, rows: int, cols: int) -> Matrix:

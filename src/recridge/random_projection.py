@@ -29,15 +29,14 @@ def seeded_generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *stream])))
 
 
-def _check_activation(activation: str) -> str:
-    if activation not in ACTIVATIONS:
-        raise ValidationError(f"unknown activation {activation!r}, expected one of {ACTIVATIONS}")
-    return activation
-
-
 @dataclass(frozen=True)
 class RpLayer:
-    """Immutable projection layer: weights, activation kind and provenance seed."""
+    """Immutable projection layer: weights, activation kind and provenance seed.
+
+    Construction checks that ``w_rp`` is a finite ``input_dim`` x
+    ``output_dim`` matrix (ValidationError, ShapeError) and that
+    ``activation`` is one of ``ACTIVATIONS`` (ValidationError).
+    """
 
     w_rp: Matrix
     activation: str
@@ -45,12 +44,23 @@ class RpLayer:
     input_dim: int
     output_dim: int
 
+    def __post_init__(self):
+        w = as_matrix(self.w_rp, "w_rp")
+        if w.shape != (self.input_dim, self.output_dim):
+            raise ShapeError(
+                f"w_rp has shape {w.shape}, expected ({self.input_dim}, {self.output_dim})"
+            )
+        if self.activation not in ACTIVATIONS:
+            raise ValidationError(
+                f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}"
+            )
+        object.__setattr__(self, "w_rp", w)
+
 
 def rp_new(d: int, d_rp: int, seed: int, activation: str = "relu") -> RpLayer:
     """Create a frozen projection layer with seeded Gaussian weights."""
     if d < 1 or d_rp < 1:
         raise ValidationError(f"projection dims must be >= 1, got d={d}, d_rp={d_rp}")
-    activation = _check_activation(activation)
     w = seeded_generator(seed).standard_normal((d, d_rp)) / np.sqrt(float(d))
     return RpLayer(w_rp=w, activation=activation, seed=int(seed), input_dim=d, output_dim=d_rp)
 

@@ -61,6 +61,7 @@ import numpy as np
 from . import fmat
 from .dense_linalg import (
     Matrix,
+    _all_finite,
     _symmetrized,
     as_matrix,
     cholesky_lower,
@@ -370,7 +371,8 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
     equations (FᵀF + eta I) W = Fᵀ Y with LAPACK (``np.linalg.solve``),
     after ``cholesky_lower`` has checked that FᵀF + eta I is positive
     definite (NotPositiveDefiniteError names the pivot, as when eta is lost
-    to rounding on a singular FᵀF). Where d exceeds the rows seen it
+    to rounding on a singular FᵀF). Sums or weights that overflow raise
+    NumericalError, with no numpy warning. Where d exceeds the rows seen it
     can be less accurate than the recursion (``CHANGES.md``); hence eta
     1e-2 in ``test_one_row_last_block_holds_joint_fit`` (d 318, 240 rows).
     """
@@ -388,15 +390,18 @@ def batch_oracle(all_phases, eta: float = DEFAULT_ETA) -> Matrix:
         if d is None:
             d = f.shape[1]
             a_sum, c_sum = np.zeros((d, d)), np.zeros((d, len(column)))
-        a_sum += f.T @ f
         cols = [column[cid] for cid in ph.class_ids]
         onehot = np.equal.outer(ph.labels, ph.class_ids).astype(np.float64)
-        c_sum[:, cols] += f.T @ onehot
+        with np.errstate(over="ignore", invalid="ignore"):  # checked once, below
+            a_sum += f.T @ f
+            c_sum[:, cols] += f.T @ onehot
+    if not (_all_finite(a_sum) and _all_finite(c_sum)):
+        raise NumericalError("batch_oracle: the Gram or label sums overflowed")
     a_sum.flat[:: d + 1] += eta  # f.T @ f is exactly symmetric, and so is the sum
     cholesky_lower(a_sum)  # the positive-definiteness check, naming the pivot
     weights = np.linalg.solve(a_sum, c_sum)
     if not np.isfinite(weights).all():
-        raise ValidationError("batch_oracle produced non-finite weights (overflow?)")
+        raise NumericalError("batch_oracle produced non-finite weights")
     return weights
 
 

@@ -465,6 +465,17 @@ def test_run_pipeline_single_phase_has_zero_drop(tmp_path):
     assert len(report.per_phase_acc) == 1
 
 
+def test_run_pipeline_refuses_a_missing_out_directory_before_any_work(tmp_path, monkeypatch):
+    # the config still loads, as verify, which writes nothing, reads it
+    missing = tmp_path / "missing"
+    cfg = ch.load_config(_write_config(tmp_path, out=missing / "res.txt"))
+    prepared = []
+    monkeypatch.setattr(ch, "prepare_experiment", prepared.append)
+    with pytest.raises(ValidationError, match=f"directory {missing} does not exist"):
+        ch.run_pipeline(cfg)
+    assert prepared == []
+
+
 def test_final_phase_matches_joint_model(tmp_path):
     cfg = ch.load_config(_write_config(tmp_path))
     ex = ch.prepare_experiment(cfg)

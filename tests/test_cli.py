@@ -11,7 +11,8 @@ Core claims:
     - gen/run/metrics wire files end to end, with override echo; --phases
       re-splits the classes under the config's schedule shuffle; gen writes
       the rows synthetic mode draws
-    - an update whose block products overflow exits 2 without a warning
+    - an update whose block products overflow exits 2 without a warning,
+      in run and in verify
     - a failed run or echo leaves no partial or replaced output behind, and
       an ``out`` named like its own .csv or .cfg sibling is refused
     - a phase whose classes have no training rows runs to the joint fit
@@ -136,6 +137,23 @@ def test_verify_numerical_failure_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("numerical failure: ") and not captured.out
     assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
+def test_verify_update_overflow_exits_2_without_a_warning(tmp_path, capsys):
+    # the joint fit's Gram sum overflows on this data, as run's update
+    # products do: a numerical failure, and no numpy warning (an error in
+    # this suite) escapes
+    assert cli.main(["gen", "--out", str(tmp_path / "data"), "--classes", "4", "--dim", "6"]) == 0
+    feats = ch.load_features(tmp_path / "data_train.fmat")
+    feats[0, 0] = 1e301
+    ch.save_features(tmp_path / "data_train.fmat", feats)
+    cfg = _file_mode_config(tmp_path)
+    cfg.write_text(cfg.read_text() + "eta = 1\n")
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("numerical failure: ")
 
 
 def test_verify_help_lists_only_config(capsys):

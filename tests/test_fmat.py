@@ -8,6 +8,8 @@ Core claims:
       and 1e18 are rounded to even in the tokens, not sent to ``%``
     - the token reader accepts only what the per-line loop accepts, and
       returns it bit for bit; everything else falls back to the loop
+    - the token reader takes a whole block or none of it: a block it turns
+      down, even in its last pass, leaves the cursor where it was
     - every block the program writes, bar one holding a three-digit
       exponent, reads through the tokens
     - a corrupted checkpoint or data file raises the ParseError, line
@@ -377,6 +379,24 @@ def test_edited_token_reads_as_the_loop_reads_it(monkeypatch, col):
             assert _outcome(_read_text, bad) == _loop_only(monkeypatch, _read_text, bad)
         cut = text[: start + pos]  # truncated mid-token
         assert _outcome(_read_text, cut) == _loop_only(monkeypatch, _read_text, cut)
+
+
+def test_token_reader_takes_a_whole_block_or_leaves_the_cursor():
+    # 2500 x 2 values take three passes; an edit in the last row fails only
+    # the last, and the cursor still stands at the block's first row
+    m = _rng(16).standard_normal((2500, 2))
+    text = _written(m)
+    bad = text[: text.rindex("e")] + "E" + text[text.rindex("e") + 1 :]
+    cursor = _cursor(bad)
+    rows, cols = fmat._parse_header(cursor, "FMAT", 2)
+    before = cursor.lineno, len(cursor.rest())
+    assert fmat._read_tokens(cursor, rows, cols) is None
+    assert (cursor.lineno, len(cursor.rest())) == before
+    cursor = _cursor(text)
+    rows, cols = fmat._parse_header(cursor, "FMAT", 2)
+    lineno, left = cursor.lineno, len(cursor.rest())
+    assert fmat._read_tokens(cursor, rows, cols).tobytes() == m.tobytes()
+    assert cursor.lineno == lineno + 2500 and len(cursor.rest()) == left - 2500 * 2 * 25
 
 
 LABEL_LINES = ["0", "-0", "007", "-12", "123456789012345678", "1234567890123456789",

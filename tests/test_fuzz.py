@@ -6,7 +6,8 @@ file-mode run, then runs it in process. Whatever the edit, ``cli.main``
 returns 0, 1 or 2, raises nothing and prints no traceback; a run that fails
 leaves no output file, and one that exits 0 writes all three. A one-byte
 edit can raise a header at most tenfold, so no case asks for a large
-allocation.
+allocation. A seeded fifth of the cases also runs ``verify`` on the edited
+files: 0, 1 or 2, nothing raised and no traceback.
 
 Argv edits: each case takes a small valid command line of one verb and
 sets, adds or deletes one or two of its arguments, with values drawn only
@@ -23,6 +24,7 @@ from recridge import cil_harness as ch
 from recridge import cli
 
 CASES = 500
+VERIFY_CASES = 100  # of the CASES file edits, also run through verify
 ARGV_CASES = 300
 OUTPUTS = ["res.cfg", "res.csv", "res.txt"]
 
@@ -78,6 +80,7 @@ def _edit(data: bytes, rng: random.Random) -> tuple[bytes, str]:
 
 def test_one_byte_edits_keep_the_exit_code_contract(tmp_path, capsys):
     files = _run_files(tmp_path)
+    verified = set(random.Random(CASES).sample(range(CASES), VERIFY_CASES))
     for k in range(CASES):
         rng = random.Random(k)
         name = rng.choice(sorted(files))
@@ -95,6 +98,13 @@ def test_one_byte_edits_keep_the_exit_code_contract(tmp_path, capsys):
         written = sorted(path.name for path in case.iterdir() if path.name.startswith("res."))
         assert (code, written) in [(0, OUTPUTS), (1, []), (2, [])], what
         assert "Traceback" not in capsys.readouterr().err, what
+        if k in verified:
+            try:
+                code = cli.main(["verify", "--config", str(case / "run.cfg")])
+            except Exception as exc:
+                pytest.fail(f"{what}: {exc!r} escaped cli.main verify")
+            assert code in (0, 1, 2), f"{what}, verify"
+            assert "Traceback" not in capsys.readouterr().err, f"{what}, verify"
 
 
 def _edit_argv(argv: list[str], options: list, rng: random.Random) -> list[str]:

@@ -6,6 +6,8 @@ Core claims:
     - relu outputs are non-negative, widths always equal output_dim
     - the weight distribution has the advertised zero mean
     - an overflowing projection is a ValidationError, whatever the activation
+    - a hand-built layer is checked: finite weights of its declared shape
+      and a known activation
 """
 
 import warnings
@@ -48,6 +50,24 @@ def test_rejects_bad_seed_and_activation():
         rp_new(2, 4, 2**64)
     with pytest.raises(ValidationError):
         rp_new(2, 4, 1, "sigmoid")
+
+
+def test_hand_built_layer_rejects_an_unknown_activation():
+    # the check is exact: "ReLU" is not "relu", and would act as identity
+    with pytest.raises(ValidationError, match="unknown activation 'ReLU'"):
+        RpLayer(np.eye(3), "ReLU", seed=0, input_dim=3, output_dim=3)
+
+
+def test_hand_built_layer_rejects_weights_of_another_shape():
+    with pytest.raises(ShapeError, match=r"w_rp has shape \(3, 3\), expected \(5, 3\)"):
+        RpLayer(np.eye(3), "relu", seed=0, input_dim=5, output_dim=3)
+
+
+def test_hand_built_layer_rejects_non_finite_weights():
+    w = np.eye(3)
+    w[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="w_rp contains NaN or Inf"):
+        RpLayer(w, "relu", seed=0, input_dim=3, output_dim=3)
 
 
 # -- forward ------------------------------------------------------------------

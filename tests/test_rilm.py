@@ -14,7 +14,7 @@ Core claims:
       changes nothing else; states never grow with sample count; the
       joint-fit reference fits a class that trains in several phases and
       names the pivot of a Gram sum that eta, lost to rounding, leaves
-      singular
+      singular, and reports an overflow as a numerical failure
     - duplicated, rank-1 and all-zero ReLU rows keep both paths on the
       joint fit; on ``recridge gen`` data, stepping the weights by the
       factored gain, Woodbury holds 1e-8 at eta 1e-4 and direct at eta 1e-6
@@ -46,6 +46,7 @@ from recridge import dense_linalg, fmat, random_projection, rilm
 from recridge.dense_linalg import cholesky_lower
 from recridge.errors import (
     NotPositiveDefiniteError,
+    NumericalError,
     ParseError,
     ProtocolError,
     ShapeError,
@@ -831,6 +832,16 @@ def test_batch_oracle_reports_the_pivot_eta_is_lost_at():
     with pytest.raises(NotPositiveDefiniteError) as info:
         rilm.batch_oracle([phase], eta=1e-300)
     assert info.value.pivot == 1
+
+
+def test_batch_oracle_overflow_raises_numerical_error(monkeypatch):
+    # a Gram sum past the float range, then weights that come out
+    # non-finite from a finite sum: numerical failures, with no warning
+    with pytest.raises(NumericalError, match="sums overflowed"):
+        rilm.batch_oracle([rilm.PhaseDataset(np.full((2, 2), 1e200), [0, 0], (0,))])
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(b.shape, np.inf))
+    with pytest.raises(NumericalError, match="non-finite weights"):
+        rilm.batch_oracle([rilm.PhaseDataset(np.eye(2), [0, 0], (0,))])
 
 
 # -- prediction ---------------------------------------------------------------
